@@ -31,19 +31,20 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Iterator
 
 import numpy as np
 
 from .data import (
+    BLOCK_ROWS,
+    Block,
     Dataset,
-    LabeledPoint,
     ParseError,
     accuracy_on_set,
-    estimate_centering,
+    center_and_fold,
     effective_step,
-    folded_stream,
+    first_rows,
+    fold,
     gaussian_mixture_sampler,
     load_cifar10_batch,
     load_csv_points,
@@ -191,8 +192,8 @@ def _e1_scaled(d: int, scale: float) -> np.ndarray:
     return mu
 
 
-def _labeled_source(cfg: ExperimentConfig, sigma: float, rng: RngState) -> Iterator[LabeledPoint]:
-    """Synthetic labeled stream per the config's 'source' key."""
+def _labeled_source(cfg: ExperimentConfig, sigma: float, rng: RngState) -> Iterator[Block]:
+    """Synthetic labeled block stream per the config's 'source' key."""
     source = cfg.get("source", "gaussian", str)
     d = cfg.require("d", int)
     if d < 1:
@@ -208,13 +209,17 @@ def _labeled_source(cfg: ExperimentConfig, sigma: float, rng: RngState) -> Itera
 
 def _labeled_dataset_stream(
     dataset: Dataset, rng: RngState, epochs: int | None
-) -> Iterator[LabeledPoint]:
+) -> Iterator[Block]:
+    """Shuffled pass(es) over a dataset in blocks; each block is a gathered
+    copy, so folding it in place leaves the dataset untouched."""
     gen = rng.generator()
     n = len(dataset)
     done = 0
     while epochs is None or done < epochs:
-        for i in gen.permutation(n):
-            yield dataset.points[i]
+        order = gen.permutation(n)
+        for start in range(0, n, BLOCK_ROWS):
+            rows = order[start:start + BLOCK_ROWS]
+            yield Block(dataset.y[rows], dataset.zeta[rows])
         done += 1
 
 
@@ -278,7 +283,7 @@ def _overhead(stopper: _Stopper, result: RunResult) -> int:
 
 def _run_stopper(
     stopper: _Stopper,
-    labeled: Iterator[LabeledPoint],
+    labeled: Iterator[Block],
     loss: LossKind,
     alpha_tilde: float,
     centering_n: int,
@@ -288,9 +293,8 @@ def _run_stopper(
 
     Returns (result, centering stats, effective alpha).
     """
-    stats = estimate_centering(labeled, centering_n)
+    stats, train = center_and_fold(labeled, centering_n)
     alpha = effective_step(alpha_tilde, stats.sigma2_tilde)
-    train = folded_stream(labeled, stats.offset)
     config = SgdConfig(loss, alpha, max_iter=max_iter, rule=stopper.rule)
     result = run(train, config)
     if stopper.continue_factor is not None and not result.censored:
@@ -384,18 +388,15 @@ def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
     rows: list[list] = []
     for t in range(trials):
         cell = root.substream(t)
-        eval_points = list(
-            islice(_labeled_source(cfg, sigma, cell.substream(len(stoppers))), eval_samples)
+        eval_set = first_rows(
+            _labeled_source(cfg, sigma, cell.substream(len(stoppers))), eval_samples
         )
         for j, stopper in enumerate(stoppers):
             labeled = _labeled_source(cfg, sigma, cell.substream(_stream_index(stoppers, j)))
             result, stats, _ = _run_stopper(
                 stopper, labeled, loss, alpha_tilde, centering_n, max_iter
             )
-            folded_eval = np.stack(
-                [(2 * p.y - 1) * (p.zeta - stats.offset) for p in eval_points]
-            )
-            acc = accuracy_on_set(result.theta, folded_eval)
+            acc = accuracy_on_set(result.theta, fold(eval_set, stats.offset))
             rows.append([
                 stopper.name, t, result.iterations, result.samples_consumed,
                 _overhead(stopper, result), acc, result.stop_reason.value,
@@ -537,7 +538,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 # run-real
 
 
-def _mnist_points(images_path: str, labels_path: str, scale: bool) -> list[tuple[int, np.ndarray]]:
+def _mnist_task(
+    images_path: str, labels_path: str, scale: bool, class_a: int, class_b: int
+) -> Dataset:
     with open(images_path, "rb") as f:
         images = load_idx(f.read())
     with open(labels_path, "rb") as f:
@@ -550,10 +553,16 @@ def _mnist_points(images_path: str, labels_path: str, scale: bool) -> list[tuple
         raise ConfigError(
             f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
         )
-    flat = images.reshape(images.shape[0], -1).astype(float)
+    # only the rows of the two classes are converted from uint8 to float
+    task = make_binary_task(labels, images.reshape(images.shape[0], -1), class_a, class_b)
     if scale:
-        flat /= 255.0
-    return [(int(labels[i]), flat[i]) for i in range(flat.shape[0])]
+        np.divide(task.zeta, 255.0, out=task.zeta)
+    return task
+
+
+def _points_task(points: list[tuple[int, np.ndarray]], class_a: int, class_b: int) -> Dataset:
+    labels = np.array([label for label, _ in points])
+    return make_binary_task(labels, np.stack([vec for _, vec in points]), class_a, class_b)
 
 
 def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]:
@@ -570,9 +579,11 @@ def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]
         missing = [p for p in paths if not os.path.exists(p)]
         if missing:
             raise DataMissing(missing)
-        train = _mnist_points(paths[0], paths[1], scale)
-        test = _mnist_points(paths[2], paths[3], scale)
-    elif kind == "cifar10":
+        return (
+            _mnist_task(paths[0], paths[1], scale, class_a, class_b),
+            _mnist_task(paths[2], paths[3], scale, class_a, class_b),
+        )
+    if kind == "cifar10":
         batches = cfg.require("train_batches", list)
         if not batches or not all(isinstance(p, str) for p in batches):
             raise ConfigError("train_batches must be a nonempty list of paths")
@@ -586,7 +597,8 @@ def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]
                 train.extend(load_cifar10_batch(f.read(), scale=scale))
         with open(test_path, "rb") as f:
             test = load_cifar10_batch(f.read(), scale=scale)
-    elif kind == "csv":
+        return _points_task(train, class_a, class_b), _points_task(test, class_a, class_b)
+    if kind == "csv":
         path = cfg.require("path", str)
         if not os.path.exists(path):
             raise DataMissing([path])
@@ -595,20 +607,18 @@ def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]
         frac = cfg.get("test_fraction", 0.2, float)
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {frac}")
-        task = make_binary_task(points, class_a, class_b)
+        task = _points_task(points, class_a, class_b)
         n = len(task)
         n_test = max(1, int(frac * n))
         if n_test >= n:
             raise ConfigError("test split leaves no training data")
         order = root.substream(999).generator().permutation(n)
-        pts = [task.points[i] for i in order]
-        return Dataset(tuple(pts[n_test:])), Dataset(tuple(pts[:n_test]))
-    else:
-        raise ConfigError(f"unknown dataset '{kind}'; expected mnist, cifar10, or csv")
-    return (
-        make_binary_task(train, class_a, class_b),
-        make_binary_task(test, class_a, class_b),
-    )
+        train_rows, test_rows = order[n_test:], order[:n_test]
+        return (
+            Dataset(task.y[train_rows], task.zeta[train_rows]),
+            Dataset(task.y[test_rows], task.zeta[test_rows]),
+        )
+    raise ConfigError(f"unknown dataset '{kind}'; expected mnist, cifar10, or csv")
 
 
 def cmd_run_real(cfg: ExperimentConfig) -> int:
@@ -620,6 +630,8 @@ def cmd_run_real(cfg: ExperimentConfig) -> int:
     max_iter = cfg.get("max_iter", 1_000_000, int)
     centering_n = cfg.get("centering_samples", 100, int)
     epochs = cfg.get("epochs", 1, (int, type(None)))
+    if epochs is not None and epochs < 1:
+        raise ConfigError(f"epochs must be >= 1 or null, got {epochs}")
     continue_factor = cfg.get("continue_factor", 1.5, float)
     names = cfg.get("stoppers", ["zero_overhead"], list)
     stoppers = [_parse_stopper(n, continue_factor) for n in names]
@@ -637,10 +649,7 @@ def cmd_run_real(cfg: ExperimentConfig) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
 
-    labels = np.array([p.y for p in test.points])
-    baseline = float(max(np.mean(labels == 0), np.mean(labels == 1)))
-    test_raw = np.stack([p.zeta for p in test.points])
-    test_y = 2 * labels - 1
+    baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
 
     rows: list[list] = []
     for t in range(trials):
@@ -652,8 +661,7 @@ def cmd_run_real(cfg: ExperimentConfig) -> int:
             result, stats, _ = _run_stopper(
                 stopper, labeled, loss, alpha_tilde, centering_n, max_iter
             )
-            folded_test = test_y[:, None] * (test_raw - stats.offset)
-            acc = accuracy_on_set(result.theta, folded_test)
+            acc = accuracy_on_set(result.theta, fold(test, stats.offset))
             rows.append([
                 stopper.name, t, result.iterations, result.samples_consumed,
                 _overhead(stopper, result), acc, baseline,

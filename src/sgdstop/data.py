@@ -6,16 +6,24 @@ classifies the original point correctly exactly when xi . theta > 0 (a
 margin of exactly 0 counts incorrect), so both classes can be trained and
 scored through one folded stream.
 
-Centering follows a fixed protocol: from the first n labeled samples of a
-stream, estimate the per-class means, set the offset to their midpoint, and
-estimate the per-sample noise scale as
+Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
+(rows, d): the synthetic sources hand out 256-row blocks, as does the CLI's
+dataset stream, which gathers each chunk of an epoch's permutation into a
+fresh copy.  Whoever receives a block owns it.
+
+Centering follows a fixed protocol (center_and_fold): from the first n rows
+of a labeled block stream, estimate the per-class means, set the offset to
+their midpoint, and estimate the per-sample noise scale as
 
     sigma2_tilde = mean_j | zeta_j - mean_{class of j} |^2,
 
-whose expectation is sigma^2 d for isotropic class noise.  The step size
-actually run is then effective_step(alpha_tilde, sigma2_tilde) =
-alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
-across noise scales and datasets.
+whose expectation is sigma^2 d for isotropic class noise.  The remaining
+rows are folded in place once per block and handed to the engine, which
+owns them, one at a time; blocks are drawn as they always were, so draw
+accounting does not change.  The step size actually run is then
+effective_step(alpha_tilde, sigma2_tilde) = alpha_tilde / sigma2_tilde,
+which makes one nominal alpha_tilde comparable across noise scales and
+datasets.  Held-out sets are folded with fold, one array op per offset.
 
 Synthetic generators (two-component Gaussian mixture, heavy-tailed
 Student-t2 mixture) and binary dataset readers (IDX tensors, CIFAR-10
@@ -34,16 +42,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, standard_normals
+from .numerics import RngState, sample_student_t2, standard_normals
 
 __all__ = [
-    "LabeledPoint",
+    "BLOCK_ROWS",
+    "Block",
     "CenteringStats",
     "Dataset",
     "ParseError",
@@ -54,13 +64,11 @@ __all__ = [
     "Cifar10Error",
     "CsvError",
     "fold",
-    "fold_dataset",
     "gaussian_mixture_sampler",
     "student_t2_mixture_sampler",
     "folded_gaussian_stream",
-    "folded_stream",
-    "dataset_stream",
-    "estimate_centering",
+    "first_rows",
+    "center_and_fold",
     "effective_step",
     "load_idx",
     "load_cifar10_batch",
@@ -69,23 +77,14 @@ __all__ = [
     "accuracy_on_set",
 ]
 
-_BLOCK = 256  # draws per batch in the synthetic streams
+BLOCK_ROWS = 256  # rows per block in the synthetic and dataset streams
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A feature vector with a binary class label."""
+class Block(NamedTuple):
+    """Rows of a labeled stream: labels y (rows,) in {0, 1}, features zeta (rows, d)."""
 
-    y: int
+    y: np.ndarray
     zeta: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-        zeta = np.asarray(self.zeta, dtype=float)
-        if zeta.ndim != 1:
-            raise ValueError("zeta must be a 1-D vector")
-        object.__setattr__(self, "zeta", zeta)
 
 
 @dataclass(frozen=True)
@@ -101,40 +100,32 @@ class CenteringStats:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A finite list of binary labeled points with a common dimension."""
+    """A finite binary labeled set: labels y (n,) in {0, 1}, features zeta (n, d)."""
 
-    points: tuple[LabeledPoint, ...]
+    y: np.ndarray
+    zeta: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("dataset must be nonempty")
-        d = self.points[0].zeta.shape[0]
-        for p in self.points:
-            if p.zeta.shape[0] != d:
-                raise ValueError("all points must share one dimension")
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @property
-    def d(self) -> int:
-        return self.points[0].zeta.shape[0]
+        y = np.asarray(self.y)
+        zeta = np.asarray(self.zeta, dtype=float)
+        if zeta.ndim != 2 or y.shape != zeta.shape[:1] or y.size == 0:
+            raise ValueError(f"need y (n,), zeta (n, d), n >= 1; got {y.shape}, {zeta.shape}")
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "y", y.astype(int))
+        object.__setattr__(self, "zeta", zeta)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.y.shape[0]
 
 
-def fold(point: LabeledPoint, offset: np.ndarray) -> np.ndarray:
-    """xi = (2y - 1)(zeta - offset)."""
-    offset = np.asarray(offset, dtype=float)
-    if offset.shape != point.zeta.shape:
-        raise ValueError(
-            f"offset shape {offset.shape} != point shape {point.zeta.shape}"
-        )
-    return (2 * point.y - 1) * (point.zeta - offset)
-
-
-def fold_dataset(dataset: Dataset, offset: np.ndarray) -> np.ndarray:
-    """All folded vectors of a dataset as an (n, d) matrix, in order."""
-    return np.stack([fold(p, offset) for p in dataset.points])
+def fold(labeled: Block | Dataset, offset: np.ndarray) -> np.ndarray:
+    """xi = (2y - 1)(zeta - offset) for every row, as a new (n, d) matrix."""
+    if offset.shape != labeled.zeta.shape[1:]:
+        raise ValueError(f"offset {offset.shape} does not match features {labeled.zeta.shape}")
+    xi = labeled.zeta - offset
+    xi *= (2 * labeled.y - 1)[:, None]
+    return xi
 
 
 def _materialize(rng: RngState | np.random.Generator) -> np.random.Generator:
@@ -148,12 +139,12 @@ def gaussian_mixture_sampler(
     mu1: np.ndarray,
     sigma: float,
     rng: RngState | np.random.Generator,
-) -> Iterator[LabeledPoint]:
+) -> Iterator[Block]:
     """Fair two-component Gaussian mixture: y ~ Bernoulli(1/2), zeta ~
     N(mu_y, sigma^2 I_d).
 
-    Draws in blocks of 256 points: first the 256 label coins (one uniform
-    each, y = 1 iff u < 1/2), then the 256 d feature normals.
+    Hands out blocks of 256 rows, each drawn as the 256 label coins first
+    (one uniform each, y = 1 iff u < 1/2), then the 256 d feature normals.
     """
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -165,21 +156,20 @@ def gaussian_mixture_sampler(
     d = mu0.shape[0]
     means = np.stack([mu0, mu1])
     while True:
-        ys = (gen.random(_BLOCK) < 0.5).astype(int)
-        noise = standard_normals(gen, _BLOCK * d).reshape(_BLOCK, d)
-        block = means[ys] + sigma * noise
-        for i in range(_BLOCK):
-            yield LabeledPoint(int(ys[i]), block[i])
+        ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
+        noise = standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
+        yield Block(ys, means[ys] + sigma * noise)
 
 
 def student_t2_mixture_sampler(
     beta: float, d: int, rng: RngState | np.random.Generator
-) -> Iterator[LabeledPoint]:
+) -> Iterator[Block]:
     """Heavy-tailed mixture: entries are beta * (Student-t, 2 dof); class 1
     additionally has 1 added to its first coordinate.
 
-    One uniform per coin, then d uniforms per point for the t2 entries
-    (inverse CDF), in blocks of 256 points.
+    One uniform per coin, then d uniforms per row for the t2 entries
+    (inverse CDF), in blocks of 256 rows.  A uniform of exactly 0 gives an
+    infinite entry, which the engine reports as a diverged run.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -187,14 +177,10 @@ def student_t2_mixture_sampler(
         raise ValueError(f"d must be positive, got {d}")
     gen = _materialize(rng)
     while True:
-        ys = (gen.random(_BLOCK) < 0.5).astype(int)
-        u = 1.0 - gen.random(_BLOCK * d)
-        with np.errstate(divide="ignore"):
-            t = (2.0 * u - 1.0) / np.sqrt(2.0 * u * (1.0 - u))
-        block = beta * t.reshape(_BLOCK, d)
+        ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
+        block = beta * sample_student_t2(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
         block[:, 0] += ys
-        for i in range(_BLOCK):
-            yield LabeledPoint(int(ys[i]), block[i])
+        yield Block(ys, block)
 
 
 def folded_gaussian_stream(
@@ -213,94 +199,92 @@ def folded_gaussian_stream(
     gen = _materialize(rng)
     d = mu.shape[0]
     while True:
-        noise = standard_normals(gen, _BLOCK * d).reshape(_BLOCK, d)
-        block = mu + sigma * noise if sigma > 0.0 else np.broadcast_to(mu, (_BLOCK, d))
-        for i in range(_BLOCK):
+        noise = standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
+        block = mu + sigma * noise if sigma > 0.0 else np.broadcast_to(mu, (BLOCK_ROWS, d))
+        for i in range(BLOCK_ROWS):
             yield block[i]
 
 
-def folded_stream(
-    points: Iterable[LabeledPoint], offset: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Fold each labeled point of an iterable/stream against a fixed offset."""
-    offset = np.asarray(offset, dtype=float)
-    for p in points:
-        yield (2 * p.y - 1) * (p.zeta - offset)
+def _take(
+    blocks: Iterator[Block], rest: Block | None, n: int
+) -> tuple[list[Block], Block | None]:
+    """Up to n rows (fewer if the stream ends): the unread ``rest`` of a block,
+    then further blocks.  Returns the pieces read, as views in order, and the
+    unread remainder of the last block read (None if nothing is left)."""
+    parts = []
+    while n > 0:
+        if rest is None:
+            rest = next(blocks, None)
+            if rest is None:
+                break
+        parts.append(Block(rest.y[:n], rest.zeta[:n]))
+        k = parts[-1].y.shape[0]
+        rest = Block(rest.y[k:], rest.zeta[k:]) if k < rest.y.shape[0] else None
+        n -= k
+    return parts, rest
 
 
-def dataset_stream(
-    dataset: Dataset,
-    offset: np.ndarray,
-    rng: RngState | np.random.Generator,
-    epochs: int | None = 1,
-) -> Iterator[np.ndarray]:
-    """Folded pass(es) over a dataset, reshuffled each epoch.
-
-    Ends after ``epochs`` full passes (the engine reports downstream runs
-    that outlive it as exhausted); ``epochs=None`` cycles forever.
-    """
-    if epochs is not None and epochs < 1:
-        raise ValueError(f"epochs must be >= 1 or None, got {epochs}")
-    gen = _materialize(rng)
-    folded = fold_dataset(dataset, offset)
-    n = folded.shape[0]
-    done = 0
-    while epochs is None or done < epochs:
-        order = gen.permutation(n)
-        for i in order:
-            yield folded[i]
-        done += 1
+def first_rows(blocks: Iterable[Block], n: int) -> Block:
+    """The first n rows of a block stream (fewer if it ends), as one block."""
+    parts, _ = _take(iter(blocks), None, n)
+    return _concat(parts)  # a ValueError when the stream yields no rows
 
 
-def estimate_centering(
-    points: Iterator[LabeledPoint] | Iterable[LabeledPoint], n: int = 100
-) -> CenteringStats:
-    """Centering protocol on the first n points of a labeled stream.
+def _concat(parts: Sequence[Block]) -> Block:
+    return Block(
+        np.concatenate([p.y for p in parts]), np.concatenate([p.zeta for p in parts])
+    )
 
-    If one class is absent among the first n, a second batch of n is drawn
-    from the same stream and the estimate uses all 2n; a class still absent
-    then is an error.  sigma2_tilde is the mean squared residual norm
+
+def center_and_fold(
+    blocks: Iterable[Block], n: int = 100
+) -> tuple[CenteringStats, Iterator[np.ndarray]]:
+    """Centering protocol on the first n rows, then the folded rest.
+
+    If one class is absent among the first n rows, the next n rows of the
+    same stream are read too and the estimate uses all 2n; a class still
+    absent then is an error.  sigma2_tilde is the mean squared residual norm
     against the estimated class means (0.0 for degenerate noise-free
-    samples; see effective_step for how that is floored).
+    samples; see effective_step for how that is floored).  The returned
+    iterator yields every later row folded against the offset; each block
+    is folded in place once, so the caller must own the blocks.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 centering samples, got {n}")
-    it = iter(points)
-    batch = _take(it, n)
-    if not _both_classes(batch):
-        batch += _take(it, n)
-    if not _both_classes(batch):
-        raise ValueError(
-            f"one class absent among the first {len(batch)} centering samples"
-        )
-    z = np.stack([p.zeta for p in batch])
-    y = np.array([p.y for p in batch])
+    it = iter(blocks)
+    parts, rest = _take(it, None, n)
+    if not _both_classes(parts):
+        more, rest = _take(it, rest, n)
+        parts += more
+    if not _both_classes(parts):
+        n_read = sum(p.y.shape[0] for p in parts)
+        raise ValueError(f"one class absent among the first {n_read} centering samples")
+    y, z = _concat(parts)
     mean0 = z[y == 0].mean(axis=0)
     mean1 = z[y == 1].mean(axis=0)
     resid = z - np.where(y[:, None] == 0, mean0, mean1)
     sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
-    return CenteringStats(
+    stats = CenteringStats(
         mean0=mean0,
         mean1=mean1,
         offset=0.5 * (mean0 + mean1),
         sigma2_tilde=sigma2,
-        n_used=len(batch),
+        n_used=y.shape[0],
     )
+    later = it if rest is None else itertools.chain([rest], it)
+    return stats, _fold_in_place(later, stats.offset)
 
 
-def _take(it: Iterator[LabeledPoint], n: int) -> list[LabeledPoint]:
-    out = []
-    for _ in range(n):
-        try:
-            out.append(next(it))
-        except StopIteration:
-            break
-    return out
+def _fold_in_place(blocks: Iterator[Block], offset: np.ndarray) -> Iterator[np.ndarray]:
+    # one block is held at a time, so a finished block is freed as the next arrives
+    for y, zeta in blocks:
+        zeta -= offset
+        zeta *= (2 * y - 1)[:, None]
+        yield from zeta
 
 
-def _both_classes(batch: Sequence[LabeledPoint]) -> bool:
-    labels = {p.y for p in batch}
-    return labels == {0, 1}
+def _both_classes(parts: Sequence[Block]) -> bool:
+    return any((p.y == 0).any() for p in parts) and any((p.y == 1).any() for p in parts)
 
 
 # sigma2_tilde below this is treated as exactly degenerate (noise-free data)
@@ -455,25 +439,22 @@ def load_csv_points(text: str) -> list[tuple[int, np.ndarray]]:
 
 
 def make_binary_task(
-    points: Sequence[tuple[int, np.ndarray]], class_a: int, class_b: int
+    labels: np.ndarray, features: np.ndarray, class_a: int, class_b: int
 ) -> Dataset:
-    """Filter a multi-class point list down to {class_a -> 0, class_b -> 1}.
+    """Keep the rows labelled class_a (-> 0) or class_b (-> 1), in order.
 
-    Order-preserving; both classes must be present and distinct.
+    ``features`` is (n, d) of any numeric dtype; only the kept rows are
+    converted to float.  Both classes must be present and distinct.
     """
     if class_a == class_b:
         raise ValueError(f"classes must differ, got {class_a} twice")
-    kept = []
-    for label, vec in points:
-        if label == class_a:
-            kept.append(LabeledPoint(0, vec))
-        elif label == class_b:
-            kept.append(LabeledPoint(1, vec))
-    labels = {p.y for p in kept}
-    if labels != {0, 1}:
-        missing = class_a if 0 not in labels else class_b
-        raise ValueError(f"class {missing} has no samples")
-    return Dataset(tuple(kept))
+    labels = np.asarray(labels)
+    keep = (labels == class_a) | (labels == class_b)
+    y = (labels[keep] == class_b).astype(int)
+    for label, cls in ((0, class_a), (1, class_b)):
+        if not np.any(y == label):
+            raise ValueError(f"class {cls} has no samples")
+    return Dataset(y, np.asarray(np.asarray(features)[keep], dtype=float))
 
 
 def accuracy_on_set(theta: np.ndarray, folded: np.ndarray) -> float:

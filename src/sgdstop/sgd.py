@@ -36,6 +36,10 @@ SmallValidation
 A rule of ``NONE`` runs plain SGD for exactly max_iter updates (used by
 :func:`continue_run` to extend a terminated run).
 
+A NaN or infinite margin (a non-finite sample, or an overflowed iterate)
+ends any run at once as ``DIVERGED``, returning the iterate it was computed
+against, instead of running on to max_iter with a NaN theta.
+
 All runs start from theta = 0 unless an explicit ``theta0`` is given, halt
 after at most max_iter updates (censored), and never mutate their inputs.
 """
@@ -65,6 +69,7 @@ __all__ = [
     "continue_run",
 ]
 
+# Margin level the stopping test checks against.
 MARGIN_THRESHOLD = 1.0
 
 Sampler = Iterator[np.ndarray]
@@ -114,6 +119,7 @@ class StopReason(enum.Enum):
     PLATEAU = "plateau"        # validation fraction failed to increase
     CENSORED = "censored"      # max_iter reached
     EXHAUSTED = "exhausted"    # sampler ended before the rule stopped
+    DIVERGED = "diverged"      # a margin came out NaN or infinite
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,9 @@ class RunResult:
     ``iterations`` counts applied updates, except for SmallValidation where
     it is the iteration index of the stopping check (a multiple of the
     period).  ``samples_consumed`` follows the per-rule accounting above;
-    for exhausted runs it reports the draws actually made.  ``trace`` holds
-    (iteration, probe margin, cosine alignment with the probe) rows when
-    tracing was requested, else None.
+    for exhausted and diverged runs it reports the draws actually made.
+    ``trace`` holds (iteration, probe margin, cosine alignment with the
+    probe) rows when tracing was requested, else None.
     """
 
     theta: np.ndarray
@@ -232,6 +238,8 @@ def run_zero_overhead(
             except StopIteration:
                 return RunResult(theta, k, k, True, StopReason.EXHAUSTED, tracer.rows)
         m = float(xi @ theta)
+        if not math.isfinite(m):
+            return RunResult(theta, k, k + 1, True, StopReason.DIVERGED, tracer.rows)
         if testing and m >= MARGIN_THRESHOLD and (gate is None or gate(theta)):
             # firing draw is not charged: it is next iteration's sample
             return RunResult(theta, k, k, False, StopReason.FIRED, tracer.rows)
@@ -271,9 +279,10 @@ def run_extra_sample(
     drawn = 1
     try:
         while True:
-            if float(check @ theta) >= MARGIN_THRESHOLD and (
-                gate is None or gate(theta)
-            ):
+            c = float(check @ theta)
+            if not math.isfinite(c):
+                return RunResult(theta, k, drawn, True, StopReason.DIVERGED, tracer.rows)
+            if c >= MARGIN_THRESHOLD and (gate is None or gate(theta)):
                 return RunResult(
                     theta, k, 2 * k + 1, False, StopReason.FIRED, tracer.rows
                 )
@@ -283,7 +292,10 @@ def run_extra_sample(
                 )
             xi = next(sampler)
             drawn += 1
-            theta += (alpha * gradient_factor(kind, float(xi @ theta))) * xi
+            m = float(xi @ theta)
+            if not math.isfinite(m):
+                return RunResult(theta, k, drawn, True, StopReason.DIVERGED, tracer.rows)
+            theta += (alpha * gradient_factor(kind, m)) * xi
             k += 1
             tracer.record(k, theta)
             check = next(checks)
@@ -328,7 +340,10 @@ def run_svs(
             return RunResult(
                 theta, k, k + rule.p, True, StopReason.EXHAUSTED, tracer.rows
             )
-        theta += (alpha * gradient_factor(kind, float(xi @ theta))) * xi
+        m = float(xi @ theta)
+        if not math.isfinite(m):
+            return RunResult(theta, k, k + 1 + rule.p, True, StopReason.DIVERGED, tracer.rows)
+        theta += (alpha * gradient_factor(kind, m)) * xi
         k += 1
         tracer.record(k, theta)
         if k % rule.period == 0:
@@ -378,14 +393,14 @@ def continue_run(
 
     Applies up to ``extra_iters`` further updates; iterations and samples
     accumulate additively onto the base result.  The base stop_reason is
-    kept unless the sampler runs out first.
+    kept unless the sampler runs out or a margin is non-finite first.
     """
     if extra_iters < 0:
         raise ValueError(f"extra_iters must be >= 0, got {extra_iters}")
     theta = np.array(result.theta, dtype=float)
     alpha = config.alpha
     kind = config.kind
-    done = 0
+    done = drawn = 0
     reason = result.stop_reason
     censored = result.censored
     for _ in range(extra_iters):
@@ -395,12 +410,18 @@ def continue_run(
             reason = StopReason.EXHAUSTED
             censored = True
             break
-        theta += (alpha * gradient_factor(kind, float(xi @ theta))) * xi
+        drawn += 1
+        m = float(xi @ theta)
+        if not math.isfinite(m):
+            reason = StopReason.DIVERGED
+            censored = True
+            break
+        theta += (alpha * gradient_factor(kind, m)) * xi
         done += 1
     return RunResult(
         theta,
         result.iterations + done,
-        result.samples_consumed + done,
+        result.samples_consumed + drawn,
         censored,
         reason,
         result.trace,

@@ -54,6 +54,7 @@ from scipy.special import log_ndtr
 
 from .losses import LossKind
 from .numerics import std_normal_cdf, std_normal_ccdf
+from .sgd import MARGIN_THRESHOLD
 
 __all__ = [
     "GaussianFoldedModel",
@@ -74,9 +75,6 @@ __all__ = [
     "high_regime_max_step",
     "angle_bound",
 ]
-
-# Margin level the stopping test checks against.
-MARGIN_THRESHOLD = 1.0
 
 # Largest sigma/|mu| ratio counted as low noise, per loss.
 LOW_NOISE_RATIO = {LossKind.LOGISTIC: 0.33, LossKind.HINGE: 1.25}

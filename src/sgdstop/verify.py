@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossKind
+from .losses import LossKind, _sigmoid_vec
 from .numerics import RngState, standard_normals
 from .data import folded_gaussian_stream
 from .sgd import RunResult, SgdConfig, StopKind, run, sgd_step
@@ -229,7 +229,7 @@ def check_drift_inequality(
         xis = model.mu + model.sigma * noise
         margins = xis @ theta
         if config.kind is LossKind.LOGISTIC:
-            s = _sigmoid(-margins)
+            s = _sigmoid_vec(-margins)
         else:
             s = (margins <= 1.0).astype(float)
         # V(theta_1) depends on theta_1 only through mu . theta_1, so the
@@ -251,11 +251,3 @@ def check_drift_inequality(
         )
     return checks
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out

@@ -26,7 +26,7 @@ from sgdstop.data import (
     CsvError,
     IdxError,
     ParseError,
-    folded_stream,
+    fold,
     load_cifar10_batch,
     load_csv_points,
     load_idx,
@@ -276,8 +276,10 @@ def test_criterion_08_svs_iteration_cap(capsys):
         rng = RngState(8000 + seed)
         if seed % 5 == 4:
             # heavy-tailed stress stream
-            stream = folded_stream(
-                student_t2_mixture_sampler(0.3, d, rng), np.zeros(d)
+            stream = (
+                xi
+                for block in student_t2_mixture_sampler(0.3, d, rng)
+                for xi in fold(block, np.zeros(d))
             )
         else:
             from sgdstop.data import folded_gaussian_stream

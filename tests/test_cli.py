@@ -1,6 +1,7 @@
 """Tests for the experiment CLI: configs, outputs, determinism, exit codes."""
 
 import csv
+import itertools
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_mnist_style_fixture
+from sgdstop import cli
 from sgdstop.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -333,6 +335,39 @@ def test_run_real_csv_dataset(tmp_path):
     _, rows = _read_csv(tmp_path / "real.csv")
     assert len(rows) == 1
     assert float(rows[0]["accuracy"]) > float(rows[0]["baseline"])
+
+
+def test_run_real_rejects_nonpositive_epochs(tmp_path):
+    paths = write_mnist_style_fixture(tmp_path / "data", n_train=40, n_test=10)
+    for epochs in (0, -1):
+        cfg = write_config(
+            tmp_path / "real.json",
+            {"dataset": "mnist", **paths, "class_a": 1, "class_b": 8,
+             "alpha_tilde": 0.005, "epochs": epochs, "out": str(tmp_path / "o.csv")},
+        )
+        assert main(["run-real", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_compare_stoppers_reports_diverged(tmp_path, monkeypatch):
+    # a NaN feature in the first row after the 100 centering rows reaches
+    # every rule's first margin: the runs stop as diverged, not censored
+    real_source = cli._labeled_source
+
+    def poisoned(cfg, sigma, rng):
+        blocks = real_source(cfg, sigma, rng)
+        first = next(blocks)
+        first.zeta[100, 0] = np.nan
+        return itertools.chain([first], blocks)
+
+    monkeypatch.setattr(cli, "_labeled_source", poisoned)
+    p = _compare_cfg(
+        tmp_path, stoppers=["zero_overhead", "extra_sample", "zero_overhead_continue"]
+    )
+    assert main(["compare-stoppers", "--config", p]) == EXIT_OK
+    _, rows = _read_csv(tmp_path / "cmp.csv")
+    assert len(rows) == 3 * 3
+    assert {row["stop_reason"] for row in rows} == {"diverged"}
+    assert {row["iterations"] for row in rows} == {"0"}
 
 
 def test_run_real_unknown_dataset(tmp_path):

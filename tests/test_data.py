@@ -6,9 +6,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from sgdstop.cli import _labeled_dataset_stream
 from sgdstop.data import (
+    BLOCK_ROWS,
+    Block,
     CenteringStats,
     Cifar10Error,
     CsvError,
@@ -17,16 +20,13 @@ from sgdstop.data import (
     IdxDimOverflow,
     IdxError,
     IdxTruncated,
-    LabeledPoint,
     ParseError,
     accuracy_on_set,
-    dataset_stream,
+    center_and_fold,
     effective_step,
-    estimate_centering,
+    first_rows,
     fold,
-    fold_dataset,
     folded_gaussian_stream,
-    folded_stream,
     gaussian_mixture_sampler,
     load_cifar10_batch,
     load_csv_points,
@@ -34,12 +34,24 @@ from sgdstop.data import (
     make_binary_task,
     student_t2_mixture_sampler,
 )
+from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
+from sgdstop.sgd import SgdConfig, StopReason, run_zero_overhead
 
 
 def _idx_bytes(magic, dims, payload):
     head = struct.pack(">I", magic) + b"".join(struct.pack(">I", d) for d in dims)
     return head + payload
+
+
+def _rows(blocks):
+    """Labeled rows (y, zeta) of a block stream, one at a time."""
+    for block in blocks:
+        yield from zip(block.y.tolist(), block.zeta)
+
+
+def _block(y, zeta):
+    return Block(np.array(y), np.array(zeta, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +60,14 @@ def _idx_bytes(magic, dims, payload):
 
 def test_fold_hand_case():
     off = np.array([1.0, 1.0])
-    p1 = LabeledPoint(1, np.array([3.0, 2.0]))
-    p0 = LabeledPoint(0, np.array([3.0, 2.0]))
-    assert np.array_equal(fold(p1, off), np.array([2.0, 1.0]))
-    assert np.array_equal(fold(p0, off), np.array([-2.0, -1.0]))
+    block = _block([1, 0], [[3.0, 2.0], [3.0, 2.0]])
+    out = fold(block, off)
+    assert np.array_equal(out[0], np.array([2.0, 1.0]))
+    assert np.array_equal(out[1], np.array([-2.0, -1.0]))
     with pytest.raises(ValueError):
-        fold(p1, np.zeros(3))
+        fold(block, np.zeros(3))
+    with pytest.raises(ValueError):
+        fold(block, np.zeros(1))  # would broadcast, but is not one offset per feature
 
 
 @given(
@@ -68,36 +82,34 @@ def test_fold_sign_matches_classification(y, zeta, shift):
     zeta = np.array(zeta)
     offset = np.full_like(zeta, shift)
     theta = np.ones_like(zeta)
-    folded_margin = float(fold(LabeledPoint(y, zeta), offset) @ theta)
+    folded_margin = float(fold(_block([y], [zeta]), offset)[0] @ theta)
     raw_side = float((zeta - offset) @ theta)
     correct = raw_side > 0 if y == 1 else raw_side < 0
     assert (folded_margin > 0) == correct
 
 
 def test_fold_dataset_stacks_in_order():
-    ds = Dataset(
-        (
-            LabeledPoint(1, np.array([2.0, 0.0])),
-            LabeledPoint(0, np.array([0.0, 3.0])),
-        )
-    )
-    out = fold_dataset(ds, np.zeros(2))
+    ds = Dataset(np.array([1, 0]), np.array([[2.0, 0.0], [0.0, 3.0]]))
+    out = fold(ds, np.zeros(2))
     assert out.shape == (2, 2)
     assert np.array_equal(out[0], [2.0, 0.0])
     assert np.array_equal(out[1], [0.0, -3.0])
+    # a new matrix: the dataset itself is not folded
+    assert np.array_equal(ds.zeta, [[2.0, 0.0], [0.0, 3.0]])
 
 
-def test_labeled_point_and_dataset_validation():
+def test_dataset_validation():
     with pytest.raises(ValueError):
-        LabeledPoint(2, np.zeros(2))
+        Dataset(np.array([2, 0]), np.zeros((2, 2)))  # label outside {0, 1}
     with pytest.raises(ValueError):
-        LabeledPoint(1, np.zeros((2, 2)))
+        Dataset(np.array([1]), np.zeros(2))  # features not (n, d)
     with pytest.raises(ValueError):
-        Dataset(())
+        Dataset(np.array([], dtype=int), np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        Dataset((LabeledPoint(0, np.zeros(2)), LabeledPoint(1, np.zeros(3))))
-    ds = Dataset((LabeledPoint(0, np.zeros(4)), LabeledPoint(1, np.ones(4))))
-    assert ds.d == 4 and len(ds) == 2
+        Dataset(np.array([0, 1, 1]), np.zeros((2, 3)))  # label/row count mismatch
+    ds = Dataset(np.array([0, 1]), np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8))
+    assert ds.zeta.shape == (2, 4) and len(ds) == 2
+    assert ds.zeta.dtype == float and ds.y.dtype == int
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +118,21 @@ def test_labeled_point_and_dataset_validation():
 
 def test_gaussian_mixture_sampler_deterministic():
     mu0, mu1 = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
-    a = list(itertools.islice(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)), 10))
-    b = list(itertools.islice(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)), 10))
-    for pa, pb in zip(a, b):
-        assert pa.y == pb.y
-        assert np.array_equal(pa.zeta, pb.zeta)
+    a = next(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)))
+    b = next(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)))
+    assert a.y.shape == (BLOCK_ROWS,) and a.zeta.shape == (BLOCK_ROWS, 2)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.zeta, b.zeta)
 
 
 def test_gaussian_mixture_sampler_statistics():
     mu0, mu1 = np.array([-2.0, 1.0]), np.array([2.0, 1.0])
-    pts = list(itertools.islice(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(2)), 10_000))
-    ys = np.array([p.y for p in pts])
+    pts = first_rows(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(2)), 10_000)
+    ys = pts.y
+    assert ys.shape == (10_000,)
     assert abs(ys.mean() - 0.5) < 4.0 * 0.5 / math.sqrt(10_000)
-    z1 = np.stack([p.zeta for p in pts if p.y == 1])
-    z0 = np.stack([p.zeta for p in pts if p.y == 0])
+    z1 = pts.zeta[ys == 1]
+    z0 = pts.zeta[ys == 0]
     se = 0.5 / math.sqrt(min(len(z0), len(z1)))
     assert np.all(np.abs(z1.mean(axis=0) - mu1) < 4.0 * se)
     assert np.all(np.abs(z0.mean(axis=0) - mu0) < 4.0 * se)
@@ -135,18 +148,15 @@ def test_gaussian_mixture_sampler_validation():
 def test_symmetric_mixture_folds_to_configured_mean():
     # class means -mu and +mu with a zero offset give folded mean exactly mu
     mu = np.array([1.5, -0.5, 0.25])
-    stream = folded_stream(
-        gaussian_mixture_sampler(-mu, mu, 0.3, RngState(3)), np.zeros(3)
-    )
-    xis = np.stack(list(itertools.islice(stream, 20_000)))
+    xis = fold(first_rows(gaussian_mixture_sampler(-mu, mu, 0.3, RngState(3)), 20_000), np.zeros(3))
     se = 0.3 / math.sqrt(20_000)
     assert np.all(np.abs(xis.mean(axis=0) - mu) < 4.0 * se)
 
 
 def test_student_t2_mixture_sampler_shape_and_split():
-    pts = list(itertools.islice(student_t2_mixture_sampler(0.1, 3, RngState(4)), 20_000))
-    ys = np.array([p.y for p in pts])
-    z = np.stack([p.zeta for p in pts])
+    pts = first_rows(student_t2_mixture_sampler(0.1, 3, RngState(4)), 20_000)
+    ys = pts.y
+    z = pts.zeta
     assert z.shape == (20_000, 3)
     assert np.all(np.isfinite(z))
     # first coordinate separates by the class shift of +1; t2 is symmetric
@@ -161,6 +171,22 @@ def test_student_t2_mixture_sampler_shape_and_split():
         next(student_t2_mixture_sampler(-0.1, 3, RngState(1)))
     with pytest.raises(ValueError):
         next(student_t2_mixture_sampler(0.1, 0, RngState(1)))
+
+
+def test_student_t2_zero_uniform_is_infinite_and_diverges():
+    # a uniform of exactly 0 is the t2 inverse CDF at 1: an infinite entry,
+    # which must stop a run as diverged rather than poison it silently
+    class ZeroUniforms:
+        def random(self, n):
+            return np.zeros(n)
+
+    block = next(student_t2_mixture_sampler(0.1, 2, ZeroUniforms()))
+    assert np.all(np.isinf(block.zeta))
+    rows = iter(fold(block, np.zeros(2)))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the first margin
+        res = run_zero_overhead(rows, SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=100))
+    assert res.stop_reason is StopReason.DIVERGED
+    assert res.iterations == 0
 
 
 def test_folded_gaussian_stream_zero_sigma_and_alignment():
@@ -186,24 +212,22 @@ def test_folded_gaussian_stream_moments():
 
 
 def test_dataset_stream_epoch_accounting():
-    ds = Dataset(tuple(LabeledPoint(i % 2, np.array([float(i), 1.0])) for i in range(7)))
-    one = list(dataset_stream(ds, np.zeros(2), RngState(7)))
+    ds = Dataset(np.arange(7) % 2, np.stack([np.arange(7.0), np.ones(7)], axis=1))
+    one = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 1))]
     assert len(one) == 7
-    two = list(dataset_stream(ds, np.zeros(2), RngState(7), epochs=2))
+    two = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 2))]
     assert len(two) == 14
-    # each epoch is a permutation of the folded vectors
-    want = sorted(float(v[0]) for v in fold_dataset(ds, np.zeros(2)))
+    # each epoch is a permutation of the rows
+    want = sorted(float(v[0]) for v in ds.zeta)
     assert sorted(float(v[0]) for v in one) == pytest.approx(want)
     assert sorted(float(v[0]) for v in two[7:]) == pytest.approx(want)
     # reshuffled between epochs for this seed
     assert [float(v[0]) for v in two[:7]] != [float(v[0]) for v in two[7:]]
-    with pytest.raises(ValueError):
-        next(dataset_stream(ds, np.zeros(2), RngState(1), epochs=0))
 
 
 def test_dataset_stream_infinite_when_epochs_none():
-    ds = Dataset((LabeledPoint(0, np.zeros(1)), LabeledPoint(1, np.ones(1))))
-    xs = list(itertools.islice(dataset_stream(ds, np.zeros(1), RngState(8), epochs=None), 11))
+    ds = Dataset(np.array([0, 1]), np.array([[0.0], [1.0]]))
+    xs = list(itertools.islice(_rows(_labeled_dataset_stream(ds, RngState(8), None)), 11))
     assert len(xs) == 11
 
 
@@ -212,13 +236,8 @@ def test_dataset_stream_infinite_when_epochs_none():
 
 
 def test_estimate_centering_noise_free_exact():
-    pts = [
-        LabeledPoint(0, np.array([0.0, 0.0])),
-        LabeledPoint(1, np.array([2.0, 2.0])),
-        LabeledPoint(0, np.array([0.0, 0.0])),
-        LabeledPoint(1, np.array([2.0, 2.0])),
-    ]
-    stats = estimate_centering(iter(pts), n=4)
+    blocks = [_block([0, 1, 0, 1], [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])]
+    stats, _ = center_and_fold(iter(blocks), n=4)
     assert isinstance(stats, CenteringStats)
     assert np.array_equal(stats.mean0, [0.0, 0.0])
     assert np.array_equal(stats.mean1, [2.0, 2.0])
@@ -233,20 +252,140 @@ def test_estimate_centering_residual_scale():
     mu = np.zeros(d)
     mu[0] = 1.0
     stream = gaussian_mixture_sampler(-mu, mu, sigma, RngState(9))
-    stats = estimate_centering(stream, n=4000)
+    stats, _ = center_and_fold(stream, n=4000)
     assert stats.sigma2_tilde == pytest.approx(sigma * sigma * d, rel=0.1)
 
 
 def test_estimate_centering_resamples_once_for_missing_class():
-    ones = [LabeledPoint(1, np.array([float(i)])) for i in range(4)]
-    mixed = [LabeledPoint(0, np.array([10.0])), LabeledPoint(1, np.array([0.0]))] * 2
-    stats = estimate_centering(iter(ones + mixed), n=4)
+    ones = _block([1] * 4, [[float(i)] for i in range(4)])
+    mixed = _block([0, 1] * 2, [[10.0], [0.0]] * 2)
+    stats, _ = center_and_fold(iter([ones, mixed]), n=4)
     assert stats.n_used == 8
-    still_missing = [LabeledPoint(1, np.array([float(i)])) for i in range(10)]
+    still_missing = _block([1] * 10, [[float(i)] for i in range(10)])
     with pytest.raises(ValueError):
-        estimate_centering(iter(still_missing), n=4)
+        center_and_fold(iter([still_missing]), n=4)
     with pytest.raises(ValueError):
-        estimate_centering(iter(ones), n=1)
+        center_and_fold(iter([ones]), n=1)
+
+
+# ---------------------------------------------------------------------------
+# the block pipeline against a per-point reference
+
+
+def _per_point_reference(rows, n):
+    """Centering and folding one row at a time, as a per-sample pipeline
+    would: stats from the first n rows (2n if a class is missing), then
+    (2y - 1)(zeta - offset) for every later row.  None if a class is absent."""
+    batch = rows[:n]
+    if {y for y, _ in batch} != {0, 1}:
+        batch = rows[: 2 * n]
+    if {y for y, _ in batch} != {0, 1}:
+        return None
+    z = np.stack([zeta for _, zeta in batch])
+    y = np.array([label for label, _ in batch])
+    mean0 = z[y == 0].mean(axis=0)
+    mean1 = z[y == 1].mean(axis=0)
+    resid = z - np.where(y[:, None] == 0, mean0, mean1)
+    stats = CenteringStats(
+        mean0=mean0,
+        mean1=mean1,
+        offset=0.5 * (mean0 + mean1),
+        sigma2_tilde=float(np.mean(np.sum(resid * resid, axis=1))),
+        n_used=len(batch),
+    )
+    folded = [(2 * label - 1) * (zeta - stats.offset) for label, zeta in rows[len(batch):]]
+    return stats, folded
+
+
+def _check_against_reference(make_blocks, n, limit=None):
+    """Run the block pipeline over ``make_blocks()`` and compare it bit for
+    bit with the per-point reference over the raw rows of a second, untouched
+    ``make_blocks()`` stream: every row after the centering rows (up to
+    ``limit``) must be handed out, so a pipeline that stops early fails."""
+    raw = list(itertools.islice(_rows(make_blocks()), None if limit is None else 2 * n + limit))
+    want = _per_point_reference(raw, n)
+    try:
+        stats, rows = center_and_fold(make_blocks(), n)
+    except ValueError:
+        assert want is None
+        return
+    assert want is not None
+    want_stats, want_rows = want
+    rows = list(itertools.islice(rows, limit))
+    assert stats.n_used == want_stats.n_used
+    assert stats.sigma2_tilde == want_stats.sigma2_tilde
+    for field in ("mean0", "mean1", "offset"):
+        assert getattr(stats, field).tobytes() == getattr(want_stats, field).tobytes()
+    assert len(rows) == len(want_rows[:limit])
+    for got, ref in zip(rows, want_rows):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@given(
+    d=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 300) | st.sampled_from([128, 256]), min_size=1, max_size=6),
+    n=st.sampled_from([2, 3, 100, 128, 255, 256, 257, 300, 511, 600]),
+    ones_prefix=st.integers(0, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, sizes=[256, 256], n=256, ones_prefix=0, seed=1)  # centering ends a block
+@example(d=2, sizes=[256, 256], n=128, ones_prefix=128, seed=1)  # so does the 2n read
+@example(d=1, sizes=[2, 3], n=2, ones_prefix=0, seed=4)
+@settings(max_examples=60, deadline=None)
+def test_center_and_fold_matches_per_point_reference(d, sizes, n, ones_prefix, seed):
+    # arbitrary block boundaries, centering that reads below, at and past a
+    # block, and a leading run of one class that forces the 2n read (or an
+    # error when it covers both reads)
+    gen = RngState(seed).generator()
+    blocks = []
+    start = 0
+    for size in sizes:
+        y = (gen.random(size) < 0.5).astype(int)
+        y[: max(0, ones_prefix - start)] = 1
+        blocks.append(Block(y, gen.standard_normal((size, d))))
+        start += size
+    _check_against_reference(lambda: (Block(b.y.copy(), b.zeta.copy()) for b in blocks), n)
+
+
+@given(
+    d=st.integers(1, 4),
+    n_rows=st.integers(2, 700),
+    n=st.sampled_from([2, 50, 255, 256, 257, 400]),
+    epochs=st.sampled_from([1, 2, None]),
+    minority=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, n_rows=300, n=256, epochs=2, minority=150, seed=3)  # centering ends a chunk
+@example(d=2, n_rows=300, n=300, epochs=2, minority=150, seed=3)  # so does the epoch
+@settings(max_examples=40, deadline=None)
+def test_dataset_stream_pipeline_matches_reference_and_keeps_dataset(
+    d, n_rows, n, epochs, minority, seed
+):
+    # a finite dataset that usually ends mid-block, possibly with few rows
+    # of one class; the in-place fold must never touch the dataset's storage
+    gen = RngState(seed).generator()
+    y = np.ones(n_rows, dtype=int)
+    y[: min(minority, n_rows - 1)] = 0
+    ds = Dataset(y, gen.standard_normal((n_rows, d)))
+    y_before, zeta_before = ds.y.copy(), ds.zeta.copy()
+    _check_against_reference(
+        lambda: _labeled_dataset_stream(ds, RngState(seed, 1), epochs),
+        n,
+        limit=1000 if epochs is None else None,
+    )
+    assert np.array_equal(ds.y, y_before)
+    assert ds.zeta.tobytes() == zeta_before.tobytes()
+
+
+def test_gaussian_pipeline_matches_reference():
+    # the synthetic source across three blocks, centering below, at and past
+    # the first block's end
+    mu = np.array([1.0, 0.0, -0.5])
+    for n in (100, 256, 300):
+        _check_against_reference(
+            lambda: gaussian_mixture_sampler(-mu, mu, 0.7, RngState(12)), n, limit=700
+        )
 
 
 def test_effective_step():
@@ -422,20 +561,17 @@ def test_idx_fuzz_near_valid_headers():
 
 
 def test_make_binary_task_mapping():
-    pts = [
-        (1, np.array([1.0])),
-        (8, np.array([2.0])),
-        (3, np.array([3.0])),
-        (1, np.array([4.0])),
-    ]
-    ds = make_binary_task(pts, 1, 8)
+    labels = np.array([1, 8, 3, 1], dtype=np.uint8)
+    features = np.array([[1], [2], [3], [4]], dtype=np.uint8)
+    ds = make_binary_task(labels, features, 1, 8)
     assert len(ds) == 3
-    assert [p.y for p in ds.points] == [0, 1, 0]  # order preserved, 3 dropped
-    assert [float(p.zeta[0]) for p in ds.points] == [1.0, 2.0, 4.0]
+    assert ds.y.tolist() == [0, 1, 0]  # order preserved, 3 dropped
+    assert ds.zeta[:, 0].tolist() == [1.0, 2.0, 4.0]
+    assert ds.zeta.dtype == float
     with pytest.raises(ValueError):
-        make_binary_task(pts, 1, 1)
+        make_binary_task(labels, features, 1, 1)
     with pytest.raises(ValueError):
-        make_binary_task(pts, 1, 5)  # class 5 absent
+        make_binary_task(labels, features, 1, 5)  # class 5 absent
 
 
 def test_accuracy_on_set():

@@ -1,0 +1,135 @@
+"""Golden SHA-256 digests of full CLI outputs for small fixed configs.
+
+Rerun equality (acceptance criterion 09) cannot see a change that moves
+every number consistently; these digests can.  Every run happens inside
+``tmp_path`` with relative data paths, so the ``# config=<hash>`` provenance
+line is part of what is pinned.  A change that moves any output byte has
+to regenerate these digests and say why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from conftest import write_config, write_mnist_style_fixture
+from sgdstop.cli import EXIT_OK, main
+from sgdstop.numerics import RngState
+
+_SWEEP = {
+    "d": 6,
+    "sigma_grid": [0.1, 0.5],
+    "losses": ["logistic", "hinge"],
+    "alpha_tilde": 0.1,
+    "trials": 2,
+    "seed": 7,
+}
+
+_COMPARE = {
+    "d": 6,
+    "sigma": 0.5,
+    "loss": "logistic",
+    "alpha_tilde": 0.1,
+    "trials": 3,
+    "eval_samples": 500,
+    "stoppers": ["zero_overhead", "zero_overhead_continue", "svs_4", "extra_sample"],
+    "seed": 11,
+}
+
+_VERIFY = {
+    "seed": 3,
+    "expected_T": {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1, "trials": 40},
+    "hitting_time": {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1, "trials": 30},
+    "drift": {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1, "n_mc": 4000},
+    "angle": {"loss": "logistic", "d": 8, "sigma": 0.3, "alpha": 0.05, "trials": 40},
+    "target_delta": {"d": 6, "sigma": 0.8, "alpha": 0.1, "n_theta": 200},
+}
+
+
+def _write_csv_dataset(path: Path) -> None:
+    gen = RngState(13).generator()
+    lines = ["x0,x1,x2,label"]
+    for _ in range(300):
+        y = int(gen.random() < 0.5)
+        center = 0.4 if y else -0.4
+        v = center + 2.0 * (gen.random(3) - 0.5)
+        lines.append(",".join([*(repr(float(x)) for x in v), str(y)]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _mnist_config() -> dict:
+    return {
+        "dataset": "mnist",
+        **write_mnist_style_fixture(Path("data")),
+        "class_a": 1,
+        "class_b": 8,
+        "alpha_tilde": 0.005,
+        "trials": 2,
+        "stoppers": ["zero_overhead", "extra_sample", "svs_8", "zero_overhead_continue"],
+        "seed": 5,
+    }
+
+
+def _csv_config() -> dict:
+    _write_csv_dataset(Path("points.csv"))
+    return {
+        "dataset": "csv",
+        "path": "points.csv",
+        "class_a": 0,
+        "class_b": 1,
+        "alpha_tilde": 0.1,
+        "test_fraction": 0.25,
+        "trials": 2,
+        "stoppers": ["zero_overhead", "svs_4", "zero_overhead_continue"],
+        "seed": 2,
+    }
+
+
+CASES = {
+    "sweep_gaussian": ("sweep-sigma", lambda: _SWEEP),
+    "sweep_t2": (
+        "sweep-sigma",
+        lambda: {**_SWEEP, "source": "t2", "beta": 0.3, "sigma_grid": [0.5]},
+    ),
+    "compare_gaussian": ("compare-stoppers", lambda: _COMPARE),
+    # centering reads more rows than one 256-row sampler block holds
+    "compare_t2_centering_300": (
+        "compare-stoppers",
+        lambda: {**_COMPARE, "source": "t2", "beta": 0.3, "centering_samples": 300},
+    ),
+    # centering ends exactly at a sampler block's end
+    "compare_gaussian_centering_256": (
+        "compare-stoppers",
+        lambda: {**_COMPARE, "centering_samples": 256},
+    ),
+    "verify": ("verify-bounds", lambda: _VERIFY),
+    "real_mnist_fixture": ("run-real", _mnist_config),
+    "real_csv": ("run-real", _csv_config),
+    # centering reads the whole 225-row training set, one epoch's only chunk
+    "real_csv_centering_epoch": (
+        "run-real",
+        lambda: {**_csv_config(), "centering_samples": 225, "epochs": 2},
+    ),
+}
+
+DIGESTS = {
+    "compare_gaussian": "c7b51f24093e9ef10fa1665422b164e96b5b32d929b4e73cc5ef6aa1c4365271",
+    "compare_gaussian_centering_256": "c03f60b81bbd55764f6318d4fb1f075d8e81f194fffc2d71fee3867005319a2e",
+    "compare_t2_centering_300": "f89fbf0105c98257559ca846aa0a176e5173c2e2f5a19a80eea8067eb50aab32",
+    "real_csv": "80fe3e82f04e99fae7d776e5cf5cf371ee1e3c9b4c6662e92e01b874077d40f4",
+    "real_csv_centering_epoch": "c754343413f48b1bb156fa598dda9be4784e6cdb50ca470d22bc3c84abeecc49",
+    "real_mnist_fixture": "5705996ff2a38d72d8b2f9f6fc392ca6914937cd1079189fd09ae0e2d1d37b74",
+    "sweep_gaussian": "3938bff6460a4b4e094eaf0646538551983da6e9f798d596dee858bbb5e71619",
+    "sweep_t2": "fbba1958688088b0f8168ee6941b1c934c1e799fff18adc2fc3d010659a2efb5",
+    "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command, make_config = CASES[name]
+    out = "out.json" if command == "verify-bounds" else "out.csv"
+    cfg = write_config(Path("config.json"), {**make_config(), "out": out})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == DIGESTS[name]

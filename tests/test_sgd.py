@@ -308,3 +308,75 @@ def test_stop_rule_kinds_exposed():
     assert StopRule.zero_overhead().kind is StopKind.ZERO_OVERHEAD
     assert StopRule.extra_sample().kind is StopKind.EXTRA_SAMPLE
     assert StopRule.none().kind is StopKind.NONE
+
+
+# ---------------------------------------------------------------------------
+# non-finite samples
+
+NAN2 = np.array([math.nan, 1.0])
+INF2 = np.array([math.inf, 0.0])
+
+
+def _poisoned(bad, clean=4):
+    """``clean`` copies of e1 in two dimensions, then one bad sample, then e1 again."""
+    good = np.array([0.2, 0.1])
+    return itertools.chain(itertools.repeat(good, clean), [bad], itertools.repeat(good))
+
+
+@pytest.mark.parametrize("bad", [NAN2, INF2])
+def test_zero_overhead_diverges_on_non_finite_sample(bad):
+    res = run_zero_overhead(_poisoned(bad), SgdConfig(LossKind.LOGISTIC, 0.5, max_iter=100))
+    assert res.stop_reason is StopReason.DIVERGED
+    assert res.censored
+    assert res.iterations == 4
+    assert res.samples_consumed == 5  # the four updates plus the bad draw
+    assert np.all(np.isfinite(res.theta))
+
+
+@pytest.mark.parametrize("bad", [NAN2, INF2])
+def test_extra_sample_diverges_on_non_finite_sample(bad):
+    cfg = SgdConfig(LossKind.LOGISTIC, 0.01, max_iter=100, rule=StopRule.extra_sample())
+    # draws alternate check, update, check, ...: the fifth draw is the
+    # check after two updates
+    res = run_extra_sample(_poisoned(bad), cfg)
+    assert res.stop_reason is StopReason.DIVERGED
+    assert (res.iterations, res.samples_consumed) == (2, 5)
+    assert np.all(np.isfinite(res.theta))
+    # the fourth draw is the second update sample
+    res = run_extra_sample(_poisoned(bad, clean=3), cfg)
+    assert res.stop_reason is StopReason.DIVERGED
+    assert (res.iterations, res.samples_consumed) == (1, 4)
+    assert np.all(np.isfinite(res.theta))
+
+
+@pytest.mark.parametrize("bad", [NAN2, INF2])
+def test_svs_diverges_on_non_finite_sample(bad):
+    cfg = SgdConfig(LossKind.LOGISTIC, 0.01, max_iter=100, rule=StopRule.small_validation(2))
+    res = run_svs(_poisoned(bad), cfg)  # two validation draws, two updates, then bad
+    assert res.stop_reason is StopReason.DIVERGED
+    assert (res.iterations, res.samples_consumed) == (2, 5)
+    assert np.all(np.isfinite(res.theta))
+
+
+@pytest.mark.parametrize("bad", [NAN2, INF2])
+def test_continue_run_diverges_on_non_finite_sample(bad):
+    cfg = SgdConfig(LossKind.LOGISTIC, 1.0)
+    base = run_zero_overhead(_const_stream(E1), cfg)
+    good = np.array([1.0])
+    stream = itertools.chain([good, good], [bad[:1]], itertools.repeat(good))
+    ext = continue_run(base, stream, cfg, 10)
+    assert ext.stop_reason is StopReason.DIVERGED
+    assert ext.censored
+    assert ext.iterations == base.iterations + 2
+    assert ext.samples_consumed == base.samples_consumed + 3
+    assert np.all(np.isfinite(ext.theta))
+
+
+def test_diverged_iterate_overflow():
+    # finite samples, but a step so large the iterate overflows to inf:
+    # the next margin is non-finite and the run stops instead of going NaN
+    cfg = SgdConfig(LossKind.HINGE, 1e300, max_iter=100, rule=StopRule.none())
+    with np.errstate(over="ignore"):
+        res = run_zero_overhead(_const_stream([1e10, -1e10]), cfg)
+    assert res.stop_reason is StopReason.DIVERGED
+    assert res.iterations == 1
