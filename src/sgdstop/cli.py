@@ -371,6 +371,8 @@ def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
     max_iter = cfg.get("max_iter", 1_000_000, int)
     centering_n = cfg.get("centering_samples", 100, int)
     eval_samples = cfg.get("eval_samples", 4000, int)
+    if eval_samples < 1:
+        raise ConfigError(f"eval_samples must be >= 1, got {eval_samples}")
     continue_factor = cfg.get("continue_factor", 1.5, float)
     names = cfg.get(
         "stoppers",
@@ -554,7 +556,7 @@ def _mnist_task(
             f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
         )
     # only the rows of the two classes are converted from uint8 to float
-    task = make_binary_task(labels, images.reshape(images.shape[0], -1), class_a, class_b)
+    task = _binary_task(labels, images.reshape(images.shape[0], -1), class_a, class_b)
     if scale:
         np.divide(task.zeta, 255.0, out=task.zeta)
     return task
@@ -562,7 +564,14 @@ def _mnist_task(
 
 def _points_task(points: list[tuple[int, np.ndarray]], class_a: int, class_b: int) -> Dataset:
     labels = np.array([label for label, _ in points])
-    return make_binary_task(labels, np.stack([vec for _, vec in points]), class_a, class_b)
+    return _binary_task(labels, np.stack([vec for _, vec in points]), class_a, class_b)
+
+
+def _binary_task(labels: np.ndarray, features: np.ndarray, class_a: int, class_b: int) -> Dataset:
+    try:  # equal classes, or a class without rows, are config or data errors
+        return make_binary_task(labels, features, class_a, class_b)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]:

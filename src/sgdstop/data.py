@@ -35,7 +35,9 @@ Samplers and streams here are iterators.  Synthetic ones are infinite and
 draw through a numpy Generator in documented block sizes, so a fixed
 (seed, stream) pair reproduces the exact sequence; dataset streams shuffle
 once per epoch with the stream's own generator and simply end when their
-epoch budget runs out.
+epoch budget runs out.  A 256-row block's uniforms are drawn when its first
+row is requested; folded_gaussian_stream then transforms them in 32-row
+chunks on demand, with unchanged draw accounting and output bytes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, sample_student_t2, standard_normals
+from .numerics import RngState, box_muller, sample_student_t2, standard_normals
 
 __all__ = [
     "BLOCK_ROWS",
@@ -78,6 +80,7 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 256  # rows per block in the synthetic and dataset streams
+CHUNK_ROWS = 32  # rows per Box-Muller call in folded_gaussian_stream; even
 
 
 class Block(NamedTuple):
@@ -188,8 +191,10 @@ def folded_gaussian_stream(
 ) -> Iterator[np.ndarray]:
     """Infinite stream of xi ~ N(mu, sigma^2 I_d), already folded.
 
-    256 d normals per block; sigma = 0 still draws them so streams stay
-    aligned across sigma values.
+    Each 256-row block is mu + sigma * standard_normals(gen, 256 d), bit for
+    bit, with its uniforms drawn when its first row is requested but only
+    transformed 32 rows at a time as they are reached, so short runs skip
+    the rest; sigma = 0 draws the uniforms (keeping streams aligned) only.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
@@ -198,11 +203,16 @@ def folded_gaussian_stream(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     gen = _materialize(rng)
     d = mu.shape[0]
+    pairs, step = BLOCK_ROWS * d // 2, CHUNK_ROWS * d // 2  # a chunk starts on a pair
     while True:
-        noise = standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
-        block = mu + sigma * noise if sigma > 0.0 else np.broadcast_to(mu, (BLOCK_ROWS, d))
-        for i in range(BLOCK_ROWS):
-            yield block[i]
+        u1 = 1.0 - gen.random(pairs)
+        u2 = gen.random(pairs)
+        if sigma > 0.0:
+            for a in range(0, pairs, step):
+                z = box_muller(u1[a : a + step], u2[a : a + step])
+                yield from mu + sigma * z.reshape(CHUNK_ROWS, d)
+        else:
+            yield from np.broadcast_to(mu, (BLOCK_ROWS, d))
 
 
 def _take(

@@ -42,7 +42,6 @@ __all__ = [
     "LossKind",
     "loss_value",
     "gradient_factor",
-    "update_direction",
     "ray_objective",
     "ray_derivative",
 ]
@@ -81,16 +80,6 @@ def gradient_factor(kind: LossKind, margin: float) -> float:
     if kind is LossKind.HINGE:
         return 1.0 if margin <= 1.0 else 0.0
     raise TypeError(f"unknown loss kind: {kind!r}")
-
-
-def update_direction(kind: LossKind, xi: np.ndarray, margin: float) -> np.ndarray:
-    """Negative loss gradient in theta for sample xi at the given margin.
-
-    The caller supplies margin = xi . theta (already computed in the SGD
-    loop); this function only applies the scalar factor.
-    """
-    xi = np.asarray(xi, dtype=float)
-    return gradient_factor(kind, margin) * xi
 
 
 def ray_objective(

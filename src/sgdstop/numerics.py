@@ -12,7 +12,8 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
 documented number of uniforms.  That makes draw accounting exact and keeps
-parallel streams aligned regardless of the values drawn.
+parallel streams aligned regardless of the values drawn.  box_muller is
+elementwise, so uniforms drawn up front may be transformed in pieces later.
 
 The normal CDF is computed from ``erfc``:
 
@@ -46,7 +47,7 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_ccdf",
     "std_normal_pdf",
-    "sample_gaussian_vector",
+    "box_muller",
     "sample_student_t2",
     "gauss_hermite_rule",
     "gauss_hermite_expectation",
@@ -100,6 +101,18 @@ class RngState:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """2m normals from m uniform pairs, u1 in (0, 1], elementwise:
+
+        r = sqrt(-2 log u1),  z[2i] = r cos(2 pi u2),  z[2i+1] = r sin(2 pi u2)
+    """
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * r.shape[0])
+    z[0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z
+
+
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n iid N(0,1) doubles via Box-Muller; consumes 2*ceil(n/2) uniforms.
 
@@ -111,34 +124,7 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
         return np.empty(0)
     m = (n + 1) // 2
     u1 = 1.0 - gen.random(m)
-    u2 = gen.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * m)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:n]
-
-
-def sample_gaussian_vector(
-    gen: np.random.Generator, mean: np.ndarray, sigma: float, d: int
-) -> np.ndarray:
-    """One draw from N(mean, sigma^2 I_d).
-
-    Consumes exactly 2*ceil(d/2) uniforms regardless of sigma, so streams
-    stay aligned when sigma varies (including the degenerate sigma = 0 case,
-    which returns the mean exactly).
-    """
-    mean = np.asarray(mean, dtype=float)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    if mean.shape != (d,):
-        raise ValueError(f"mean has shape {mean.shape}, expected ({d},)")
-    z = standard_normals(gen, d)
-    if sigma == 0.0:
-        return mean.copy()
-    return mean + sigma * z
+    return box_muller(u1, gen.random(m))[:n]
 
 
 def sample_student_t2(gen: np.random.Generator, n: int = 1) -> np.ndarray:

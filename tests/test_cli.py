@@ -194,6 +194,13 @@ def test_compare_stoppers_unknown_stopper(tmp_path):
     assert main(["compare-stoppers", "--config", p2]) == EXIT_CONFIG
 
 
+def test_compare_stoppers_rejects_nonpositive_eval_samples(tmp_path):
+    p = _compare_cfg(tmp_path, eval_samples=0)
+    _assert_config_error(_run_process("compare-stoppers", "--config", p))
+    p = _compare_cfg(tmp_path, eval_samples=-5)
+    assert main(["compare-stoppers", "--config", p]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # verify-bounds
 
@@ -370,6 +377,25 @@ def test_compare_stoppers_reports_diverged(tmp_path, monkeypatch):
     assert {row["iterations"] for row in rows} == {"0"}
 
 
+@pytest.mark.parametrize(
+    "dataset, class_a, class_b",
+    [("mnist", 1, 5), ("mnist", 8, 8), ("csv", 0, 1), ("csv", 0, 0)],
+)
+def test_run_real_absent_or_equal_classes_is_config_error(tmp_path, dataset, class_a, class_b):
+    if dataset == "mnist":
+        source = write_mnist_style_fixture(tmp_path / "data", n_train=40, n_test=10)
+    else:  # every row has label 0, so class 1 has no rows
+        data = tmp_path / "points.csv"
+        data.write_text("x0,x1,label\n" + "".join(f"{i},{-i},0\n" for i in range(20)))
+        source = {"path": str(data)}
+    cfg = write_config(
+        tmp_path / "real.json",
+        {"dataset": dataset, **source, "class_a": class_a, "class_b": class_b,
+         "alpha_tilde": 0.005, "out": str(tmp_path / "o.csv")},
+    )
+    _assert_config_error(_run_process("run-real", "--config", cfg))
+
+
 def test_run_real_unknown_dataset(tmp_path):
     cfg = write_config(
         tmp_path / "real.json",
@@ -403,13 +429,22 @@ def test_run_real_corrupt_idx_is_config_error(tmp_path):
 # console entry point
 
 
+def _run_process(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "sgdstop.cli", *args], capture_output=True, text=True
+    )
+
+
+def _assert_config_error(proc):
+    """Exit 2 with one error line on stderr, not a traceback."""
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_runs(tmp_path):
     p = _sweep_cfg(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgdstop.cli", "sweep-sigma", "--config", p],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_process("sweep-sigma", "--config", p)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "sweep.csv").exists()
 

@@ -35,7 +35,7 @@ from sgdstop.data import (
     student_t2_mixture_sampler,
 )
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState
+from sgdstop.numerics import RngState, standard_normals
 from sgdstop.sgd import SgdConfig, StopReason, run_zero_overhead
 
 
@@ -201,6 +201,37 @@ def test_folded_gaussian_stream_zero_sigma_and_alignment():
     g_one = RngState(5).generator()
     list(itertools.islice(folded_gaussian_stream(mu, 1.0, g_one), 256))
     assert np.array_equal(g_zero.random(4), g_one.random(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.3]),
+    reads=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32),
+)
+@example(d=1, sigma=0.3, reads=[31, 1, 1, 223, 1], seed=0)
+@example(d=7, sigma=0.3, reads=[256, 256, 1], seed=1)
+@example(d=40, sigma=0.0, reads=[32, 224, 1, 255, 1], seed=2)
+@example(d=2, sigma=0.3, reads=[33, 300, 179], seed=3)
+def test_folded_gaussian_stream_matches_whole_block_reference(d, sigma, reads, seed):
+    # rows transformed chunk by chunk on demand equal, bit for bit, whole
+    # blocks of standard_normals; a shared generator is left exactly where
+    # drawing each block when its first row is requested leaves it
+    mu = np.linspace(-1.0, 2.0, d)
+    gen = RngState(seed).generator()
+    ref_gen = RngState(seed).generator()
+    stream = folded_gaussian_stream(mu, sigma, gen)
+    ref = np.empty((0, d))
+    consumed = 0
+    for n in reads:
+        got = np.stack([next(stream) for _ in range(n)])
+        while ref.shape[0] < consumed + n:
+            noise = standard_normals(ref_gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
+            ref = np.concatenate([ref, mu + sigma * noise])
+        assert np.array_equal(got.view(np.uint64), ref[consumed : consumed + n].view(np.uint64))
+        consumed += n
+        assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
 
 
 def test_folded_gaussian_stream_moments():

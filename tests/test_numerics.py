@@ -11,7 +11,6 @@ from sgdstop.numerics import (
     RngState,
     gauss_hermite_expectation,
     gauss_hermite_rule,
-    sample_gaussian_vector,
     sample_student_t2,
     standard_normals,
     std_normal_cdf,
@@ -101,28 +100,6 @@ def test_standard_normals_moments():
     assert abs(z.mean()) < 4.0 / math.sqrt(100_000)
     assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / 100_000)
     assert np.all(np.isfinite(z))
-
-
-def test_sample_gaussian_vector_zero_sigma():
-    mean = np.array([1.5, -2.0, 0.5])
-    g = RngState(2).generator()
-    x = sample_gaussian_vector(g, mean, 0.0, 3)
-    assert np.array_equal(x, mean)
-    x[0] = 99.0  # returned vector must be a copy
-    assert mean[0] == 1.5
-    # the degenerate draw still consumes stream, keeping runs aligned
-    g2 = RngState(2).generator()
-    sample_gaussian_vector(g2, mean, 1.0, 3)
-    assert np.array_equal(g.random(4), g2.random(4))
-
-
-def test_sample_gaussian_vector_location_scale():
-    mean = np.array([3.0, -1.0])
-    g = RngState(17).generator()
-    draws = np.stack([sample_gaussian_vector(g, mean, 0.5, 2) for _ in range(20_000)])
-    se = 0.5 / math.sqrt(20_000)
-    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * se)
-    assert np.all(np.abs(draws.std(axis=0) - 0.5) < 4.0 * se)
 
 
 class _FixedUniforms:
