@@ -421,14 +421,28 @@ def _check_row(check: str, value: float, bound: float, stderr: float, passed: bo
     }
 
 
-def _section_model(sec: ExperimentConfig) -> tuple[LossKind, GaussianFoldedModel, float]:
+def _at_least(sec: ExperimentConfig, key: str, minimum: int, default: int | None = None) -> int:
+    """An int section value of at least ``minimum``; required when no default."""
+    v = sec.require(key, int) if default is None else sec.get(key, default, int)
+    if v < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+    return v
+
+
+def _section_model(
+    sec: ExperimentConfig, min_d: int = 1
+) -> tuple[LossKind, GaussianFoldedModel, float]:
     loss = _parse_loss(sec.get("loss", "logistic", str))
-    d = sec.require("d", int)
-    mu = _e1_scaled(d, sec.get("mu_scale", 1.0, float))
-    model = GaussianFoldedModel(mu, sec.require("sigma", float))
+    d = _at_least(sec, "d", min_d)
+    mu_scale = sec.get("mu_scale", 1.0, float)
+    sigma = sec.require("sigma", float)
+    try:
+        model = GaussianFoldedModel(_e1_scaled(d, mu_scale), sigma)
+    except ValueError as e:  # a zero or non-finite mu_scale, a negative sigma
+        raise ConfigError(f"mu_scale {mu_scale}, sigma {sigma}: {e}") from None
     alpha = sec.require("alpha", float)
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     return loss, model, alpha
 
 
@@ -442,11 +456,11 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         loss, model, alpha = _section_model(sec)
         config = SgdConfig(
             loss, alpha,
-            max_iter=sec.get("max_iter", 1_000_000, int),
+            max_iter=_at_least(sec, "max_iter", 0, 1_000_000),
             rule=StopRule.extra_sample(),
         )
         stats = estimate_expected_T(
-            model, config, sec.require("trials", int), root.substream(1)
+            model, config, _at_least(sec, "trials", 1), root.substream(1)
         )
         bound = low_regime_expected_T_bound(loss, model, alpha)
         ok = stats.n_censored == 0 and stats.mean <= bound
@@ -456,10 +470,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     if sec is not None:
         loss, model, alpha = _section_model(sec)
         rset = regime_set(loss, model, alpha)
-        config = SgdConfig(loss, alpha, max_iter=sec.get("max_iter", 1_000_000, int))
+        config = SgdConfig(loss, alpha, max_iter=_at_least(sec, "max_iter", 0, 1_000_000))
         theta0 = np.zeros(model.d)
         stats = estimate_hitting_time(
-            theta0, rset, config, sec.require("trials", int), root.substream(2)
+            theta0, rset, config, _at_least(sec, "trials", 1), root.substream(2)
         )
         bound = drift_value(rset, theta0, alpha) / rset.params.b
         ok = stats.n_censored == 0 and stats.mean <= bound + 4.0 * stats.stderr
@@ -473,7 +487,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
         config = SgdConfig(loss, alpha)
         results = check_drift_inequality(
-            rset, config, probes, sec.get("n_mc", 20000, int), root.substream(4)
+            rset, config, probes, _at_least(sec, "n_mc", 2, 20000), root.substream(4)
         )
         for dot, res in zip(mu_dots, results):
             checks.append(
@@ -488,16 +502,16 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = cfg.sub("angle")
     if sec is not None:
-        loss, model, alpha = _section_model(sec)
+        loss, model, alpha = _section_model(sec, min_d=2)  # v is the second axis
         config = SgdConfig(
             loss, alpha,
-            max_iter=sec.get("max_iter", 1_000_000, int),
+            max_iter=_at_least(sec, "max_iter", 0, 1_000_000),
             rule=StopRule.extra_sample(),
         )
         v = np.zeros(model.d)
         v[1] = 1.0
         dev, times = estimate_angle_deviation(
-            model, config, v, sec.require("trials", int), root.substream(5)
+            model, config, v, _at_least(sec, "trials", 1), root.substream(5)
         )
         scale = model.sigma * alpha * math.sqrt(2.0 / math.pi)
         bound = scale * times.mean
@@ -508,7 +522,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     sec = cfg.sub("target_delta")
     if sec is not None:
         loss, model, alpha = _section_model(sec)
-        n_theta = sec.get("n_theta", 1000, int)
+        n_theta = _at_least(sec, "n_theta", 1, 1000)
         gen = root.substream(6).generator()
         mu2 = model.mu_norm**2
         worst = 1.0

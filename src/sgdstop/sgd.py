@@ -7,13 +7,17 @@ Synthetic samplers are infinite; dataset-backed samplers may signal
 exhaustion by ending, which the engine reports as a censored run rather
 than an error.
 
-Three stopping rules are implemented.
+Every run goes through one update loop.  Each pass draws a sample xi,
+computes its margin m = xi . theta_k and applies theta_{k+1} = theta_k +
+alpha s(m) xi.  The rules differ only in a small stop test, made either on
+that margin before the update or on the iterate at a fixed cadence, and in
+how the draws made are charged to the run.
 
 ExtraSample
-    Each iteration draws an independent check sample and stops when its
-    margin against the current iterate reaches 1.  Costs one extra draw per
-    iteration: 2k + 1 samples for a run stopping at iteration k (one check
-    before any update, then update + check per iteration).
+    An independent check sample is drawn before the first update and after
+    each one; the run stops when its margin against the current iterate
+    reaches 1.  Costs one extra draw per iteration: 2k + 1 samples for a
+    run stopping at iteration k.
 
 ZeroOverhead
     The margin the next update would compute anyway, xi_{k+1} . theta_k, is
@@ -33,12 +37,13 @@ SmallValidation
     strictly increases the fraction, so the rule always stops within
     (p + 1) * period iterations.  Reports iterations + p samples.
 
-A rule of ``NONE`` runs plain SGD for exactly max_iter updates (used by
-:func:`continue_run` to extend a terminated run).
+A rule of ``NONE`` has no stop test and runs plain SGD for exactly max_iter
+updates; :func:`continue_run` extends a terminated run the same way.
 
 A NaN or infinite margin (a non-finite sample, or an overflowed iterate)
 ends any run at once as ``DIVERGED``, returning the iterate it was computed
-against, instead of running on to max_iter with a NaN theta.
+against, instead of running on to max_iter with a NaN theta.  Exhausted and
+diverged runs are charged the draws actually made.
 
 All runs start from theta = 0 unless an explicit ``theta0`` is given, halt
 after at most max_iter updates (censored), and never mutate their inputs.
@@ -47,9 +52,10 @@ after at most max_iter updates (censored), and never mutate their inputs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -63,9 +69,6 @@ __all__ = [
     "RunResult",
     "sgd_step",
     "run",
-    "run_extra_sample",
-    "run_zero_overhead",
-    "run_svs",
     "continue_run",
 ]
 
@@ -73,7 +76,6 @@ __all__ = [
 MARGIN_THRESHOLD = 1.0
 
 Sampler = Iterator[np.ndarray]
-Gate = Callable[[np.ndarray], bool]
 
 
 class StopKind(enum.Enum):
@@ -128,7 +130,6 @@ class SgdConfig:
     alpha: float
     max_iter: int = 1_000_000
     rule: StopRule = field(default_factory=StopRule.zero_overhead)
-    record_trace: bool = False
 
     def __post_init__(self) -> None:
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
@@ -141,12 +142,11 @@ class SgdConfig:
 class RunResult:
     """Outcome of one run.
 
-    ``iterations`` counts applied updates, except for SmallValidation where
-    it is the iteration index of the stopping check (a multiple of the
-    period).  ``samples_consumed`` follows the per-rule accounting above;
-    for exhausted and diverged runs it reports the draws actually made.
-    ``trace`` holds (iteration, probe margin, cosine alignment with the
-    probe) rows when tracing was requested, else None.
+    ``iterations`` counts applied updates; for a small-validation run that
+    plateaued it is the index of the stopping check, a multiple of the
+    period.  ``samples_consumed`` is what the rule charges: k for
+    zero-overhead and none, 2k + 1 for extra-sample, k + p for small
+    validation; exhausted and diverged runs report the draws actually made.
     """
 
     theta: np.ndarray
@@ -154,7 +154,6 @@ class RunResult:
     samples_consumed: int
     censored: bool
     stop_reason: StopReason
-    trace: list[tuple[int, float, float]] | None = None
 
 
 def sgd_step(
@@ -169,191 +168,70 @@ def sgd_step(
     return theta + (alpha * s) * xi
 
 
-class _Tracer:
-    """Records sparse (iteration, probe margin, alignment) rows."""
-
-    def __init__(self, config: SgdConfig, probe: np.ndarray | None):
-        self.rows: list[tuple[int, float, float]] | None = None
-        if not config.record_trace:
-            return
-        if probe is None:
-            raise ValueError("record_trace requires a trace_probe vector")
-        self.probe = np.asarray(probe, dtype=float)
-        self.probe_norm = float(np.linalg.norm(self.probe))
-        if self.probe_norm == 0.0:
-            raise ValueError("trace_probe must be nonzero")
-        self.stride = max(1, -(-config.max_iter // 1000))  # ceil div
-        self.rows = []
-
-    def record(self, k: int, theta: np.ndarray) -> None:
-        if self.rows is None or k % self.stride != 0:
-            return
-        m = float(self.probe @ theta)
-        tn = float(np.linalg.norm(theta))
-        align = 0.0 if tn == 0.0 else m / (tn * self.probe_norm)
-        self.rows.append((k, m, align))
-
-
-def _init_theta(sampler: Sampler, theta0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Starting iterate, plus the first draw if one was needed to size it."""
-    if theta0 is not None:
-        return np.array(theta0, dtype=float), None
-    first = next(sampler)
-    return np.zeros_like(first, dtype=float), first
-
-
-def run_zero_overhead(
-    sampler: Sampler,
-    config: SgdConfig,
-    *,
-    theta0: np.ndarray | None = None,
-    gate: Gate | None = None,
-    trace_probe: np.ndarray | None = None,
-) -> RunResult:
-    """Zero-overhead rule: test xi_{k+1} . theta_k >= 1, no update on firing.
-
-    ``gate``: optional predicate on theta; when given, a firing only stops
-    the run if gate(theta) holds, otherwise the sample is used for a normal
-    update.  Running the gated and ungated rules on coupled streams leaves
-    the iterate path identical up to the ungated stop, so the gated
-    stopping time dominates the plain one pathwise.
-    """
-    if config.rule.kind not in (StopKind.ZERO_OVERHEAD, StopKind.NONE):
-        raise ValueError(f"config.rule is {config.rule.kind}, not zero_overhead")
-    tracer = _Tracer(config, trace_probe)
-    alpha = config.alpha
-    kind = config.kind
-    testing = config.rule.kind is StopKind.ZERO_OVERHEAD
+def _first(sampler: Sampler) -> np.ndarray:
     try:
-        theta, pending = _init_theta(sampler, theta0)
+        return next(sampler)
     except StopIteration:
         raise ValueError("sampler yielded no samples") from None
-    k = 0
-    while k < config.max_iter:
-        if pending is not None:
-            xi, pending = pending, None
-        else:
-            try:
-                xi = next(sampler)
-            except StopIteration:
-                return RunResult(theta, k, k, True, StopReason.EXHAUSTED, tracer.rows)
-        m = float(xi @ theta)
-        if not math.isfinite(m):
-            return RunResult(theta, k, k + 1, True, StopReason.DIVERGED, tracer.rows)
-        if testing and m >= MARGIN_THRESHOLD and (gate is None or gate(theta)):
-            # firing draw is not charged: it is next iteration's sample
-            return RunResult(theta, k, k, False, StopReason.FIRED, tracer.rows)
-        theta += (alpha * gradient_factor(kind, m)) * xi
-        k += 1
-        tracer.record(k, theta)
-    return RunResult(theta, k, k, True, StopReason.CENSORED, tracer.rows)
 
 
-def run_extra_sample(
-    sampler: Sampler,
-    config: SgdConfig,
-    *,
-    check_sampler: Sampler | None = None,
-    theta0: np.ndarray | None = None,
-    gate: Gate | None = None,
-    trace_probe: np.ndarray | None = None,
-) -> RunResult:
-    """Extra-sample rule: independent check margin >= 1 stops the run.
+def _loop(
+    rows: Sampler,
+    theta: np.ndarray,
+    kind: LossKind,
+    alpha: float,
+    limit: int,
+    rule: StopRule,
+    checks: Sampler | None = None,
+    val: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, int, StopReason]:
+    """The update loop: up to ``limit`` updates of ``theta``, in place.
 
-    Check samples come from ``check_sampler`` when given (two designated
-    streams per run), otherwise they interleave with update draws from the
-    one sampler, which for an i.i.d. stream is equivalent in distribution.
+    Returns (theta, updates k, draws made from rows and checks, reason).
+    The stop test follows ``rule``: zero-overhead tests each update margin
+    before applying it; extra-sample draws a row from ``checks`` at k = 0
+    and after every update; small validation scores ``val`` at k = 0 and
+    every rule.period updates.
     """
-    if config.rule.kind is not StopKind.EXTRA_SAMPLE:
-        raise ValueError(f"config.rule is {config.rule.kind}, not extra_sample")
-    checks = check_sampler if check_sampler is not None else sampler
-    tracer = _Tracer(config, trace_probe)
-    alpha = config.alpha
-    kind = config.kind
-    try:
-        theta, pending = _init_theta(checks, theta0)
-        check = pending if pending is not None else next(checks)
-    except StopIteration:
-        raise ValueError("sampler yielded no samples") from None
-    k = 0
-    drawn = 1
+    fire = MARGIN_THRESHOLD if rule.kind is StopKind.ZERO_OVERHEAD else math.inf
+    period = rule.period if val is not None else 1
+    next_check = 0 if checks is not None or val is not None else -1
+    prev = -1.0  # below every fraction, so the k = 0 check only sets the baseline
+    factor, isfinite, multiply, add = gradient_factor, math.isfinite, np.multiply, np.add
+    step = np.empty_like(theta)
+    scale = np.empty(())  # a 0-d array: a float argument is converted on every call
+    k = checked = 0
     try:
         while True:
-            c = float(check @ theta)
-            if not math.isfinite(c):
-                return RunResult(theta, k, drawn, True, StopReason.DIVERGED, tracer.rows)
-            if c >= MARGIN_THRESHOLD and (gate is None or gate(theta)):
-                return RunResult(
-                    theta, k, 2 * k + 1, False, StopReason.FIRED, tracer.rows
-                )
-            if k >= config.max_iter:
-                return RunResult(
-                    theta, k, 2 * k + 1, True, StopReason.CENSORED, tracer.rows
-                )
-            xi = next(sampler)
-            drawn += 1
-            m = float(xi @ theta)
-            if not math.isfinite(m):
-                return RunResult(theta, k, drawn, True, StopReason.DIVERGED, tracer.rows)
-            theta += (alpha * gradient_factor(kind, m)) * xi
+            if k == next_check:
+                next_check += period
+                if checks is not None:
+                    c = next(checks).dot(theta)
+                    checked += 1
+                    if not isfinite(c):
+                        return theta, k, k + checked, StopReason.DIVERGED
+                    if c >= MARGIN_THRESHOLD:
+                        return theta, k, k + checked, StopReason.FIRED
+                else:
+                    # margin exactly 0 counts incorrect, so theta = 0 scores 0.0
+                    frac = float(np.mean(val @ theta > 0.0))
+                    if frac <= prev:
+                        return theta, k, k, StopReason.PLATEAU
+                    prev = frac
+            if k >= limit:
+                return theta, k, k + checked, StopReason.CENSORED
+            xi = next(rows)
+            m = xi.dot(theta)
+            if not isfinite(m):
+                return theta, k, k + checked + 1, StopReason.DIVERGED
+            if m >= fire:
+                return theta, k, k + checked + 1, StopReason.FIRED
+            scale[()] = alpha * factor(kind, m)
+            multiply(xi, scale, step)
+            add(theta, step, theta)
             k += 1
-            tracer.record(k, theta)
-            check = next(checks)
-            drawn += 1
     except StopIteration:
-        return RunResult(theta, k, drawn, True, StopReason.EXHAUSTED, tracer.rows)
-
-
-def run_svs(
-    sampler: Sampler,
-    config: SgdConfig,
-    *,
-    theta0: np.ndarray | None = None,
-    trace_probe: np.ndarray | None = None,
-) -> RunResult:
-    """Small-validation-set rule; see the module docstring for the protocol."""
-    rule = config.rule
-    if rule.kind is not StopKind.SMALL_VALIDATION:
-        raise ValueError(f"config.rule is {rule.kind}, not small_validation")
-    assert rule.p is not None and rule.period is not None
-    tracer = _Tracer(config, trace_probe)
-    try:
-        val = np.stack([next(sampler) for _ in range(rule.p)])
-    except StopIteration:
-        raise ValueError(
-            f"sampler ended before yielding the {rule.p} validation samples"
-        ) from None
-    theta = (
-        np.array(theta0, dtype=float)
-        if theta0 is not None
-        else np.zeros(val.shape[1])
-    )
-    alpha = config.alpha
-    kind = config.kind
-    # margin exactly 0 counts incorrect, so theta = 0 scores 0.0
-    frac_prev = float(np.mean(val @ theta > 0.0))
-    k = 0
-    while k < config.max_iter:
-        try:
-            xi = next(sampler)
-        except StopIteration:
-            return RunResult(
-                theta, k, k + rule.p, True, StopReason.EXHAUSTED, tracer.rows
-            )
-        m = float(xi @ theta)
-        if not math.isfinite(m):
-            return RunResult(theta, k, k + 1 + rule.p, True, StopReason.DIVERGED, tracer.rows)
-        theta += (alpha * gradient_factor(kind, m)) * xi
-        k += 1
-        tracer.record(k, theta)
-        if k % rule.period == 0:
-            frac = float(np.mean(val @ theta > 0.0))
-            if frac <= frac_prev:
-                return RunResult(
-                    theta, k, k + rule.p, False, StopReason.PLATEAU, tracer.rows
-                )
-            frac_prev = frac
-    return RunResult(theta, k, k + rule.p, True, StopReason.CENSORED, tracer.rows)
+        return theta, k, k + checked, StopReason.EXHAUSTED
 
 
 def run(
@@ -362,25 +240,52 @@ def run(
     *,
     check_sampler: Sampler | None = None,
     theta0: np.ndarray | None = None,
-    trace_probe: np.ndarray | None = None,
 ) -> RunResult:
-    """Dispatch on config.rule."""
-    k = config.rule.kind
-    if k is StopKind.EXTRA_SAMPLE:
-        return run_extra_sample(
-            sampler,
-            config,
-            check_sampler=check_sampler,
-            theta0=theta0,
-            trace_probe=trace_probe,
-        )
-    if k in (StopKind.ZERO_OVERHEAD, StopKind.NONE):
-        return run_zero_overhead(
-            sampler, config, theta0=theta0, trace_probe=trace_probe
-        )
-    if k is StopKind.SMALL_VALIDATION:
-        return run_svs(sampler, config, theta0=theta0, trace_probe=trace_probe)
-    raise TypeError(f"unknown stop rule: {config.rule!r}")
+    """Run config.rule on the sampler; see the module docstring for the rules.
+
+    Extra-sample check samples come from ``check_sampler`` when given (two
+    designated streams per run), otherwise they interleave with update
+    draws from the one sampler, which for an i.i.d. stream is equivalent in
+    distribution.  A sampler too short to size theta, give the first check
+    or fill the validation set is a ValueError.
+    """
+    rule = config.rule
+    rows = sampler
+    checks = val = first = None
+    if rule.kind is StopKind.SMALL_VALIDATION:
+        assert rule.p is not None
+        try:
+            val = np.stack([next(sampler) for _ in range(rule.p)])
+        except StopIteration:
+            raise ValueError(
+                f"sampler ended before yielding the {rule.p} validation samples"
+            ) from None
+        first = val[0]
+    elif rule.kind is StopKind.EXTRA_SAMPLE:
+        checks = sampler if check_sampler is None else check_sampler
+        first = _first(checks)
+        checks = itertools.chain((first,), checks)
+    elif theta0 is None:
+        first = _first(sampler)
+        rows = itertools.chain((first,), sampler)
+    theta = (
+        np.array(theta0, dtype=float)
+        if theta0 is not None
+        else np.zeros_like(first, dtype=float)
+    )
+    theta, k, drawn, reason = _loop(
+        rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
+    )
+    if reason is StopReason.EXHAUSTED or reason is StopReason.DIVERGED:
+        charged = drawn
+    elif rule.kind is StopKind.EXTRA_SAMPLE:
+        charged = 2 * k + 1
+    else:
+        charged = k  # zero-overhead: the firing draw is the next update's sample
+    if val is not None:
+        charged += rule.p
+    censored = reason is not StopReason.FIRED and reason is not StopReason.PLATEAU
+    return RunResult(theta, k, charged, censored, reason)
 
 
 def continue_run(
@@ -397,32 +302,21 @@ def continue_run(
     """
     if extra_iters < 0:
         raise ValueError(f"extra_iters must be >= 0, got {extra_iters}")
-    theta = np.array(result.theta, dtype=float)
-    alpha = config.alpha
-    kind = config.kind
-    done = drawn = 0
-    reason = result.stop_reason
-    censored = result.censored
-    for _ in range(extra_iters):
-        try:
-            xi = next(sampler)
-        except StopIteration:
-            reason = StopReason.EXHAUSTED
-            censored = True
-            break
-        drawn += 1
-        m = float(xi @ theta)
-        if not math.isfinite(m):
-            reason = StopReason.DIVERGED
-            censored = True
-            break
-        theta += (alpha * gradient_factor(kind, m)) * xi
-        done += 1
+    theta, done, drawn, reason = _loop(
+        sampler,
+        np.array(result.theta, dtype=float),
+        config.kind,
+        config.alpha,
+        extra_iters,
+        StopRule.none(),
+    )
+    censored = True
+    if reason is StopReason.CENSORED:  # every extra update applied
+        reason, censored = result.stop_reason, result.censored
     return RunResult(
         theta,
         result.iterations + done,
         result.samples_consumed + drawn,
         censored,
         reason,
-        result.trace,
     )

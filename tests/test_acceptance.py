@@ -34,7 +34,7 @@ from sgdstop.data import (
 )
 from sgdstop.losses import LossKind, ray_derivative, ray_objective
 from sgdstop.numerics import RngState, gauss_hermite_rule, standard_normals
-from sgdstop.sgd import SgdConfig, StopReason, StopRule, run_svs
+from sgdstop.sgd import SgdConfig, StopReason, StopRule, run
 from sgdstop.theory import (
     GaussianFoldedModel,
     angle_bound,
@@ -293,7 +293,7 @@ def test_criterion_08_svs_iteration_cap(capsys):
                 max_iter=10**6,
                 rule=rule,
             )
-            res = run_svs(stream, cfg)
+            res = run(stream, cfg)
             cap = (p + 1) * 2 * p
             ok = ok and res.stop_reason is StopReason.PLATEAU and res.iterations <= cap
             worst_fill = max(worst_fill, res.iterations / cap)

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -249,6 +250,35 @@ def test_verify_bounds_zero_step_control_fails(tmp_path):
 def test_verify_bounds_requires_some_section(tmp_path):
     p = write_config(tmp_path / "v.json", {"seed": 1, "out": str(tmp_path / "r.json")})
     assert main(["verify-bounds", "--config", p]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("expected_T", "trials", 0),
+        ("hitting_time", "trials", 0),
+        ("angle", "trials", -1),
+        ("drift", "n_mc", 1),
+        ("target_delta", "n_theta", 0),
+        ("expected_T", "max_iter", -1),
+        ("hitting_time", "d", 0),
+        ("angle", "d", 1),
+        ("drift", "sigma", -0.5),
+        ("target_delta", "mu_scale", 0.0),
+        ("angle", "alpha", math.inf),
+    ],
+)
+def test_verify_bounds_rejects_out_of_range_section_values(tmp_path, section, key, value):
+    valid = {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1,
+             "trials": 2, "n_mc": 100, "n_theta": 5}
+    p = write_config(
+        tmp_path / "v.json",
+        {"seed": 1, section: {**valid, key: value}, "out": str(tmp_path / "r.json")},
+    )
+    proc = _run_process("verify-bounds", "--config", p)
+    _assert_config_error(proc)
+    assert key in proc.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_bounds_deterministic(tmp_path):

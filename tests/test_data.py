@@ -36,7 +36,7 @@ from sgdstop.data import (
 )
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState, standard_normals
-from sgdstop.sgd import SgdConfig, StopReason, run_zero_overhead
+from sgdstop.sgd import SgdConfig, StopReason, run
 
 
 def _idx_bytes(magic, dims, payload):
@@ -184,7 +184,7 @@ def test_student_t2_zero_uniform_is_infinite_and_diverges():
     assert np.all(np.isinf(block.zeta))
     rows = iter(fold(block, np.zeros(2)))
     with np.errstate(invalid="ignore"):  # inf * 0 in the first margin
-        res = run_zero_overhead(rows, SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=100))
+        res = run(rows, SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=100))
     assert res.stop_reason is StopReason.DIVERGED
     assert res.iterations == 0
 
