@@ -186,24 +186,66 @@ def _parse_loss(name: str) -> LossKind:
         ) from None
 
 
+def _at_least(sec: ExperimentConfig, key: str, minimum: int, default: int | None = None) -> int:
+    """An int value of at least ``minimum``; required when no default."""
+    v = sec.require(key, int) if default is None else sec.get(key, default, int)
+    if v < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+    return v
+
+
+def _finite(
+    sec: ExperimentConfig, key: str, minimum: float, default: float | None = None,
+    above: bool = False,
+) -> float:
+    """A finite float value of at least ``minimum`` (above it when ``above``);
+    required when no default."""
+    v = sec.require(key, float) if default is None else sec.get(key, default, float)
+    if not (math.isfinite(v) and (v > minimum if above else v >= minimum)):
+        relation = ">" if above else ">="
+        raise ConfigError(f"{key} must be finite and {relation} {minimum:g}, got {v}")
+    return v
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _run_settings(cfg: ExperimentConfig) -> tuple[float, int, int]:
+    """(alpha_tilde, max_iter, centering_samples) of a command that trains."""
+    return (
+        _finite(cfg, "alpha_tilde", 0.0, above=True),
+        _at_least(cfg, "max_iter", 0, 1_000_000),
+        _at_least(cfg, "centering_samples", 2, 100),
+    )
+
+
 def _e1_scaled(d: int, scale: float) -> np.ndarray:
     mu = np.zeros(d)
     mu[0] = scale
     return mu
 
 
+def _gaussian_model(d: int, mu_scale: float, sigma: float) -> GaussianFoldedModel:
+    try:
+        return GaussianFoldedModel(_e1_scaled(d, mu_scale), sigma)
+    except ValueError as e:  # a zero or non-finite mu_scale, a negative sigma
+        raise ConfigError(f"mu_scale {mu_scale}, sigma {sigma}: {e}") from None
+
+
 def _labeled_source(cfg: ExperimentConfig, sigma: float, rng: RngState) -> Iterator[Block]:
     """Synthetic labeled block stream per the config's 'source' key."""
     source = cfg.get("source", "gaussian", str)
-    d = cfg.require("d", int)
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
+    d = _at_least(cfg, "d", 1)
     if source == "gaussian":
-        mu = _e1_scaled(d, cfg.get("mu_scale", 1.0, float))
+        mu_scale = cfg.get("mu_scale", 1.0, float)
+        if not math.isfinite(mu_scale):
+            raise ConfigError(f"mu_scale must be finite, got {mu_scale}")
+        mu = _e1_scaled(d, mu_scale)
         # symmetric class means -mu/+mu, so the folded mean is exactly mu
         return gaussian_mixture_sampler(-mu, mu, sigma, rng)
     if source == "t2":
-        return student_t2_mixture_sampler(cfg.require("beta", float), d, rng)
+        return student_t2_mixture_sampler(_finite(cfg, "beta", 0.0), d, rng)
     raise ConfigError(f"unknown source '{source}'; expected 'gaussian' or 't2'")
 
 
@@ -235,6 +277,8 @@ class _Stopper:
 
 
 def _parse_stopper(name: str, continue_factor: float) -> _Stopper:
+    if not isinstance(name, str):
+        raise ConfigError(f"stoppers must be names, got {name!r}")
     if name == "zero_overhead":
         return _Stopper(name, StopRule.zero_overhead())
     if name == "extra_sample":
@@ -309,20 +353,16 @@ def _run_stopper(
 
 
 def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
-    d = cfg.require("d", int)
+    d = _at_least(cfg, "d", 1)
     mu_scale = cfg.get("mu_scale", 1.0, float)
     grid = cfg.require("sigma_grid", list)
-    if not grid or not all(isinstance(s, (int, float)) and s > 0 for s in grid):
-        raise ConfigError("sigma_grid must be a nonempty list of positive numbers")
+    if not grid or not all(_is_finite_number(s) and s > 0 for s in grid):
+        raise ConfigError("sigma_grid must be a nonempty list of finite positive numbers")
     losses = [_parse_loss(s) for s in cfg.get("losses", ["logistic", "hinge"], list)]
     if not losses:
         raise ConfigError("losses must be nonempty")
-    alpha_tilde = cfg.require("alpha_tilde", float)
-    trials = cfg.require("trials", int)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    max_iter = cfg.get("max_iter", 1_000_000, int)
-    centering_n = cfg.get("centering_samples", 100, int)
+    alpha_tilde, max_iter, centering_n = _run_settings(cfg)
+    trials = _at_least(cfg, "trials", 1)
     seed = cfg.get("seed", 0, int)
     root = RngState(seed)
 
@@ -333,7 +373,7 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
     rows: list[list] = []
     for i_s, sigma in enumerate(grid):
         sigma = float(sigma)
-        model = GaussianFoldedModel(_e1_scaled(d, mu_scale), sigma)
+        model = _gaussian_model(d, mu_scale, sigma)
         opt = optimal_accuracy(model)
         for i_l, loss in enumerate(losses):
             for t in range(trials):
@@ -360,20 +400,12 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
-    sigma = cfg.require("sigma", float)
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    sigma = _finite(cfg, "sigma", 0.0)
     loss = _parse_loss(cfg.get("loss", "logistic", str))
-    alpha_tilde = cfg.require("alpha_tilde", float)
-    trials = cfg.require("trials", int)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    max_iter = cfg.get("max_iter", 1_000_000, int)
-    centering_n = cfg.get("centering_samples", 100, int)
-    eval_samples = cfg.get("eval_samples", 4000, int)
-    if eval_samples < 1:
-        raise ConfigError(f"eval_samples must be >= 1, got {eval_samples}")
-    continue_factor = cfg.get("continue_factor", 1.5, float)
+    alpha_tilde, max_iter, centering_n = _run_settings(cfg)
+    trials = _at_least(cfg, "trials", 1)
+    eval_samples = _at_least(cfg, "eval_samples", 1, 4000)
+    continue_factor = _finite(cfg, "continue_factor", 0.0, 1.5)
     names = cfg.get(
         "stoppers",
         ["zero_overhead", "svs_32", "svs_128", "svs_512", "zero_overhead_continue"],
@@ -421,29 +453,13 @@ def _check_row(check: str, value: float, bound: float, stderr: float, passed: bo
     }
 
 
-def _at_least(sec: ExperimentConfig, key: str, minimum: int, default: int | None = None) -> int:
-    """An int section value of at least ``minimum``; required when no default."""
-    v = sec.require(key, int) if default is None else sec.get(key, default, int)
-    if v < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-    return v
-
-
 def _section_model(
     sec: ExperimentConfig, min_d: int = 1
 ) -> tuple[LossKind, GaussianFoldedModel, float]:
     loss = _parse_loss(sec.get("loss", "logistic", str))
     d = _at_least(sec, "d", min_d)
-    mu_scale = sec.get("mu_scale", 1.0, float)
-    sigma = sec.require("sigma", float)
-    try:
-        model = GaussianFoldedModel(_e1_scaled(d, mu_scale), sigma)
-    except ValueError as e:  # a zero or non-finite mu_scale, a negative sigma
-        raise ConfigError(f"mu_scale {mu_scale}, sigma {sigma}: {e}") from None
-    alpha = sec.require("alpha", float)
-    if not 0.0 <= alpha < math.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-    return loss, model, alpha
+    model = _gaussian_model(d, sec.get("mu_scale", 1.0, float), sec.require("sigma", float))
+    return loss, model, _finite(sec, "alpha", 0.0)
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
@@ -484,7 +500,12 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         loss, model, alpha = _section_model(sec)
         rset = regime_set(loss, model, alpha)
         mu_dots = sec.get("mu_dots", [-5.0, 0.0, 0.9], list)
-        probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
+        if not all(_is_finite_number(v) for v in mu_dots):
+            raise ConfigError(f"mu_dots must be a list of finite numbers, got {mu_dots}")
+        try:
+            probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
+        except ValueError as e:  # a probe inside the target set
+            raise ConfigError(f"mu_dots: {e}") from None
         config = SgdConfig(loss, alpha)
         results = check_drift_inequality(
             rset, config, probes, _at_least(sec, "n_mc", 2, 20000), root.substream(4)
@@ -646,16 +667,12 @@ def _load_real(cfg: ExperimentConfig, root: RngState) -> tuple[Dataset, Dataset]
 
 def cmd_run_real(cfg: ExperimentConfig) -> int:
     loss = _parse_loss(cfg.get("loss", "logistic", str))
-    alpha_tilde = cfg.require("alpha_tilde", float)
-    trials = cfg.get("trials", 1, int)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    max_iter = cfg.get("max_iter", 1_000_000, int)
-    centering_n = cfg.get("centering_samples", 100, int)
+    alpha_tilde, max_iter, centering_n = _run_settings(cfg)
+    trials = _at_least(cfg, "trials", 1, 1)
     epochs = cfg.get("epochs", 1, (int, type(None)))
     if epochs is not None and epochs < 1:
         raise ConfigError(f"epochs must be >= 1 or null, got {epochs}")
-    continue_factor = cfg.get("continue_factor", 1.5, float)
+    continue_factor = _finite(cfg, "continue_factor", 0.0, 1.5)
     names = cfg.get("stoppers", ["zero_overhead"], list)
     stoppers = [_parse_stopper(n, continue_factor) for n in names]
     seed = cfg.get("seed", 0, int)

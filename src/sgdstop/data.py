@@ -7,9 +7,10 @@ margin of exactly 0 counts incorrect), so both classes can be trained and
 scored through one folded stream.
 
 Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
-(rows, d): the synthetic sources hand out 256-row blocks, as does the CLI's
-dataset stream, which gathers each chunk of an epoch's permutation into a
-fresh copy.  Whoever receives a block owns it.
+(rows, d): the Gaussian mixture hands out 128-row chunks of its 256-row
+blocks (views of one array per block), the Student-t2 mixture 256-row
+blocks, and the CLI's dataset stream gathers each 256-row chunk of an
+epoch's permutation into a fresh copy.  Whoever receives a block owns it.
 
 Centering follows a fixed protocol (center_and_fold): from the first n rows
 of a labeled block stream, estimate the per-class means, set the offset to
@@ -37,9 +38,16 @@ Samplers and streams here are iterators.  Synthetic ones are infinite and
 draw through a numpy Generator in documented block sizes, so a fixed
 (seed, stream) pair reproduces the exact sequence; dataset streams shuffle
 once per epoch with the stream's own generator and simply end when their
-epoch budget runs out.  A 256-row block's uniforms are drawn when its first
-row is requested; folded_gaussian_stream then transforms them in 32-row
-chunks on demand, with unchanged draw accounting and output bytes.
+epoch budget runs out.
+
+Both Gaussian samplers share one source.  A 256-row block's uniforms (after
+its label coins, for the mixture) are drawn when its first row is
+requested and turned into Box-Muller radii and angles at once; the normals
+are then written chunk by chunk (128 rows for the mixture, 32 for the
+folded stream) only when the consumer reaches the chunk, so rows a run
+never reads are never transformed.  A block holds exactly the bytes of
+mean + sigma * standard_normals(gen, 256 d), and draw accounting is that
+of whole blocks.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, box_muller, sample_student_t2, standard_normals
+from .numerics import RngState, box_muller, box_muller_polar, sample_student_t2
 
 __all__ = [
     "BLOCK_ROWS",
@@ -82,7 +90,10 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 256  # rows per block in the synthetic and dataset streams
-CHUNK_ROWS = 32  # rows per Box-Muller call in folded_gaussian_stream; even
+# rows per Box-Muller chunk (even, so a chunk starts on a pair): the folded
+# stream's Monte-Carlo trials read a few dozen rows, sampler runs thousands
+CHUNK_ROWS = 32
+MIXTURE_CHUNK_ROWS = 128
 
 
 class Block(NamedTuple):
@@ -148,8 +159,11 @@ def gaussian_mixture_sampler(
     """Fair two-component Gaussian mixture: y ~ Bernoulli(1/2), zeta ~
     N(mu_y, sigma^2 I_d).
 
-    Hands out blocks of 256 rows, each drawn as the 256 label coins first
-    (one uniform each, y = 1 iff u < 1/2), then the 256 d feature normals.
+    Draws blocks of 256 rows, each as the 256 label coins first (one uniform
+    each, y = 1 iff u < 1/2), then the uniforms of its 256 d feature normals;
+    a block's rows are mu_y + sigma * standard_normals(gen, 256 d), bit for
+    bit.  Hands out each block in 128-row chunks, views of the block's one
+    array, transformed only when reached.
     """
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -157,13 +171,11 @@ def gaussian_mixture_sampler(
         raise ValueError("mu0 and mu1 must be 1-D vectors of equal dimension")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    gen = _materialize(rng)
-    d = mu0.shape[0]
     means = np.stack([mu0, mu1])
-    while True:
-        ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
-        noise = standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
-        yield Block(ys, means[ys] + sigma * noise)
+    chunks = _gaussian_chunks(_materialize(rng), mu0.shape[0], sigma, MIXTURE_CHUNK_ROWS, True)
+    for ys, rows in chunks:
+        rows += means[ys]
+        yield Block(ys, rows)
 
 
 def student_t2_mixture_sampler(
@@ -196,25 +208,45 @@ def folded_gaussian_stream(
     Each 256-row block is mu + sigma * standard_normals(gen, 256 d), bit for
     bit, with its uniforms drawn when its first row is requested but only
     transformed 32 rows at a time as they are reached, so short runs skip
-    the rest; sigma = 0 draws the uniforms (keeping streams aligned) only.
+    the rest.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ValueError("mu must be a nonempty 1-D vector")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    gen = _materialize(rng)
-    d = mu.shape[0]
-    pairs, step = BLOCK_ROWS * d // 2, CHUNK_ROWS * d // 2  # a chunk starts on a pair
+    for _, rows in _gaussian_chunks(_materialize(rng), mu.shape[0], sigma, CHUNK_ROWS, False):
+        rows += mu
+        yield from rows
+
+
+def _gaussian_chunks(
+    gen: np.random.Generator, d: int, sigma: float, chunk_rows: int, coins: bool
+) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+    """The shared source of both Gaussian samplers: (ys, sigma * noise) chunks.
+
+    Per 256-row block, when its first chunk is requested: the 256 label
+    coins if ``coins`` (ys is None otherwise), then the uniforms of its
+    128 d Box-Muller pairs, turned into radii and angles in place, and one
+    (256, d) output array.  Each chunk of ``chunk_rows`` rows (even, so it
+    starts on a pair) is transformed and scaled by sigma in place only when
+    it is requested; it is a view of that array, which the caller finishes
+    (adds the mean to) and owns.
+    """
+    pairs, step = BLOCK_ROWS * d // 2, chunk_rows * d // 2
+    uniforms = np.empty((2, pairs))  # reused: a block is drawn after the last is read
     while True:
-        u1 = 1.0 - gen.random(pairs)
-        u2 = gen.random(pairs)
-        if sigma > 0.0:
-            for a in range(0, pairs, step):
-                z = box_muller(u1[a : a + step], u2[a : a + step])
-                yield from mu + sigma * z.reshape(CHUNK_ROWS, d)
-        else:
-            yield from np.broadcast_to(mu, (BLOCK_ROWS, d))
+        if coins:
+            ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
+        r, t = box_muller_polar(gen.random(out=uniforms))
+        block = np.empty((BLOCK_ROWS, d))
+        flat = block.reshape(-1)
+        for row in range(0, BLOCK_ROWS, chunk_rows):
+            a = row * d // 2
+            box_muller(r[a : a + step], t[a : a + step], flat[2 * a : 2 * (a + step)])
+            rows = block[row : row + chunk_rows]
+            rows *= sigma
+            yield (ys[row : row + chunk_rows] if coins else None), rows
 
 
 def _take(

@@ -12,8 +12,11 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
 documented number of uniforms.  That makes draw accounting exact and keeps
-parallel streams aligned regardless of the values drawn.  box_muller is
-elementwise, so uniforms drawn up front may be transformed in pieces later.
+parallel streams aligned regardless of the values drawn.  The transform has
+two steps, each defined once: box_muller_polar turns a buffer of uniforms
+into radii and angles in place, and box_muller writes the normals of any
+run of pairs into a given array.  Both are elementwise, so uniforms drawn
+up front may be transformed in pieces later, only as they are needed.
 
 The normal CDF is computed from ``erfc``:
 
@@ -47,6 +50,7 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_ccdf",
     "std_normal_pdf",
+    "box_muller_polar",
     "box_muller",
     "sample_student_t2",
     "gauss_hermite_rule",
@@ -101,30 +105,48 @@ class RngState:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """2m normals from m uniform pairs, u1 in (0, 1], elementwise:
+def box_muller_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and angles of m Box-Muller pairs, in place in a (2, m) array of
+    uniforms on [0, 1): row 0 becomes r = sqrt(-2 log(1 - u)) (1 - u lies in
+    (0, 1], so the log is finite) and row 1 becomes t = 2 pi u.
 
-        r = sqrt(-2 log u1),  z[2i] = r cos(2 pi u2),  z[2i+1] = r sin(2 pi u2)
+    Returns the rows (r, t), views of ``u``.  Each step is the formula's own
+    IEEE operation in the formula's order, so the results are bit-equal to it.
     """
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * r.shape[0])
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z
+    r, t = u
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= 2.0 * np.pi
+    return r, t
+
+
+def box_muller(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2m normals from the radii and angles of m pairs, written into ``out``:
+
+        out[2i] = r cos t,  out[2i+1] = r sin t
+
+    cos and sin go straight into ``out``, which is returned.
+    """
+    even, odd = out[0::2], out[1::2]
+    np.cos(t, out=even)
+    even *= r
+    np.sin(t, out=odd)
+    odd *= r
+    return out
 
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n iid N(0,1) doubles via Box-Muller; consumes 2*ceil(n/2) uniforms.
-
-    The first uniform of each pair is mapped to (0, 1] so the log is finite.
-    """
+    """n iid N(0,1) doubles via Box-Muller; consumes 2*ceil(n/2) uniforms,
+    the m first uniforms of the m pairs, then their m second uniforms."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return np.empty(0)
     m = (n + 1) // 2
-    u1 = 1.0 - gen.random(m)
-    return box_muller(u1, gen.random(m))[:n]
+    r, t = box_muller_polar(gen.random((2, m)))
+    return box_muller(r, t, np.empty(2 * m))[:n]
 
 
 def sample_student_t2(gen: np.random.Generator, n: int = 1) -> np.ndarray:

@@ -281,6 +281,21 @@ def test_verify_bounds_rejects_out_of_range_section_values(tmp_path, section, ke
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("mu_dots", [["a"], [50.0], [True], [0.0, None]])
+def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
+    # a probe inside the target set ([50.0] on this model) cannot be checked
+    p = write_config(
+        tmp_path / "v.json",
+        {"seed": 1, "out": str(tmp_path / "r.json"),
+         "drift": {"loss": "hinge", "d": 6, "sigma": 1.2, "alpha": 0.1, "n_mc": 100,
+                   "mu_dots": mu_dots}},
+    )
+    assert main(["verify-bounds", "--config", p]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mu_dots" in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_bounds_deterministic(tmp_path):
     p = _verify_cfg(tmp_path, out=str(tmp_path / "a.json"))
     assert main(["verify-bounds", "--config", p]) == EXIT_OK
@@ -372,6 +387,52 @@ def test_run_real_csv_dataset(tmp_path):
     _, rows = _read_csv(tmp_path / "real.csv")
     assert len(rows) == 1
     assert float(rows[0]["accuracy"]) > float(rows[0]["baseline"])
+
+
+def _real_csv_cfg(tmp, **over):
+    data = tmp / "points.csv"
+    data.write_text(
+        "x0,x1,label\n" + "".join(f"{i % 7},{-(i % 5)},{i % 2}\n" for i in range(40))
+    )
+    values = {"dataset": "csv", "path": str(data), "class_a": 0, "class_b": 1,
+              "alpha_tilde": 0.1, "stoppers": ["zero_overhead", "zero_overhead_continue"],
+              "out": str(tmp / "o.csv")}
+    values.update(over)
+    return write_config(tmp / "real.json", values)
+
+
+_RUN_SETTING_CONFIGS = {
+    "sweep-sigma": _sweep_cfg,
+    "compare-stoppers": _compare_cfg,
+    "run-real": _real_csv_cfg,
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (command, key, value)
+        for command in _RUN_SETTING_CONFIGS
+        for key, value in [
+            ("alpha_tilde", 0), ("alpha_tilde", math.inf), ("centering_samples", 1),
+            ("max_iter", -1), ("continue_factor", -1), ("continue_factor", math.nan),
+        ]
+        if not (command == "sweep-sigma" and key == "continue_factor")
+    ]
+    + [
+        ("sweep-sigma", "beta", -1), ("compare-stoppers", "beta", -1),
+        ("sweep-sigma", "mu_scale", 0), ("compare-stoppers", "mu_scale", math.nan),
+        ("sweep-sigma", "sigma_grid", [math.inf]), ("compare-stoppers", "sigma", math.inf),
+        ("compare-stoppers", "sigma", math.nan), ("compare-stoppers", "stoppers", [1]),
+        ("run-real", "stoppers", ["zero_overhead", None]),
+    ],
+)
+def test_out_of_range_run_settings_are_config_errors(tmp_path, capsys, command, key, value):
+    over = {key: value, "source": "t2"} if key == "beta" else {key: value}
+    p = _RUN_SETTING_CONFIGS[command](tmp_path, **over)
+    assert main([command, "--config", p]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err, err
 
 
 def test_run_real_rejects_nonpositive_epochs(tmp_path):

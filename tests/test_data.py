@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sgdstop.cli import _labeled_dataset_stream
 from sgdstop.data import (
     BLOCK_ROWS,
+    MIXTURE_CHUNK_ROWS,
     Block,
     CenteringStats,
     Cifar10Error,
@@ -35,7 +36,7 @@ from sgdstop.data import (
     student_t2_mixture_sampler,
 )
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState, standard_normals
+from sgdstop.numerics import RngState, box_muller, box_muller_polar, standard_normals
 from sgdstop.sgd import SgdConfig, StopReason, run
 
 
@@ -117,12 +118,81 @@ def test_dataset_validation():
 
 
 def test_gaussian_mixture_sampler_deterministic():
+    # chunks of 128 rows, two per 256-row block, each a view of its block's
+    # one array; two streams of the same state agree chunk for chunk
     mu0, mu1 = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
-    a = next(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)))
-    b = next(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)))
-    assert a.y.shape == (BLOCK_ROWS,) and a.zeta.shape == (BLOCK_ROWS, 2)
-    assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.zeta, b.zeta)
+    a = list(itertools.islice(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)), 3))
+    b = list(itertools.islice(gaussian_mixture_sampler(mu0, mu1, 0.5, RngState(1)), 3))
+    assert MIXTURE_CHUNK_ROWS * 2 == BLOCK_ROWS
+    for x, y in zip(a, b):
+        assert x.y.shape == (MIXTURE_CHUNK_ROWS,) and x.zeta.shape == (MIXTURE_CHUNK_ROWS, 2)
+        assert np.array_equal(x.y, y.y)
+        assert np.array_equal(x.zeta, y.zeta)
+    assert a[0].zeta.base is a[1].zeta.base and a[2].zeta.base is not a[0].zeta.base
+
+
+def _mixture_reference_block(gen, means, sigma):
+    ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
+    d = means.shape[1]
+    return ys, means[ys] + sigma * standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.3]),
+    reads=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32),
+)
+@example(d=1, sigma=0.3, reads=[127, 1, 1, 127, 1], seed=0)
+@example(d=7, sigma=0.3, reads=[256, 256, 1], seed=1)
+@example(d=40, sigma=0.0, reads=[128, 128, 129, 255], seed=2)
+def test_gaussian_mixture_sampler_matches_whole_block_reference(d, sigma, reads, seed):
+    # rows handed out chunk by chunk equal, bit for bit, whole blocks drawn
+    # as 256 coins then standard_normals; a shared generator is left exactly
+    # where drawing each block at its first row leaves it
+    means = np.stack([np.linspace(-1.0, 2.0, d), np.linspace(0.5, -0.5, d)])
+    means[1, 0] = -0.0  # a signed zero must survive sigma = 0
+    gen = RngState(seed).generator()
+    ref_gen = RngState(seed).generator()
+    stream = gaussian_mixture_sampler(means[0], means[1], sigma, gen)
+    pending = np.empty((0, d)), np.empty(0, dtype=int)
+    ref_z, ref_y = np.empty((0, d)), np.empty(0, dtype=int)
+    for n in reads:
+        while pending[0].shape[0] < n:
+            chunk = next(stream)
+            pending = np.concatenate([pending[0], chunk.zeta]), np.concatenate([pending[1], chunk.y])
+            while ref_z.shape[0] < pending[0].shape[0]:
+                ys, z = _mixture_reference_block(ref_gen, means, sigma)
+                ref_z, ref_y = np.concatenate([ref_z, z]), np.concatenate([ref_y, ys])
+            assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
+        got_z, got_y = pending[0][:n], pending[1][:n]
+        assert np.array_equal(got_y, ref_y[:n])
+        assert np.array_equal(got_z.view(np.uint64), ref_z[:n].view(np.uint64))
+        pending = pending[0][n:], pending[1][n:]
+        ref_z, ref_y = ref_z[n:], ref_y[n:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1, max_size=20,
+    )
+)
+@example(u=[(0.0, 0.0), (0.0, 0.25), (0.5, 0.75)])  # 1 - u = 1: a radius of -0.0
+def test_box_muller_in_place_matches_reference_formula(u):
+    pairs = np.array(u).T.copy()
+    u1, u2 = 1.0 - pairs[0], pairs[1]
+    r_ref = np.sqrt(-2.0 * np.log(u1))
+    expected = np.empty(2 * pairs.shape[1])
+    expected[0::2] = r_ref * np.cos(2.0 * np.pi * u2)
+    expected[1::2] = r_ref * np.sin(2.0 * np.pi * u2)
+    r, t = box_muller_polar(pairs)
+    assert np.shares_memory(r, pairs) and np.shares_memory(t, pairs)
+    out = np.full(expected.shape, np.nan)
+    assert box_muller(r, t, out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 def test_gaussian_mixture_sampler_statistics():
