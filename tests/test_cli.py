@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,8 +270,8 @@ def test_verify_bounds_requires_some_section(tmp_path):
     ],
 )
 def test_verify_bounds_rejects_out_of_range_section_values(tmp_path, section, key, value):
-    valid = {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1,
-             "trials": 2, "n_mc": 100, "n_theta": 5}
+    own = {"drift": {"n_mc": 100}, "target_delta": {"n_theta": 5}}.get(section, {"trials": 2})
+    valid = {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1, **own}
     p = write_config(
         tmp_path / "v.json",
         {"seed": 1, section: {**valid, key: value}, "out": str(tmp_path / "r.json")},
@@ -433,6 +434,114 @@ def test_out_of_range_run_settings_are_config_errors(tmp_path, capsys, command, 
     assert main([command, "--config", p]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err, err
+
+
+_CONFIGS = {**_RUN_SETTING_CONFIGS, "verify-bounds": _verify_cfg}
+_SECTION = {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1}
+
+
+def _assert_rejected(capsys, command, config):
+    """Exit 2 with one error line and no output file; returns the line."""
+    out = json.loads(Path(config).read_text())["out"]
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not Path(out).exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "command, over, message",
+    [
+        ("compare-stoppers", {"stopper": ["svs_4"]}, "'stopper'; did you mean 'stoppers'?"),
+        ("compare-stoppers", {"max_iters": 10}, "'max_iters'; did you mean 'max_iter'?"),
+        ("sweep-sigma", {"loss": ["hinge"]}, "'loss'; did you mean 'losses'?"),
+        ("run-real", {"epoch": 2}, "'epoch'; did you mean 'epochs'?"),
+        ("verify-bounds", {"hiting_time": {**_SECTION, "trials": 2}},
+         "'hiting_time'; did you mean 'hitting_time'?"),
+        # the unknown key is reported, not the required key it was meant to be
+        ("verify-bounds", {"expected_T": {**_SECTION, "trial": 3}},
+         "'expected_T.trial'; did you mean 'trials'?"),
+    ],
+)
+def test_unknown_keys_name_the_closest_known_key(tmp_path, capsys, command, over, message):
+    err = _assert_rejected(capsys, command, _CONFIGS[command](tmp_path, **over))
+    assert err == f"error: unknown config key {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, over, key",
+    [
+        ("compare-stoppers", {"stoppers": []}, "stoppers"),
+        ("run-real", {"stoppers": []}, "stoppers"),
+        ("verify-bounds", {"drift": {**_SECTION, "mu_dots": []}}, "drift.mu_dots"),
+        ("sweep-sigma", {"seed": -1}, "seed"),
+        ("verify-bounds", {"seed": 2**64}, "seed"),
+        ("run-real", {"epochs": True}, "epochs"),
+        ("verify-bounds", {"expected_T": {**_SECTION, "sigma": math.inf, "trials": 2}},
+         "expected_T.sigma"),
+        ("compare-stoppers", {"alpha_tilde": 10**400}, "alpha_tilde"),
+        ("sweep-sigma", {"sigma_grid": [0.1, 10**400]}, "sigma_grid"),
+        ("sweep-sigma", {"source": "t2"}, "beta"),
+    ],
+)
+def test_values_outside_the_command_table_are_config_errors(
+    tmp_path, capsys, command, over, key
+):
+    err = _assert_rejected(capsys, command, _CONFIGS[command](tmp_path, **over))
+    assert f"config key '{key}'" in err, err
+
+
+@pytest.mark.parametrize(
+    "over", [{}, {"stoppers": ["svs_16"], "centering_samples": 40}]
+)
+def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over):
+    # 60 rows, 48 of them for training: centering uses them up before the
+    # first step, or leaves fewer than the 16 validation samples
+    data = tmp_path / "points.csv"
+    data.write_text("x0,x1,label\n" + "".join(f"{i % 7},{-(i % 5)},{i % 2}\n" for i in range(60)))
+    cfg = write_config(
+        tmp_path / "real.json",
+        {"dataset": "csv", "path": str(data), "class_a": 0, "class_b": 1,
+         "alpha_tilde": 0.1, "out": str(tmp_path / "o.csv"), **over},
+    )
+    err = _assert_rejected(capsys, "run-real", cfg)
+    assert "centering_samples" in err and "epochs" in err, err
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _documented(key) -> list[str]:
+    """The default and limit cells of a README key table row."""
+    default = "required" if key.default is cli.REQUIRED else f"`{json.dumps(key.default)}`"
+    return [default, key.limit]
+
+
+def test_readme_configs_and_key_tables_match_the_command_tables():
+    parts = re.split(r"^### (\S+)$", _README.read_text(), flags=re.M)
+    text_of = dict(zip(parts[1::2], parts[2::2]))
+    for command, (_, table) in cli._COMMANDS.items():
+        text = text_of[command]
+        blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+        assert blocks, command
+        for block in blocks:
+            cli._parse(table, json.loads(block))  # a ConfigError names the key
+        keys, section_keys = {}, {}
+        for line in text.splitlines():
+            if line.startswith("| `"):
+                names, *cells = [cell.strip() for cell in line.strip("|").split(" | ")]
+                for name in re.findall(r"`([^`]+)`", names):
+                    if len(cells) == 3:  # a verify-bounds section key: sections, default, limit
+                        for section in cells[0].split(", "):
+                            section_keys.setdefault(section, {})[name] = cells[1:]
+                    else:
+                        keys[name] = cells
+        assert keys == {k: _documented(v) for k, v in table.items()}, command
+        assert section_keys == {
+            section: {k: _documented(v) for k, v in entry.kind.items()}
+            for section, entry in table.items() if isinstance(entry.kind, dict)
+        }, command
 
 
 def test_run_real_rejects_nonpositive_epochs(tmp_path):
