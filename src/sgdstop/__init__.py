@@ -2,9 +2,9 @@
 
 Submodules:
 
-    numerics  deterministic (seed, stream) randomness, normal CDF helpers,
-              Gauss-Hermite quadrature, truncated-normal moments
-    losses    logistic/hinge losses, update directions, ray restrictions
+    numerics  deterministic (seed, stream) randomness, Box-Muller
+              Gaussians, normal CDF helpers
+    losses    logistic/hinge losses and their update directions
     theory    folded Gaussian model: minimizers, accuracies, regimes,
               target sets, drift witnesses, stopping-time and angle bounds
     sgd       the run engine and the stopping rules

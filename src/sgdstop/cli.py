@@ -60,12 +60,15 @@ from .losses import LossKind
 from .numerics import RngState, standard_normals
 from .sgd import RunResult, SgdConfig, StopKind, StopRule, continue_run, run
 from .theory import (
+    LOW_NOISE_RATIO,
     GaussianFoldedModel,
+    Regime,
     angle_bound,
     classifier_accuracy,
     drift_value,
     low_regime_expected_T_bound,
     optimal_accuracy,
+    regime_of,
     regime_set,
     termination_probability,
 )
@@ -404,7 +407,10 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
 
     Returns (result, centering stats, effective alpha).
     """
-    stats, train = center_and_fold(labeled, c["centering_samples"])
+    try:
+        stats, train = center_and_fold(labeled, c["centering_samples"])
+    except ValueError as e:  # the centering window saw one class only
+        raise ConfigError(f"stopper {stopper.name}: {e}; raise centering_samples") from None
     alpha = effective_step(c["alpha_tilde"], stats.sigma2_tilde)
     max_iter = c["max_iter"]
     config = SgdConfig(loss, alpha, max_iter=max_iter, rule=stopper.rule)
@@ -504,9 +510,32 @@ def _check_row(check: str, value: float, bound: float, stderr: float, passed: bo
     }
 
 
-def _section_model(sec: dict[str, Any]) -> tuple[LossKind, GaussianFoldedModel, float]:
+def _section_model(
+    c: dict[str, Any], name: str, positive: tuple[str, ...] = (), low_noise: bool = False
+) -> tuple[LossKind, GaussianFoldedModel, float]:
+    """Loss, model and step of section ``name``, once the theory its check
+    rests on is known to cover them: the ``positive`` keys must be > 0, and
+    with ``low_noise`` the model must be in the loss's low-noise regime."""
+    sec = c[name]
+    for key in positive:
+        if not sec[key] > 0:
+            raise ConfigError(f"config key '{name}.{key}' must be > 0 for the {name} check")
+    loss = LossKind(sec["loss"])
     model = GaussianFoldedModel(_e1_scaled(sec["d"], sec["mu_scale"]), sec["sigma"])
-    return LossKind(sec["loss"]), model, sec["alpha"]
+    if low_noise and regime_of(loss, model) is not Regime.LOW:
+        raise ConfigError(
+            f"config key '{name}.sigma' must be <= {LOW_NOISE_RATIO[loss]} |mu_scale| for "
+            f"the {name} check, which holds in the {loss.value} low-noise regime only"
+        )
+    return loss, model, sec["alpha"]
+
+
+def _before_trials(name: str, quantity: Callable, *args):
+    """A theory quantity of section ``name``, computed before its trials run."""
+    try:
+        return quantity(*args)
+    except ArithmeticError as e:  # the hinge minimizer's bracket check
+        raise ConfigError(f"config section '{name}': {e}; |mu_scale|/sigma is too large") from None
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
@@ -516,17 +545,17 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = c["expected_T"]
     if sec is not None:
-        loss, model, alpha = _section_model(sec)
+        loss, model, alpha = _section_model(c, "expected_T", ("sigma", "alpha"), low_noise=True)
+        bound = _before_trials("expected_T", low_regime_expected_T_bound, loss, model, alpha)
         config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
         stats = estimate_expected_T(model, config, sec["trials"], root.substream(1))
-        bound = low_regime_expected_T_bound(loss, model, alpha)
         ok = stats.n_censored == 0 and stats.mean <= bound
         checks.append(_check_row("expected_T", stats.mean, bound, stats.stderr, ok))
 
     sec = c["hitting_time"]
     if sec is not None:
-        loss, model, alpha = _section_model(sec)
-        rset = regime_set(loss, model, alpha)
+        loss, model, alpha = _section_model(c, "hitting_time", ("sigma", "alpha"))
+        rset = _before_trials("hitting_time", regime_set, loss, model, alpha)
         config = SgdConfig(loss, alpha, max_iter=sec["max_iter"])
         theta0 = np.zeros(model.d)
         stats = estimate_hitting_time(theta0, rset, config, sec["trials"], root.substream(2))
@@ -536,8 +565,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = c["drift"]
     if sec is not None:
-        loss, model, alpha = _section_model(sec)
-        rset = regime_set(loss, model, alpha)
+        loss, model, alpha = _section_model(c, "drift", ("sigma",), low_noise=True)
+        rset = _before_trials("drift", regime_set, loss, model, alpha)
         mu_dots = sec["mu_dots"]
         try:
             probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
@@ -554,7 +583,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = c["angle"]
     if sec is not None:
-        loss, model, alpha = _section_model(sec)
+        loss, model, alpha = _section_model(c, "angle")
         config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
         v = np.zeros(model.d)
         v[1] = 1.0
@@ -566,7 +595,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = c["target_delta"]
     if sec is not None:
-        _, model, _ = _section_model(sec)
+        _, model, _ = _section_model(c, "target_delta")
         gen = root.substream(6).generator()
         mu2 = model.mu_norm**2
         worst = 1.0

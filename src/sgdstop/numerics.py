@@ -1,4 +1,4 @@
-"""Deterministic random streams, normal-distribution helpers, and quadrature.
+"""Deterministic random streams, Gaussian sampling, and the normal CDF.
 
 Everything downstream (SGD runs, Monte-Carlo estimators, experiment commands)
 draws randomness through :class:`RngState`, a value type holding a 64-bit
@@ -27,40 +27,30 @@ The normal CDF is computed from ``erfc``:
 complement form never subtracts nearly-equal quantities, so the upper tail
 stays relatively accurate far beyond x = 8 where ``1 - cdf`` would round to
 zero.
-
-Gauss-Hermite quadrature uses the physicists' convention: nodes and weights
-integrate against exp(-x^2), weights summing to sqrt(pi).  For f against a
-N(mean, sigma^2) density,
-
-    E[f(Z)] = sum_i w_i f(mean + sqrt(2) sigma x_i) / sqrt(pi).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+
+# numpy loads numpy.random on first use; loading it with this module keeps
+# that cost in start-up instead of inside the first command that draws
+from numpy.random import Generator, Philox
 
 __all__ = [
     "RngState",
-    "QuadratureRule",
     "std_normal_cdf",
     "std_normal_ccdf",
-    "std_normal_pdf",
     "box_muller_polar",
     "box_muller",
     "sample_student_t2",
-    "gauss_hermite_rule",
-    "gauss_hermite_expectation",
-    "truncated_normal_lower_moment",
 ]
 
 _MASK64 = (1 << 64) - 1
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _splitmix64(x: int) -> int:
@@ -102,7 +92,7 @@ class RngState:
     def generator(self) -> np.random.Generator:
         """Materialize the mutable draw source for this stream."""
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
 def box_muller_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,80 +163,3 @@ def std_normal_cdf(x: float) -> float:
 def std_normal_ccdf(x: float) -> float:
     """P(Z > x); computed directly from erfc so the tail never cancels."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights, physicists' convention (sum w = sqrt(pi))."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
-
-def gauss_hermite_rule(order: int = 128) -> QuadratureRule:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    with warnings.catch_warnings():
-        # hermgauss overflows to nan weights somewhere above order ~360;
-        # surface that as an error instead of a warning plus bad values
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nodes, weights = hermgauss(order)
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-        raise ValueError(f"order {order} overflows the weight computation")
-    return QuadratureRule(nodes=nodes, weights=weights)
-
-
-_DEFAULT_RULE = gauss_hermite_rule(128)
-
-
-def gauss_hermite_expectation(
-    f, mean: float, sigma: float, rule: QuadratureRule | None = None
-) -> float:
-    """E[f(Z)] for Z ~ N(mean, sigma^2) by Gauss-Hermite quadrature.
-
-    ``f`` must accept a numpy array of evaluation points.  Exact for
-    polynomials up to degree 2*order - 1; order 128 by default.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if rule is None:
-        rule = _DEFAULT_RULE
-    pts = mean + _SQRT2 * sigma * rule.nodes
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        raise ValueError("f must map the node array to an equally shaped array")
-    return float(rule.weights @ vals) / math.sqrt(math.pi)
-
-
-def truncated_normal_lower_moment(
-    mean: float, sigma: float, b: float
-) -> tuple[float, float]:
-    """Mass and first partial moment of N(mean, sigma^2) below b.
-
-    Returns (P(X <= b), E[X 1{X <= b}]).  With z = (b - mean)/sigma,
-
-        mass         = Phi(z)
-        partial_mean = mean Phi(z) - sigma phi(z)
-
-    The complementary upper pieces are (1 - mass, mean - partial_mean), so
-    the two halves always reconstruct (1, mean).  sigma = 0 degenerates to a
-    point mass at the mean.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0.0:
-        if mean <= b:
-            return 1.0, mean
-        return 0.0, 0.0
-    z = (b - mean) / sigma
-    mass = std_normal_cdf(z)
-    partial = mean * mass - sigma * std_normal_pdf(z)
-    return mass, partial

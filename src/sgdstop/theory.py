@@ -24,7 +24,8 @@ minimizer rho_star:
 
 The left side is strictly increasing in w, so the hinge relation is solved
 by bisection, carried out on logarithms so extreme |mu|/sigma ratios stay
-in range.
+in range.  log Phi comes from erfc in the body and from the Mills-ratio
+asymptotic series in the far left tail (Abramowitz & Stegun 26.2.12).
 
 The expected-stopping-time machinery is organized around regimes and target
 sets.  Noise is "low" when sigma <= c |mu| (c = 0.33 logistic, 1.25 hinge)
@@ -50,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .losses import LossKind
 from .numerics import std_normal_cdf, std_normal_ccdf
@@ -72,12 +72,14 @@ __all__ = [
     "target_set_contains",
     "drift_value",
     "low_regime_expected_T_bound",
-    "high_regime_max_step",
     "angle_bound",
 ]
 
 # Largest sigma/|mu| ratio counted as low noise, per loss.
 LOW_NOISE_RATIO = {LossKind.LOGISTIC: 0.33, LossKind.HINGE: 1.25}
+
+_SQRT1_2 = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -162,18 +164,41 @@ def minimizer_rho_star(kind: LossKind, mu_norm: float, sigma: float) -> float:
     raise TypeError(f"unknown loss kind: {kind!r}")
 
 
+def _log_ndtr(w: float) -> float:
+    """log Phi(w), relatively accurate on the whole line.
+
+    Above -1, log1p of the complement keeps log Phi(w) ~ -Phi^c(w) accurate
+    as w grows; down to -30, erfc(-w/sqrt 2) / 2 is Phi(w) itself, relatively
+    accurate deep into the tail.  Below -30 (where erfc heads for underflow)
+    log Phi(w) = -w^2/2 - log(-w sqrt(2 pi)) + log S with the asymptotic
+    Mills-ratio series S = 1 - 1/w^2 + 3/w^4 - 15/w^6 + ...; nine terms leave
+    an error below 1e-20 there.
+    """
+    if w > -1.0:
+        return math.log1p(-0.5 * math.erfc(w * _SQRT1_2))
+    if w > -30.0:
+        return math.log(0.5 * math.erfc(-w * _SQRT1_2))
+    x = 1.0 / (w * w)
+    series = 1.0
+    for k in range(9, 0, -1):  # Horner form of the series, innermost term first
+        series = 1.0 - (2 * k - 1) * x * series
+    return -0.5 * w * w - math.log(-w) - _HALF_LOG_2PI + math.log(series)
+
+
 def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
     """Root of log Phi(w) + w^2/2 = log(sigma / (mu_norm sqrt(2 pi))).
 
     The left side is strictly increasing (phi(w)/Phi(w) + w > 0 for all w),
     and the root always lies in (-mu_norm/sigma, 40): just above the lower
     endpoint the left side is below the target, and at 40 the w^2/2 term
-    dominates any sane right side.
+    dominates any sane right side.  Past |mu|/sigma ~ 1e4 the left side near
+    the lower endpoint is rounding noise, so the bracket check may fail; the
+    bisection stops once no double lies between its ends.
     """
     target = math.log(sigma / (mu_norm * math.sqrt(2.0 * math.pi)))
 
     def f(w: float) -> float:
-        return float(log_ndtr(w)) + 0.5 * w * w - target
+        return _log_ndtr(w) + 0.5 * w * w - target
 
     lo = -mu_norm / sigma + 1e-12
     hi = 40.0
@@ -183,6 +208,8 @@ def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # ends a double apart, wider than tol
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -342,28 +369,6 @@ def low_regime_expected_T_bound(
         / math.sqrt(2.0 * math.pi)
     )
     return 2.0 + (2.0 * p.M**2 / p.b) * (tail + gauss_term + 1.0)
-
-
-def high_regime_max_step(
-    mu_norm: float, sigma: float, d: int, scale: float = 1.0
-) -> float:
-    """Largest admissible step in the high regime, up to a universal factor.
-
-        alpha <= scale * |mu|^2 / (sigma^2 (|mu|^2 + d sigma^2))
-
-    The universal factor is not pinned down quantitatively, so the caller
-    supplies ``scale`` (default 1.0).
-    """
-    if mu_norm <= 0:
-        raise ValueError(f"mu_norm must be positive, got {mu_norm}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    mu2 = mu_norm * mu_norm
-    return scale * mu2 / (sigma * sigma * (mu2 + d * sigma * sigma))
 
 
 def angle_bound(sigma: float, alpha: float, expected_T: float) -> float:

@@ -32,8 +32,9 @@ from sgdstop.data import (
     load_idx,
     student_t2_mixture_sampler,
 )
-from sgdstop.losses import LossKind, ray_derivative, ray_objective
-from sgdstop.numerics import RngState, gauss_hermite_rule, standard_normals
+from oracles import gauss_hermite_rule, ray_derivative, ray_objective
+from sgdstop.losses import LossKind
+from sgdstop.numerics import RngState, standard_normals
 from sgdstop.sgd import SgdConfig, StopReason, StopRule, run
 from sgdstop.theory import (
     GaussianFoldedModel,

@@ -297,6 +297,31 @@ def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, values, key",
+    [
+        ("expected_T", {"sigma": 0.0}, "expected_T.sigma"),
+        # sigma 2 |mu| is high noise for the logistic loss
+        ("expected_T", {"d": 6, "sigma": 2.0}, "expected_T.sigma"),
+        ("hitting_time", {"alpha": 0.0}, "hitting_time.alpha"),
+    ],
+)
+def test_verify_bounds_inputs_outside_the_theory_exit_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, section, values, key
+):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "estimate_expected_T", no_trials)
+    monkeypatch.setattr(cli, "estimate_hitting_time", no_trials)
+    sec = {"loss": "logistic", "d": 4, "sigma": 0.1, "alpha": 0.1, "trials": 3, **values}
+    p = write_config(
+        tmp_path / "v.json", {"seed": 1, section: sec, "out": str(tmp_path / "r.json")}
+    )
+    err = _assert_rejected(capsys, "verify-bounds", p)
+    assert f"config key '{key}'" in err, err
+
+
 def test_verify_bounds_deterministic(tmp_path):
     p = _verify_cfg(tmp_path, out=str(tmp_path / "a.json"))
     assert main(["verify-bounds", "--config", p]) == EXIT_OK
@@ -509,6 +534,13 @@ def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over)
     assert "centering_samples" in err and "epochs" in err, err
 
 
+def test_centering_window_with_one_class_is_config_error(tmp_path, capsys):
+    # two centering samples, then two more, all of one class: 1 in 8 trials
+    p = _sweep_cfg(tmp_path, d=4, sigma_grid=[0.5], trials=30, centering_samples=2, seed=0)
+    err = _assert_rejected(capsys, "sweep-sigma", p)
+    assert "one class absent" in err and "raise centering_samples" in err, err
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -647,6 +679,57 @@ def test_console_script_runs(tmp_path):
     proc = _run_process("sweep-sigma", "--config", p)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "sweep.csv").exists()
+
+
+# prints the exit code, the unwanted modules loaded at all, and the numpy
+# modules first loaded inside the command (their import time would count as
+# the command's run time)
+_MAIN_THEN_MODULES = """
+import sys
+from sgdstop.cli import main
+ready = set(sys.modules)
+code = main(sys.argv[1:])
+late = sorted(m for m in set(sys.modules) - ready if m.partition(".")[0] == "numpy")
+print(code, [m for m in ("scipy", "numpy.polynomial") if m in sys.modules], late)
+"""
+
+
+def _verify_hinge_cfg(tmp):
+    # the hinge sections solve for the ray minimizer rho_star
+    return write_config(tmp / "verify.json", {
+        "seed": 0,
+        "hitting_time": {"loss": "hinge", "d": 6, "sigma": 2.0, "alpha": 0.05, "trials": 3},
+        "drift": {"loss": "hinge", "d": 6, "sigma": 1.2, "alpha": 0.1, "n_mc": 200},
+        "target_delta": {"loss": "hinge", "d": 6, "sigma": 0.8, "alpha": 0.1, "n_theta": 20},
+        "out": str(tmp / "report.json"),
+    })
+
+
+def _real_mnist_cfg(tmp):
+    paths = write_mnist_style_fixture(tmp / "data", n_train=200, n_test=50)
+    return write_config(tmp / "real.json", {
+        "dataset": "mnist", **paths, "class_a": 1, "class_b": 8, "alpha_tilde": 0.005,
+        "stoppers": ["zero_overhead", "svs_4"], "out": str(tmp / "real.csv"),
+    })
+
+
+_README_COMMANDS = {
+    "sweep-sigma": lambda tmp: _sweep_cfg(tmp, losses=["logistic", "hinge"]),
+    "compare-stoppers": lambda tmp: _compare_cfg(tmp, trials=1, loss="hinge"),
+    "verify-bounds": _verify_hinge_cfg,
+    "run-real": _real_mnist_cfg,
+}
+
+
+@pytest.mark.parametrize("command", list(_README_COMMANDS))
+def test_commands_import_no_scipy_and_numpy_only_at_start_up(tmp_path, command):
+    cfg = _README_COMMANDS[command](tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_MODULES, command, "--config", cfg],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{EXIT_OK} [] []\n", proc.stdout
 
 
 def test_cli_requires_subcommand():

