@@ -4,7 +4,9 @@ Folding: a labeled pair (zeta, y) with y in {0, 1} maps to the single vector
 xi = (2y - 1)(zeta - offset).  A homogeneous linear classifier theta then
 classifies the original point correctly exactly when xi . theta > 0 (a
 margin of exactly 0 counts incorrect), so both classes can be trained and
-scored through one folded stream.
+scored through one folded stream.  Every fold is one primitive,
+_fold_rows: subtract the offset from a block of rows, then negate the
+class-0 rows in place (no integer multiply; bit-equal to the formula).
 
 Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
 (rows, d): the Gaussian mixture hands out 128-row chunks of its 256-row
@@ -25,8 +27,8 @@ blocks in C, so no Python frame is resumed per row.  Blocks are drawn as
 they always were, so draw accounting does not change.  The step size
 actually run is then effective_step(alpha_tilde, sigma2_tilde) =
 alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
-across noise scales and datasets.  Held-out sets are folded with fold, one
-array op per offset.
+across noise scales and datasets.  Held-out sets are folded with fold, the
+same primitive written into a new array, once per offset.
 
 Synthetic generators (two-component Gaussian mixture, heavy-tailed
 Student-t2 mixture) and binary dataset readers (IDX tensors, CIFAR-10
@@ -42,10 +44,10 @@ epoch budget runs out.
 
 Both Gaussian samplers share one source.  A 256-row block's uniforms (after
 its label coins, for the mixture) are drawn when its first row is
-requested and turned into Box-Muller radii and angles at once; the normals
-are then written chunk by chunk (128 rows for the mixture, 32 for the
-folded stream) only when the consumer reaches the chunk, so rows a run
-never reads are never transformed.  A block holds exactly the bytes of
+requested; they are turned into Box-Muller radii and angles, and those into
+normals, chunk by chunk (128 rows for the mixture, 32 for the folded
+stream) only when the consumer reaches the chunk, so rows a run never
+reads are never transformed.  A block holds exactly the bytes of
 mean + sigma * standard_normals(gen, 256 d), and draw accounting is that
 of whole blocks.
 """
@@ -139,9 +141,20 @@ def fold(labeled: Block | Dataset, offset: np.ndarray) -> np.ndarray:
     """xi = (2y - 1)(zeta - offset) for every row, as a new (n, d) matrix."""
     if offset.shape != labeled.zeta.shape[1:]:
         raise ValueError(f"offset {offset.shape} does not match features {labeled.zeta.shape}")
-    xi = labeled.zeta - offset
-    xi *= (2 * labeled.y - 1)[:, None]
-    return xi
+    return _fold_rows(labeled.y, labeled.zeta, offset, np.empty(labeled.zeta.shape))
+
+
+def _fold_rows(y: np.ndarray, zeta: np.ndarray, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one fold: out = zeta - offset, then the class-0 rows negated in place.
+
+    ``out`` may be ``zeta`` itself.  Negation is exact and rounding is
+    symmetric in sign, so this is bit-equal to (2y - 1)[:, None] * (zeta -
+    offset), signed zeros and infinities included; only the sign bit of a
+    NaN may differ.
+    """
+    np.subtract(zeta, offset, out=out)
+    np.negative(out, out=out, where=(y == 0)[:, None])
+    return out
 
 
 def _materialize(rng: RngState | np.random.Generator) -> np.random.Generator:
@@ -227,23 +240,24 @@ def _gaussian_chunks(
 
     Per 256-row block, when its first chunk is requested: the 256 label
     coins if ``coins`` (ys is None otherwise), then the uniforms of its
-    128 d Box-Muller pairs, turned into radii and angles in place, and one
-    (256, d) output array.  Each chunk of ``chunk_rows`` rows (even, so it
-    starts on a pair) is transformed and scaled by sigma in place only when
-    it is requested; it is a view of that array, which the caller finishes
-    (adds the mean to) and owns.
+    128 d Box-Muller pairs, and one (256, d) output array.  Each chunk of
+    ``chunk_rows`` rows (even, so it starts on a pair) has its uniforms
+    turned into radii and angles, its normals written and scaled by sigma,
+    all in place and only when it is requested; it is a view of that array,
+    which the caller finishes (adds the mean to) and owns.
     """
     pairs, step = BLOCK_ROWS * d // 2, chunk_rows * d // 2
     uniforms = np.empty((2, pairs))  # reused: a block is drawn after the last is read
     while True:
         if coins:
             ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
-        r, t = box_muller_polar(gen.random(out=uniforms))
+        gen.random(out=uniforms)
         block = np.empty((BLOCK_ROWS, d))
         flat = block.reshape(-1)
         for row in range(0, BLOCK_ROWS, chunk_rows):
             a = row * d // 2
-            box_muller(r[a : a + step], t[a : a + step], flat[2 * a : 2 * (a + step)])
+            r, t = box_muller_polar(uniforms[:, a : a + step])
+            box_muller(r, t, flat[2 * a : 2 * (a + step)])
             rows = block[row : row + chunk_rows]
             rows *= sigma
             yield (ys[row : row + chunk_rows] if coins else None), rows
@@ -316,15 +330,9 @@ def center_and_fold(
         n_used=y.shape[0],
     )
     later = it if rest is None else itertools.chain([rest], it)
-    return stats, itertools.chain.from_iterable(_fold_in_place(later, stats.offset))
-
-
-def _fold_in_place(blocks: Iterator[Block], offset: np.ndarray) -> Iterator[np.ndarray]:
     # one block is held at a time, so a finished block is freed as the next arrives
-    for y, zeta in blocks:
-        zeta -= offset
-        zeta *= (2 * y - 1)[:, None]
-        yield zeta
+    folded = (_fold_rows(y, zeta, stats.offset, zeta) for y, zeta in later)
+    return stats, itertools.chain.from_iterable(folded)
 
 
 def _both_classes(parts: Sequence[Block]) -> bool:

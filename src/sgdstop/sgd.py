@@ -37,6 +37,12 @@ SmallValidation
     strictly increases the fraction, so the rule always stops within
     (p + 1) * period iterations.  Reports iterations + p samples.
 
+Target
+    Plain SGD that stops after the first update whose iterate satisfies a
+    given predicate (a target set's membership test): the hit index is the
+    first k >= 1 with theta_k inside; theta_0 is not tested.  Every draw is
+    an update, so a run stopping at iteration k reports k samples.
+
 A rule of ``NONE`` has no stop test and runs plain SGD for exactly max_iter
 updates; :func:`continue_run` extends a terminated run the same way.
 
@@ -55,7 +61,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,7 +73,6 @@ __all__ = [
     "StopReason",
     "SgdConfig",
     "RunResult",
-    "sgd_step",
     "run",
     "continue_run",
 ]
@@ -82,6 +87,7 @@ class StopKind(enum.Enum):
     EXTRA_SAMPLE = "extra_sample"
     ZERO_OVERHEAD = "zero_overhead"
     SMALL_VALIDATION = "small_validation"
+    TARGET = "target"
     NONE = "none"
 
 
@@ -92,6 +98,7 @@ class StopRule:
     kind: StopKind
     p: int | None = None
     period: int | None = None
+    inside: Callable[[np.ndarray], bool] | None = None
 
     @classmethod
     def extra_sample(cls) -> "StopRule":
@@ -112,12 +119,16 @@ class StopRule:
         return cls(StopKind.SMALL_VALIDATION, p=p, period=period)
 
     @classmethod
+    def target(cls, inside: Callable[[np.ndarray], bool]) -> "StopRule":
+        return cls(StopKind.TARGET, inside=inside)
+
+    @classmethod
     def none(cls) -> "StopRule":
         return cls(StopKind.NONE)
 
 
 class StopReason(enum.Enum):
-    FIRED = "fired"            # margin test reached the threshold
+    FIRED = "fired"            # margin test reached the threshold, or target hit
     PLATEAU = "plateau"        # validation fraction failed to increase
     CENSORED = "censored"      # max_iter reached
     EXHAUSTED = "exhausted"    # sampler ended before the rule stopped
@@ -156,18 +167,6 @@ class RunResult:
     stop_reason: StopReason
 
 
-def sgd_step(
-    theta: np.ndarray, xi: np.ndarray, kind: LossKind, alpha: float
-) -> np.ndarray:
-    """One update theta + alpha * s(margin) * xi; returns a new vector."""
-    theta = np.asarray(theta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if theta.shape != xi.shape:
-        raise ValueError(f"shape mismatch: theta {theta.shape}, xi {xi.shape}")
-    s = gradient_factor(kind, float(xi @ theta))
-    return theta + (alpha * s) * xi
-
-
 def _first(sampler: Sampler) -> np.ndarray:
     try:
         return next(sampler)
@@ -191,11 +190,16 @@ def _loop(
     The stop test follows ``rule``: zero-overhead tests each update margin
     before applying it; extra-sample draws a row from ``checks`` at k = 0
     and after every update; small validation scores ``val`` at k = 0 and
-    every rule.period updates.
+    every rule.period updates; target tests ``rule.inside`` after every
+    update.
     """
     fire = MARGIN_THRESHOLD if rule.kind is StopKind.ZERO_OVERHEAD else math.inf
     period = rule.period if val is not None else 1
-    next_check = 0 if checks is not None or val is not None else -1
+    inside = rule.inside
+    if checks is not None or val is not None:
+        next_check = 0
+    else:
+        next_check = 1 if inside is not None else -1
     prev = -1.0  # below every fraction, so the k = 0 check only sets the baseline
     factor, isfinite, multiply, add = gradient_factor, math.isfinite, np.multiply, np.add
     step = np.empty_like(theta)
@@ -212,12 +216,14 @@ def _loop(
                         return theta, k, k + checked, StopReason.DIVERGED
                     if c >= MARGIN_THRESHOLD:
                         return theta, k, k + checked, StopReason.FIRED
-                else:
+                elif val is not None:
                     # margin exactly 0 counts incorrect, so theta = 0 scores 0.0
                     frac = float(np.mean(val @ theta > 0.0))
                     if frac <= prev:
                         return theta, k, k, StopReason.PLATEAU
                     prev = frac
+                elif inside(theta):
+                    return theta, k, k, StopReason.FIRED
             if k >= limit:
                 return theta, k, k + checked, StopReason.CENSORED
             xi = next(rows)

@@ -22,15 +22,16 @@ NaN rather than an error.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .losses import LossKind, _sigmoid_vec
 from .numerics import RngState, standard_normals
 from .data import folded_gaussian_stream
-from .sgd import RunResult, SgdConfig, StopKind, run, sgd_step
+from .sgd import RunResult, SgdConfig, StopKind, StopRule, run
 from .theory import GaussianFoldedModel, Regime, RegimeSet, drift_value, target_set_contains
 
 __all__ = [
@@ -136,26 +137,26 @@ def estimate_hitting_time(
 ) -> TrialStats:
     """Empirical mean of the first entry time into the target set.
 
-    Plain SGD (no stopping test) from theta0, which must lie outside the
-    set; the hit index is the first k >= 1 with theta_k inside.  Runs not
-    entering within max_iter count as censored.
+    Plain SGD from theta0, which must lie outside the set, under the
+    target rule: the hit index is the first k >= 1 with theta_k inside.
+    config.rule is replaced by that rule.  Runs not entering within
+    max_iter count as censored.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if target_set_contains(rset, theta0):
         raise ValueError("theta0 already lies in the target set")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    rule = StopRule.target(functools.partial(target_set_contains, rset))
+    config = replace(config, rule=rule)
     times = []
     for i in range(n_trials):
         sampler = folded_gaussian_stream(
             rset.model.mu, rset.model.sigma, rng.substream(i).substream(0)
         )
-        theta = theta0.copy()
-        for k in range(1, config.max_iter + 1):
-            theta = sgd_step(theta, next(sampler), config.kind, config.alpha)
-            if target_set_contains(rset, theta):
-                times.append(float(k))
-                break
+        result = run(sampler, config, theta0=theta0)
+        if not result.censored:
+            times.append(float(result.iterations))
     return _reduce(times, n_trials)
 
 

@@ -1,10 +1,12 @@
-"""Independent numerical oracles for the closed forms in ``sgdstop.theory``.
+"""Independent numerical oracles for the closed forms in ``sgdstop.theory``
+and for the SGD engine.
 
 Nothing the package runs needs these; the tests use them to cross-check the
-theory by other routes: loss values, Gauss-Hermite quadrature and
-truncated-normal moments give the population loss restricted to the ray
-theta = rho mu, whose minimizer ``theory.minimizer_rho_star`` computes in
-closed form.
+package by other routes.  ``sgd_step`` applies one update on its own, the
+reference for the engine's accounting and iterates.  Loss values,
+Gauss-Hermite quadrature and truncated-normal moments give the population
+loss restricted to the ray theta = rho mu, whose minimizer
+``theory.minimizer_rho_star`` computes in closed form.
 
 For xi ~ N(mu, sigma^2 I_d) on that ray the margin is a scalar Gaussian
 z ~ N(|mu|^2, sigma^2 |mu|^2), and the restricted objective E[l(rho z)]
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from sgdstop.losses import LossKind, _sigmoid_vec
+from sgdstop.losses import LossKind, _sigmoid_vec, gradient_factor
 from sgdstop.numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -226,3 +228,19 @@ def high_regime_max_step(
         raise ValueError(f"scale must be positive, got {scale}")
     mu2 = mu_norm * mu_norm
     return scale * mu2 / (sigma * sigma * (mu2 + d * sigma * sigma))
+
+
+# ---------------------------------------------------------------------------
+# one SGD update, the reference for the engine
+
+
+def sgd_step(
+    theta: np.ndarray, xi: np.ndarray, kind: LossKind, alpha: float
+) -> np.ndarray:
+    """One update theta + alpha * s(margin) * xi; returns a new vector."""
+    theta = np.asarray(theta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if theta.shape != xi.shape:
+        raise ValueError(f"shape mismatch: theta {theta.shape}, xi {xi.shape}")
+    s = gradient_factor(kind, float(xi @ theta))
+    return theta + (alpha * s) * xi

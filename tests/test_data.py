@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdstop.cli import _labeled_dataset_stream
 from sgdstop.data import (
@@ -87,6 +88,45 @@ def test_fold_sign_matches_classification(y, zeta, shift):
     raw_side = float((zeta - offset) @ theta)
     correct = raw_side > 0 if y == 1 else raw_side < 0
     assert (folded_margin > 0) == correct
+
+
+# values that fold to signed zeros (equal to an offset entry) and infinities
+_FOLD_SPECIALS = st.sampled_from([0.0, -0.0, 1.5, -2.0])
+_FOLD_VALUES = _FOLD_SPECIALS | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _same_bits_or_nan(out, ref):
+    """Equal bytes wherever ref is not NaN, and NaN exactly where ref is."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.where(nan, 0.0, out).tobytes() == np.where(nan, 0.0, ref).tobytes()
+
+
+@given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_fold_and_stream_fold_bit_equal_to_formula(data, d, n):
+    # both folds (a held-out set through fold, a stream through
+    # center_and_fold) against the literal formula with its integer signs
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    zeta = data.draw(arrays(float, (n, d), elements=_FOLD_VALUES))
+    offset = data.draw(
+        arrays(float, d, elements=_FOLD_SPECIALS | st.floats(-1e300, 1e300))
+    )
+    with np.errstate(invalid="ignore"):
+        ref = (2 * y - 1)[:, None] * (zeta - offset)
+
+    before = zeta.copy()
+    _same_bits_or_nan(fold(Block(y, zeta), offset), ref)
+    assert zeta.tobytes() == before.tobytes()  # fold leaves its input alone
+
+    # centering rows whose class means are both ``offset``, so the stream's
+    # offset is ``offset`` up to the sign of a zero
+    prefix = Block(np.array([0, 1]), np.stack([offset, offset]))
+    stats, rows = center_and_fold(iter([prefix, Block(y, zeta)]), n=2)
+    assert np.array_equal(stats.offset, offset)
+    with np.errstate(invalid="ignore"):
+        ref = (2 * y - 1)[:, None] * (zeta - stats.offset)
+        _same_bits_or_nan(np.stack(list(rows)), ref)
 
 
 def test_fold_dataset_stacks_in_order():

@@ -1,4 +1,4 @@
-"""Tests for the SGD engine and the three stopping rules."""
+"""Tests for the SGD engine and its stopping rules."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import sgd_step
 from sgdstop.data import folded_gaussian_stream
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
@@ -19,7 +20,6 @@ from sgdstop.sgd import (
     StopRule,
     continue_run,
     run,
-    sgd_step,
 )
 
 E1 = np.array([1.0])
@@ -262,6 +262,7 @@ def test_stop_rule_kinds_exposed():
     assert StopRule.zero_overhead().kind is StopKind.ZERO_OVERHEAD
     assert StopRule.extra_sample().kind is StopKind.EXTRA_SAMPLE
     assert StopRule.none().kind is StopKind.NONE
+    assert StopRule.target(bool).kind is StopKind.TARGET
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +344,19 @@ def test_diverged_iterate_overflow():
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-1.0, 0.0, 0.5, 1.0]
 )
+
+
+def _sum_at_least(c):
+    """A target rule whose set is {theta : sum of its coordinates >= c}."""
+    return StopRule.target(lambda theta: float(theta.sum()) >= c)
+
+
 RULES = st.one_of(
     st.just(StopRule.zero_overhead()),
     st.just(StopRule.extra_sample()),
     st.just(StopRule.none()),
     st.builds(StopRule.small_validation, st.integers(1, 4), st.none() | st.integers(1, 6)),
+    st.builds(_sum_at_least, FINITE),
 )
 
 
@@ -432,8 +441,8 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
     assert 0 <= k <= max_iter
     assert res.censored == (reason not in (StopReason.FIRED, StopReason.PLATEAU))
 
-    # with max_iter 0 a zero-overhead or plain run draws a row only to size theta
-    sizing_only = rule.kind in (StopKind.ZERO_OVERHEAD, StopKind.NONE) and (
+    # with max_iter 0 a zero-overhead, plain or target run draws a row only to size theta
+    sizing_only = rule.kind not in (StopKind.SMALL_VALIDATION, StopKind.EXTRA_SAMPLE) and (
         theta0 is None and max_iter == 0
     )
     # rows the rule used for updates and for stop tests, in draw order
@@ -459,6 +468,13 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
         fracs = [np.mean(val @ thetas[i] > 0.0) for i in range(0, k + 1, rule.period)]
         passed = fracs[:-1] if reason is StopReason.PLATEAU else fracs
         assert all(a < b for a, b in zip(passed, passed[1:]))
+    elif rule.kind is StopKind.TARGET:
+        # theta_0 is never tested; theta_1 .. theta_k are, and only theta_k
+        # may lie inside, exactly when the run fired
+        hits = [rule.inside(t) for t in thetas[1:]]
+        assert not any(hits[:-1])
+        if hits:
+            assert hits[-1] == (reason is StopReason.FIRED)
 
     # every non-finite row drawn for an update or a check diverges the run at once
     assert all(_finite(row) for row in tested[:-1])
@@ -474,7 +490,8 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
     else:
         # the firing draw, and a draw that only sized theta, are not charged
         assert res.samples_consumed == k
-        assert drawn == k + (reason is StopReason.FIRED or sizing_only)
+        fired_on_draw = reason is StopReason.FIRED and rule.kind is StopKind.ZERO_OVERHEAD
+        assert drawn == k + (fired_on_draw or sizing_only)
 
     if reason is StopReason.CENSORED:
         assert k == max_iter
@@ -483,6 +500,8 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
     elif reason is StopReason.DIVERGED:
         with np.errstate(invalid="ignore"):
             assert not math.isfinite(float(log[-1] @ res.theta))
+    elif reason is StopReason.FIRED and rule.kind is StopKind.TARGET:
+        assert k >= 1 and rule.inside(res.theta)
     elif reason is StopReason.FIRED:
         assert rule.kind in (StopKind.ZERO_OVERHEAD, StopKind.EXTRA_SAMPLE)
         assert float(log[-1] @ res.theta) >= 1.0

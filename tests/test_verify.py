@@ -112,6 +112,37 @@ def test_hitting_time_basic():
     assert stats.mean <= v0 / rset.params.b + 4.0 * stats.stderr
 
 
+@pytest.mark.parametrize("loss, sigma, alpha, max_iter", [
+    (LossKind.LOGISTIC, 0.1, 0.1, 1_000_000),
+    (LossKind.HINGE, 2.0, 0.05, 1_000_000),
+    (LossKind.LOGISTIC, 0.1, 0.1, 27),  # some trials censored
+])
+def test_hitting_time_matches_per_step_reference(loss, sigma, alpha, max_iter):
+    # the engine's target rule gives exactly the hit indices of stepping
+    # sgd_step by hand and testing the set after every update
+    from oracles import sgd_step
+    from sgdstop.data import folded_gaussian_stream
+    from sgdstop.theory import target_set_contains
+
+    model = _model(d=5, sigma=sigma)
+    rset = regime_set(loss, model, alpha)
+    cfg = SgdConfig(loss, alpha, max_iter=max_iter)
+    rng = RngState(21)
+    times = []
+    for i in range(12):
+        sampler = folded_gaussian_stream(model.mu, model.sigma, rng.substream(i).substream(0))
+        theta = np.zeros(5)
+        for k in range(1, max_iter + 1):
+            theta = sgd_step(theta, next(sampler), loss, alpha)
+            if target_set_contains(rset, theta):
+                times.append(k)
+                break
+    stats = estimate_hitting_time(np.zeros(5), rset, cfg, 12, rng)
+    assert stats.n_censored == 12 - len(times)
+    if times:
+        assert stats.mean == float(np.mean(np.asarray(times, dtype=float)))
+
+
 def test_hitting_time_rejects_start_inside():
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
@@ -198,7 +229,7 @@ def test_drift_inequality_guards():
 
 def test_drift_inequality_hinge_matches_per_sample_recompute():
     # the vectorized row V must agree with literally stepping each sample
-    from sgdstop.sgd import sgd_step
+    from oracles import sgd_step
     from sgdstop.theory import drift_value
     from sgdstop.data import folded_gaussian_stream
 
