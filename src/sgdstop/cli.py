@@ -30,6 +30,8 @@ import argparse
 import csv
 import difflib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -42,7 +44,7 @@ import numpy as np
 from .data import (
     BLOCK_ROWS,
     Block,
-    Dataset,
+    CsvError,
     ParseError,
     accuracy_on_set,
     center_and_fold,
@@ -215,7 +217,8 @@ _NONNEGATIVE = _Key(float, REQUIRED, "a finite number >= 0", lambda v: math.isfi
 _MU_SCALE = _Key(float, 1.0, "a finite nonzero number", lambda v: math.isfinite(v) and v != 0.0)
 _COMMON = {  # keys of every command
     "seed": _Key(int, 0, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "out": _Key(str, REQUIRED, "an output path (or --out)"),
+    "out": _Key(str, REQUIRED, "an output path in an existing directory (or --out)",
+                lambda v: os.path.isdir(os.path.dirname(v) or ".")),
 }
 _TRAINING = {  # keys of every command that trains after the centering protocol
     **_COMMON,
@@ -263,13 +266,15 @@ def _section(min_d: int, **own: _Key) -> _Key:
 
 
 _TRIAL_RUNS = {key: _TRAINING[key] for key in ("max_iter", "trials")}
+# one trial has no standard error, so a check with a stderr slack needs two
+_SLACK_RUNS = {**_TRIAL_RUNS, "trials": _int(2)}
 _VERIFY = {
     **_COMMON,
     "expected_T": _section(1, **_TRIAL_RUNS),
-    "hitting_time": _section(1, **_TRIAL_RUNS),
+    "hitting_time": _section(1, **_SLACK_RUNS),
     "drift": _section(1, mu_dots=_Key(list, [-5.0, 0.0, 0.9], "a nonempty list of finite "
                                       "numbers", _finite_numbers), n_mc=_int(2, 20000)),
-    "angle": _section(2, **_TRIAL_RUNS),  # v is the second axis
+    "angle": _section(2, **_SLACK_RUNS),  # v is the second axis
     "target_delta": _section(1, n_theta=_int(1, 1000)),
 }
 _PATH = _Key(str, None, "a path (needed when dataset is 'mnist')")
@@ -302,13 +307,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write output {path}: {e.strerror}") from None
+
+
 def _write_csv(path: str, cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# config={cfg.hash()} seed={cfg.values.get('seed', 0)}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
+    _write(path, f"# config={cfg.hash()} seed={cfg.values.get('seed', 0)}\n" + buf.getvalue())
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -332,19 +345,17 @@ def _labeled_source(c: dict[str, Any], sigma: float, rng: RngState) -> Iterator[
 
 
 def _labeled_dataset_stream(
-    dataset: Dataset, rng: RngState, epochs: int | None
+    dataset: Block, rng: RngState, epochs: int | None
 ) -> Iterator[Block]:
     """Shuffled pass(es) over a dataset in blocks; each block is a gathered
     copy, so folding it in place leaves the dataset untouched."""
     gen = rng.generator()
-    n = len(dataset)
-    done = 0
-    while epochs is None or done < epochs:
+    n = dataset.y.shape[0]
+    for _ in itertools.count() if epochs is None else range(epochs):
         order = gen.permutation(n)
         for start in range(0, n, BLOCK_ROWS):
             rows = order[start:start + BLOCK_ROWS]
             yield Block(dataset.y[rows], dataset.zeta[rows])
-        done += 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,9 @@ def _stopper(name: str, continue_factor: float) -> _Stopper | None:
 
 
 def _stream_index(stoppers: list[_Stopper], j: int) -> int:
-    """Sub-stream index for stopper j within a trial.
+    """Sub-stream index for stopper j within a trial: its list position j, so
+    reordering or inserting stoppers changes what each trains on (and the
+    eval set compare-stoppers draws from sub-stream len(stoppers)).
 
     A continued run replays the plain zero-overhead run of the same trial
     (same sub-stream, hence bit-identical base trajectory) before extending
@@ -428,6 +441,36 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
     return result, stats, alpha
 
 
+_STOPPER_COLUMNS = ["stopper", "trial", "iterations", "samples_consumed", "overhead", "accuracy"]
+
+
+def _stopper_table(
+    cfg: ExperimentConfig, c: dict[str, Any], source: Callable[[RngState], Iterator[Block]],
+    held_out: Callable[[RngState], Block], **extra: float,
+) -> int:
+    """Write the table of compare-stoppers or run-real: in trial t (sub-stream
+    t of the seed) each stopper trains on ``source`` of its sub-stream and is
+    scored on ``held_out`` of the trial's; the ``extra`` columns, constant
+    across rows, precede the stop reason."""
+    loss = LossKind(c["loss"])
+    stoppers = [_stopper(n, c["continue_factor"]) for n in c["stoppers"]]
+    root = RngState(c["seed"])
+    rows: list[list] = []
+    for t in range(c["trials"]):
+        cell = root.substream(t)
+        test = held_out(cell)
+        for j, stopper in enumerate(stoppers):
+            labeled = source(cell.substream(_stream_index(stoppers, j)))
+            result, stats, _ = _run_stopper(stopper, labeled, loss, c)
+            acc = accuracy_on_set(result.theta, fold(test, stats.offset))
+            rows.append([
+                stopper.name, t, result.iterations, result.samples_consumed,
+                _overhead(stopper, result), acc, *extra.values(), result.stop_reason.value,
+            ])
+    _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, *extra, "stop_reason"], rows)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # sweep-sigma
 
@@ -470,30 +513,13 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
 
 def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
     c = _parse(_COMPARE, cfg.values)
-    sigma, loss = c["sigma"], LossKind(c["loss"])
-    stoppers = [_stopper(n, c["continue_factor"]) for n in c["stoppers"]]
-    root = RngState(c["seed"])
-
-    header = [
-        "stopper", "trial", "iterations", "samples_consumed",
-        "overhead", "accuracy", "stop_reason",
-    ]
-    rows: list[list] = []
-    for t in range(c["trials"]):
-        cell = root.substream(t)
-        eval_set = first_rows(
-            _labeled_source(c, sigma, cell.substream(len(stoppers))), c["eval_samples"]
-        )
-        for j, stopper in enumerate(stoppers):
-            labeled = _labeled_source(c, sigma, cell.substream(_stream_index(stoppers, j)))
-            result, stats, _ = _run_stopper(stopper, labeled, loss, c)
-            acc = accuracy_on_set(result.theta, fold(eval_set, stats.offset))
-            rows.append([
-                stopper.name, t, result.iterations, result.samples_consumed,
-                _overhead(stopper, result), acc, result.stop_reason.value,
-            ])
-    _write_csv(c["out"], cfg, header, rows)
-    return EXIT_OK
+    sigma, eval_stream = c["sigma"], len(c["stoppers"])
+    return _stopper_table(
+        cfg, c, lambda rng: _labeled_source(c, sigma, rng),
+        lambda cell: first_rows(
+            _labeled_source(c, sigma, cell.substream(eval_stream)), c["eval_samples"]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +643,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         "seed": c["seed"],
         "checks": checks,
     }
-    with open(c["out"], "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write(c["out"], json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if all(row["pass"] for row in checks) else EXIT_CHECK_FAILED
 
 
@@ -627,119 +651,83 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 # run-real
 
 
-def _mnist_task(
-    images_path: str, labels_path: str, scale: bool, class_a: int, class_b: int
-) -> Dataset:
-    with open(images_path, "rb") as f:
-        images = load_idx(f.read())
-    with open(labels_path, "rb") as f:
-        labels = load_idx(f.read())
-    if images.ndim != 3:
-        raise ConfigError(f"{images_path} holds a {images.ndim}-D tensor, expected images")
-    if labels.ndim != 1:
-        raise ConfigError(f"{labels_path} holds a {labels.ndim}-D tensor, expected labels")
-    if images.shape[0] != labels.shape[0]:
-        raise ConfigError(
-            f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
-        )
-    # only the rows of the two classes are converted from uint8 to float
-    task = _binary_task(labels, images.reshape(images.shape[0], -1), class_a, class_b)
-    if scale:
+def _read(path: str, text: bool = False) -> Any:
+    """A data file's bytes, or with ``text`` its UTF-8 text (universal
+    newlines); a file that cannot be read or decoded is a config or CSV error."""
+    try:
+        with open(path, "r", encoding="utf-8") if text else open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read data file {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise CsvError(f"data file {path} is not UTF-8 text: {e.reason}") from None
+
+
+def _task(c: dict[str, Any], labels: np.ndarray, features: np.ndarray, pixels: bool) -> Block:
+    """The binary task of class_a against class_b; with ``pixels`` and
+    scale_pixels set, its rows (only the kept ones) are divided by 255."""
+    try:  # equal classes, a class without rows or mismatched arrays
+        task = make_binary_task(labels, features, c["class_a"], c["class_b"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if pixels and c["scale_pixels"]:
         np.divide(task.zeta, 255.0, out=task.zeta)
     return task
 
 
-def _points_task(points: list[tuple[int, np.ndarray]], class_a: int, class_b: int) -> Dataset:
-    labels = np.array([label for label, _ in points])
-    return _binary_task(labels, np.stack([vec for _, vec in points]), class_a, class_b)
+def _idx_images(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    images = load_idx(_read(images_path))
+    if images.ndim != 3:
+        raise ConfigError(f"{images_path} holds a {images.ndim}-D tensor, expected images")
+    return load_idx(_read(labels_path)), images.reshape(images.shape[0], -1)
 
 
-def _binary_task(labels: np.ndarray, features: np.ndarray, class_a: int, class_b: int) -> Dataset:
-    try:  # equal classes, or a class without rows, are config or data errors
-        return make_binary_task(labels, features, class_a, class_b)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _load_real(c: dict[str, Any], root: RngState) -> tuple[Dataset, Dataset]:
-    """(train, test) binary datasets for the configured source."""
-    kind, class_a, class_b, scale = c["dataset"], c["class_a"], c["class_b"], c["scale_pixels"]
+def _load_real(c: dict[str, Any]) -> tuple[Block, Block]:
+    """(train, test) binary tasks for the configured source."""
+    kind = c["dataset"]
     if kind == "mnist":
         paths = _needed(
             c, "dataset is 'mnist'", "train_images", "train_labels", "test_images", "test_labels"
         )
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            raise DataMissing(missing)
-        return (
-            _mnist_task(paths[0], paths[1], scale, class_a, class_b),
-            _mnist_task(paths[2], paths[3], scale, class_a, class_b),
-        )
-    if kind == "cifar10":
-        batches, test_path = _needed(c, "dataset is 'cifar10'", "train_batches", "test_batch")
-        missing = [p for p in [*batches, test_path] if not os.path.exists(p)]
-        if missing:
-            raise DataMissing(missing)
-        train = []
-        for p in batches:
-            with open(p, "rb") as f:
-                train.extend(load_cifar10_batch(f.read(), scale=scale))
-        with open(test_path, "rb") as f:
-            test = load_cifar10_batch(f.read(), scale=scale)
-        return _points_task(train, class_a, class_b), _points_task(test, class_a, class_b)
-    (path,) = _needed(c, "dataset is 'csv'", "path")
-    if not os.path.exists(path):
-        raise DataMissing([path])
-    with open(path, "r", encoding="utf-8") as f:
-        points = load_csv_points(f.read())
-    task = _points_task(points, class_a, class_b)
-    n = len(task)
-    n_test = max(1, int(c["test_fraction"] * n))
-    if n_test >= n:
-        raise ConfigError("test split leaves no training data")
-    order = root.substream(999).generator().permutation(n)
-    train_rows, test_rows = order[n_test:], order[:n_test]
-    return (
-        Dataset(task.y[train_rows], task.zeta[train_rows]),
-        Dataset(task.y[test_rows], task.zeta[test_rows]),
-    )
+    elif kind == "cifar10":
+        batches, test_batch = _needed(c, "dataset is 'cifar10'", "train_batches", "test_batch")
+        paths = [*batches, test_batch]
+    else:
+        paths = _needed(c, "dataset is 'csv'", "path")
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        raise DataMissing(missing)
+    if kind == "csv":
+        task = _task(c, *load_csv_points(_read(paths[0], text=True)), pixels=False)
+        n = task.y.shape[0]
+        n_test = max(1, int(c["test_fraction"] * n))
+        if n_test >= n:
+            raise ConfigError("test split leaves no training data")
+        order = RngState(c["seed"]).substream(999).generator().permutation(n)
+        y, zeta = task.y[order], task.zeta[order]
+        return Block(y[n_test:], zeta[n_test:]), Block(y[:n_test], zeta[:n_test])
+    if kind == "mnist":
+        splits = [_idx_images(*paths[:2]), _idx_images(*paths[2:])]
+    else:
+        train = [load_cifar10_batch(_read(p)) for p in batches]
+        labels, pixels = (np.concatenate(arrays) for arrays in zip(*train))
+        splits = [(labels, pixels), load_cifar10_batch(_read(test_batch))]
+    return _task(c, *splits[0], pixels=True), _task(c, *splits[1], pixels=True)
 
 
 def cmd_run_real(cfg: ExperimentConfig) -> int:
     c = _parse(_REAL, cfg.values)
-    loss = LossKind(c["loss"])
-    stoppers = [_stopper(n, c["continue_factor"]) for n in c["stoppers"]]
-    root = RngState(c["seed"])
-
-    header = [
-        "stopper", "trial", "iterations", "samples_consumed",
-        "overhead", "accuracy", "baseline", "stop_reason",
-    ]
     try:
-        train, test = _load_real(c, root)
+        train, test = _load_real(c)
     except DataMissing as e:
-        _write_csv(c["out"], cfg, header, [])
+        _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, "baseline", "stop_reason"], [])
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
-
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
-
-    rows: list[list] = []
-    for t in range(c["trials"]):
-        cell = root.substream(t)
-        for j, stopper in enumerate(stoppers):
-            labeled = _labeled_dataset_stream(
-                train, cell.substream(_stream_index(stoppers, j)), c["epochs"]
-            )
-            result, stats, _ = _run_stopper(stopper, labeled, loss, c)
-            acc = accuracy_on_set(result.theta, fold(test, stats.offset))
-            rows.append([
-                stopper.name, t, result.iterations, result.samples_consumed,
-                _overhead(stopper, result), acc, baseline,
-                result.stop_reason.value,
-            ])
-    _write_csv(c["out"], cfg, header, rows)
-    return EXIT_OK
+    return _stopper_table(
+        cfg, c, lambda rng: _labeled_dataset_stream(train, rng, c["epochs"]),
+        lambda cell: test, baseline=baseline,
+    )
 
 
 # ---------------------------------------------------------------------------

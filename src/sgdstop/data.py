@@ -9,10 +9,12 @@ _fold_rows: subtract the offset from a block of rows, then negate the
 class-0 rows in place (no integer multiply; bit-equal to the formula).
 
 Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
-(rows, d): the Gaussian mixture hands out 128-row chunks of its 256-row
-blocks (views of one array per block), the Student-t2 mixture 256-row
-blocks, and the CLI's dataset stream gathers each 256-row chunk of an
-epoch's permutation into a fresh copy.  Whoever receives a block owns it.
+(rows, d), the one labeled type from the parsers' binary task to the fold:
+the Gaussian mixture hands out 128-row chunks of its 256-row blocks (views
+of one array per block), the Student-t2 mixture 256-row blocks,
+make_binary_task one block holding a whole dataset split, and the CLI's
+dataset stream gathers each 256-row chunk of an epoch's permutation of that
+split into a fresh copy.  Whoever receives a block owns it.
 
 Centering follows a fixed protocol (center_and_fold): from the first n rows
 of a labeled block stream, estimate the per-class means, set the offset to
@@ -32,9 +34,10 @@ same primitive written into a new array, once per offset.
 
 Synthetic generators (two-component Gaussian mixture, heavy-tailed
 Student-t2 mixture) and binary dataset readers (IDX tensors, CIFAR-10
-batches, CSV) all feed the same folding pipeline.  The parsers are total:
-any byte string either parses or raises a typed ParseError subclass, never
-anything else.
+batches, CSV) all feed the same folding pipeline.  The parsers return
+arrays, (labels, features) for the labeled formats, and are total: any byte
+string either parses or raises a typed ParseError subclass, never anything
+else.
 
 Samplers and streams here are iterators.  Synthetic ones are infinite and
 draw through a numpy Generator in documented block sizes, so a fixed
@@ -57,6 +60,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -69,7 +73,6 @@ __all__ = [
     "BLOCK_ROWS",
     "Block",
     "CenteringStats",
-    "Dataset",
     "ParseError",
     "IdxError",
     "IdxBadMagic",
@@ -116,28 +119,7 @@ class CenteringStats:
     n_used: int
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A finite binary labeled set: labels y (n,) in {0, 1}, features zeta (n, d)."""
-
-    y: np.ndarray
-    zeta: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y)
-        zeta = np.asarray(self.zeta, dtype=float)
-        if zeta.ndim != 2 or y.shape != zeta.shape[:1] or y.size == 0:
-            raise ValueError(f"need y (n,), zeta (n, d), n >= 1; got {y.shape}, {zeta.shape}")
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "y", y.astype(int))
-        object.__setattr__(self, "zeta", zeta)
-
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
-
-def fold(labeled: Block | Dataset, offset: np.ndarray) -> np.ndarray:
+def fold(labeled: Block, offset: np.ndarray) -> np.ndarray:
     """xi = (2y - 1)(zeta - offset) for every row, as a new (n, d) matrix."""
     if offset.shape != labeled.zeta.shape[1:]:
         raise ValueError(f"offset {offset.shape} does not match features {labeled.zeta.shape}")
@@ -423,25 +405,22 @@ def load_idx(data: bytes) -> np.ndarray:
         count *= dim
         if count > _IDX_MAX_ELEMENTS:
             raise IdxDimOverflow(f"dims {dims} exceed {_IDX_MAX_ELEMENTS} elements")
-    payload = data[header_len:]
-    if len(payload) != count:
+    if len(data) - header_len != count:
         raise IdxTruncated(
-            f"dims {dims} declare {count} bytes of payload, got {len(payload)}"
+            f"dims {dims} declare {count} bytes of payload, got {len(data) - header_len}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    return np.frombuffer(data, dtype=np.uint8, offset=header_len).reshape(dims)
 
 
 _CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixel bytes
-_CIFAR_PIXELS = 3072
 
 
-def load_cifar10_batch(data: bytes, scale: bool = True) -> list[tuple[int, np.ndarray]]:
-    """Parse one CIFAR-10 binary batch into (label, feature-vector) records.
+def load_cifar10_batch(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one CIFAR-10 binary batch into labels (n,) and pixels (n, 3072).
 
     Records are 3073 bytes: one label in 0..9, then 3072 pixel bytes kept
-    in file order as a flat float vector.  ``scale`` divides pixels by 255
-    (the default); labels stay 10-class here, pairing into a binary task is
-    a separate step.
+    in file order.  Both arrays are uint8 views of ``data``; labels stay
+    10-class here, pairing into a binary task is a separate step.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("load_cifar10_batch expects bytes")
@@ -457,14 +436,12 @@ def load_cifar10_batch(data: bytes, scale: bool = True) -> list[tuple[int, np.nd
         raise Cifar10Error(
             f"record {int(np.argmax(bad))} has label {int(labels[np.argmax(bad)])} > 9"
         )
-    pixels = raw[:, 1:].astype(float)
-    if scale:
-        pixels /= 255.0
-    return [(int(labels[i]), pixels[i]) for i in range(raw.shape[0])]
+    return labels, raw[:, 1:]
 
 
-def load_csv_points(text: str) -> list[tuple[int, np.ndarray]]:
-    """Parse a CSV dataset: header row, numeric features, final integer label."""
+def load_csv_points(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a CSV dataset (header row, numeric features, final integer
+    label) into labels (n,) and float features (n, d)."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -475,38 +452,42 @@ def load_csv_points(text: str) -> list[tuple[int, np.ndarray]]:
     width = len(rows[0])
     if width < 2:
         raise CsvError("need at least one feature column plus the label column")
-    out: list[tuple[int, np.ndarray]] = []
+    labels, features = [], []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise CsvError(f"row {i} has {len(row)} fields, header has {width}")
         try:
-            feats = np.array([float(v) for v in row[:-1]])
+            feats = [float(v) for v in row[:-1]]
             label = int(row[-1])
         except ValueError:
             raise CsvError(f"row {i} has a non-numeric field") from None
-        if not np.all(np.isfinite(feats)):
+        if not all(math.isfinite(v) for v in feats):
             raise CsvError(f"row {i} has a non-finite feature")
-        out.append((label, feats))
-    return out
+        labels.append(label)
+        features.append(feats)
+    return np.array(labels), np.array(features)
 
 
 def make_binary_task(
     labels: np.ndarray, features: np.ndarray, class_a: int, class_b: int
-) -> Dataset:
+) -> Block:
     """Keep the rows labelled class_a (-> 0) or class_b (-> 1), in order.
 
-    ``features`` is (n, d) of any numeric dtype; only the kept rows are
-    converted to float.  Both classes must be present and distinct.
+    ``labels`` is (n,) and ``features`` (n, d) of any numeric dtype, as a
+    parser returns them; only the kept rows are converted to float.  Both
+    classes must be present and distinct.
     """
+    labels, features = np.asarray(labels), np.asarray(features)
+    if labels.ndim != 1 or features.ndim != 2 or labels.shape[0] != features.shape[0]:
+        raise ValueError(f"need labels (n,), features (n, d); got {labels.shape}, {features.shape}")
     if class_a == class_b:
         raise ValueError(f"classes must differ, got {class_a} twice")
-    labels = np.asarray(labels)
     keep = (labels == class_a) | (labels == class_b)
     y = (labels[keep] == class_b).astype(int)
     for label, cls in ((0, class_a), (1, class_b)):
         if not np.any(y == label):
             raise ValueError(f"class {cls} has no samples")
-    return Dataset(y, np.asarray(np.asarray(features)[keep], dtype=float))
+    return Block(y, np.asarray(features[keep], dtype=float))
 
 
 def accuracy_on_set(theta: np.ndarray, folded: np.ndarray) -> float:

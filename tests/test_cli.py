@@ -259,6 +259,9 @@ def test_verify_bounds_requires_some_section(tmp_path):
         ("expected_T", "trials", 0),
         ("hitting_time", "trials", 0),
         ("angle", "trials", -1),
+        # one trial has no standard error, so the stderr slack would be NaN
+        ("hitting_time", "trials", 1),
+        ("angle", "trials", 1),
         ("drift", "n_mc", 1),
         ("target_delta", "n_theta", 0),
         ("expected_T", "max_iter", -1),
@@ -574,6 +577,31 @@ def test_readme_configs_and_key_tables_match_the_command_tables():
             section: {k: _documented(v) for k, v in entry.kind.items()}
             for section, entry in table.items() if isinstance(entry.kind, dict)
         }, command
+
+
+@pytest.mark.parametrize(
+    "command, make_cfg", [("compare-stoppers", _compare_cfg), ("verify-bounds", _verify_cfg)]
+)
+def test_unwritable_out_is_config_error(tmp_path, capsys, command, make_cfg):
+    # a directory that does not exist is rejected with the config, before any trial
+    err = _assert_rejected(capsys, command, make_cfg(tmp_path, out=str(tmp_path / "no" / "x")))
+    assert "'out'" in err
+    # a path that cannot be opened for writing (here a directory) is rejected too
+    assert main([command, "--config", make_cfg(tmp_path, out=str(tmp_path))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {tmp_path}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("contents", [b"x0,label\n\xff\xfe,0\n", None])
+def test_run_real_unreadable_data_file_is_config_error(tmp_path, capsys, contents):
+    # a CSV that is not UTF-8, or a data path that is a directory
+    data = tmp_path / "bad.csv"
+    if contents is None:
+        data.mkdir()
+    else:
+        data.write_bytes(contents)
+    err = _assert_rejected(capsys, "run-real", _real_csv_cfg(tmp_path, path=str(data)))
+    assert str(data) in err
 
 
 def test_run_real_rejects_nonpositive_epochs(tmp_path):

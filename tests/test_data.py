@@ -17,7 +17,6 @@ from sgdstop.data import (
     CenteringStats,
     Cifar10Error,
     CsvError,
-    Dataset,
     IdxBadMagic,
     IdxDimOverflow,
     IdxError,
@@ -129,28 +128,14 @@ def test_fold_and_stream_fold_bit_equal_to_formula(data, d, n):
         _same_bits_or_nan(np.stack(list(rows)), ref)
 
 
-def test_fold_dataset_stacks_in_order():
-    ds = Dataset(np.array([1, 0]), np.array([[2.0, 0.0], [0.0, 3.0]]))
-    out = fold(ds, np.zeros(2))
+def test_fold_block_stacks_in_order():
+    block = Block(np.array([1, 0]), np.array([[2.0, 0.0], [0.0, 3.0]]))
+    out = fold(block, np.zeros(2))
     assert out.shape == (2, 2)
     assert np.array_equal(out[0], [2.0, 0.0])
     assert np.array_equal(out[1], [0.0, -3.0])
-    # a new matrix: the dataset itself is not folded
-    assert np.array_equal(ds.zeta, [[2.0, 0.0], [0.0, 3.0]])
-
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(np.array([2, 0]), np.zeros((2, 2)))  # label outside {0, 1}
-    with pytest.raises(ValueError):
-        Dataset(np.array([1]), np.zeros(2))  # features not (n, d)
-    with pytest.raises(ValueError):
-        Dataset(np.array([], dtype=int), np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        Dataset(np.array([0, 1, 1]), np.zeros((2, 3)))  # label/row count mismatch
-    ds = Dataset(np.array([0, 1]), np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8))
-    assert ds.zeta.shape == (2, 4) and len(ds) == 2
-    assert ds.zeta.dtype == float and ds.y.dtype == int
+    # a new matrix: the block itself is not folded
+    assert np.array_equal(block.zeta, [[2.0, 0.0], [0.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +338,7 @@ def test_folded_gaussian_stream_moments():
 
 
 def test_dataset_stream_epoch_accounting():
-    ds = Dataset(np.arange(7) % 2, np.stack([np.arange(7.0), np.ones(7)], axis=1))
+    ds = Block(np.arange(7) % 2, np.stack([np.arange(7.0), np.ones(7)], axis=1))
     one = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 1))]
     assert len(one) == 7
     two = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 2))]
@@ -367,7 +352,7 @@ def test_dataset_stream_epoch_accounting():
 
 
 def test_dataset_stream_infinite_when_epochs_none():
-    ds = Dataset(np.array([0, 1]), np.array([[0.0], [1.0]]))
+    ds = Block(np.array([0, 1]), np.array([[0.0], [1.0]]))
     xs = list(itertools.islice(_rows(_labeled_dataset_stream(ds, RngState(8), None)), 11))
     assert len(xs) == 11
 
@@ -508,7 +493,7 @@ def test_dataset_stream_pipeline_matches_reference_and_keeps_dataset(
     gen = RngState(seed).generator()
     y = np.ones(n_rows, dtype=int)
     y[: min(minority, n_rows - 1)] = 0
-    ds = Dataset(y, gen.standard_normal((n_rows, d)))
+    ds = Block(y, gen.standard_normal((n_rows, d)))
     y_before, zeta_before = ds.y.copy(), ds.zeta.copy()
     _check_against_reference(
         lambda: _labeled_dataset_stream(ds, RngState(seed, 1), epochs),
@@ -607,14 +592,11 @@ def _cifar_record(label, fill):
 
 def test_load_cifar10_batch_golden():
     raw = _cifar_record(3, 255) + _cifar_record(8, 51)
-    recs = load_cifar10_batch(raw)
-    assert len(recs) == 2
-    assert recs[0][0] == 3 and recs[1][0] == 8
-    assert np.all(recs[0][1] == 1.0)  # 255 / 255
-    assert np.all(recs[1][1] == pytest.approx(0.2))  # 51 / 255
-    assert recs[0][1].shape == (3072,)
-    raw_unscaled = load_cifar10_batch(raw, scale=False)
-    assert np.all(raw_unscaled[0][1] == 255.0)
+    labels, pixels = load_cifar10_batch(raw)
+    assert labels.tolist() == [3, 8]
+    assert pixels.shape == (2, 3072)
+    assert labels.dtype == np.uint8 and pixels.dtype == np.uint8
+    assert np.all(pixels[0] == 255) and np.all(pixels[1] == 51)
 
 
 def test_load_cifar10_batch_errors():
@@ -634,12 +616,10 @@ def test_load_cifar10_batch_errors():
 
 def test_load_csv_points_golden():
     text = "x0,x1,label\n1.0,2.5,0\n-3.0,0.5,1\n"
-    pts = load_csv_points(text)
-    assert len(pts) == 2
-    assert pts[0][0] == 0
-    assert np.array_equal(pts[0][1], [1.0, 2.5])
-    assert pts[1][0] == 1
-    assert np.array_equal(pts[1][1], [-3.0, 0.5])
+    labels, features = load_csv_points(text)
+    assert labels.tolist() == [0, 1]
+    assert np.array_equal(features, [[1.0, 2.5], [-3.0, 0.5]])
+    assert features.dtype == float
 
 
 def test_load_csv_points_errors():
@@ -704,15 +684,31 @@ def test_idx_fuzz_near_valid_headers():
 def test_make_binary_task_mapping():
     labels = np.array([1, 8, 3, 1], dtype=np.uint8)
     features = np.array([[1], [2], [3], [4]], dtype=np.uint8)
-    ds = make_binary_task(labels, features, 1, 8)
-    assert len(ds) == 3
-    assert ds.y.tolist() == [0, 1, 0]  # order preserved, 3 dropped
-    assert ds.zeta[:, 0].tolist() == [1.0, 2.0, 4.0]
-    assert ds.zeta.dtype == float
+    task = make_binary_task(labels, features, 1, 8)
+    assert task.y.shape[0] == 3
+    assert task.y.tolist() == [0, 1, 0]  # order preserved, 3 dropped
+    assert task.zeta[:, 0].tolist() == [1.0, 2.0, 4.0]
     with pytest.raises(ValueError):
         make_binary_task(labels, features, 1, 1)
     with pytest.raises(ValueError):
         make_binary_task(labels, features, 1, 5)  # class 5 absent
+
+
+def test_make_binary_task_validation():
+    labels = np.array([0, 1], dtype=np.uint8)
+    features = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError):
+        make_binary_task(labels[:0], features[:0], 0, 1)  # no rows
+    with pytest.raises(ValueError):
+        make_binary_task(labels, features[:, 0], 0, 1)  # features not (n, d)
+    with pytest.raises(ValueError):
+        make_binary_task(labels[:, None], features, 0, 1)  # labels not (n,)
+    with pytest.raises(ValueError):
+        make_binary_task(np.array([0, 1, 1]), features, 0, 1)  # label/row count mismatch
+    task = make_binary_task(labels, features, 0, 1)
+    assert task.zeta.shape == (2, 4) and task.y.shape[0] == 2
+    assert task.zeta.dtype == float and task.y.dtype == int  # uint8 converted
+    assert features.dtype == np.uint8  # the input is left as it is
 
 
 def test_accuracy_on_set():

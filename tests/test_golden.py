@@ -10,6 +10,7 @@ to regenerate these digests and say why.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_config, write_mnist_style_fixture
@@ -55,6 +56,39 @@ def _write_csv_dataset(path: Path) -> None:
         v = center + 2.0 * (gen.random(3) - 0.5)
         lines.append(",".join([*(repr(float(x)) for x in v), str(y)]))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_cifar_batches(dirpath: Path) -> dict:
+    """Two CIFAR-10 train batches and a test batch.  Classes 3 and 5 each add
+    16 to their own 256-pixel band over noise in [0, 160), so they overlap;
+    class 9 is filtered out by the binary task."""
+    dirpath.mkdir()
+    gen = RngState(17).generator()
+    paths = []
+    for name, n in (("data_batch_1", 90), ("data_batch_2", 90), ("test_batch", 60)):
+        labels = gen.choice([3, 5, 9], size=n, p=[0.45, 0.45, 0.1]).astype(np.uint8)
+        pixels = gen.integers(0, 160, size=(n, 3072), dtype=np.uint8)
+        pixels[labels == 3, :256] += 16
+        pixels[labels == 5, 256:512] += 16
+        path = dirpath / f"{name}.bin"
+        path.write_bytes(np.column_stack([labels, pixels]).tobytes())
+        paths.append(str(path))
+    return {"train_batches": paths[:2], "test_batch": paths[2]}
+
+
+def _cifar_config() -> dict:
+    return {
+        "dataset": "cifar10",
+        **_write_cifar_batches(Path("cifar")),
+        "class_a": 3,
+        "class_b": 5,
+        "alpha_tilde": 2.0,
+        "centering_samples": 40,
+        "epochs": 4,
+        "trials": 2,
+        "stoppers": ["zero_overhead", "svs_4", "zero_overhead_continue"],
+        "seed": 4,
+    }
 
 
 def _mnist_config() -> dict:
@@ -104,6 +138,8 @@ CASES = {
     ),
     "verify": ("verify-bounds", lambda: _VERIFY),
     "real_mnist_fixture": ("run-real", _mnist_config),
+    "real_mnist_unscaled": ("run-real", lambda: {**_mnist_config(), "scale_pixels": False}),
+    "real_cifar10": ("run-real", _cifar_config),
     "real_csv": ("run-real", _csv_config),
     # centering reads the whole 225-row training set, one epoch's only chunk
     "real_csv_centering_epoch": (
@@ -117,8 +153,10 @@ DIGESTS = {
     "compare_gaussian_centering_256": "c03f60b81bbd55764f6318d4fb1f075d8e81f194fffc2d71fee3867005319a2e",
     "compare_t2_centering_300": "f89fbf0105c98257559ca846aa0a176e5173c2e2f5a19a80eea8067eb50aab32",
     "real_csv": "80fe3e82f04e99fae7d776e5cf5cf371ee1e3c9b4c6662e92e01b874077d40f4",
+    "real_cifar10": "fdf7abed8b37ca2f3215ae840083e511b3d471dcab451431fc8dfd346e3788a7",
     "real_csv_centering_epoch": "c754343413f48b1bb156fa598dda9be4784e6cdb50ca470d22bc3c84abeecc49",
     "real_mnist_fixture": "5705996ff2a38d72d8b2f9f6fc392ca6914937cd1079189fd09ae0e2d1d37b74",
+    "real_mnist_unscaled": "ef1f4476a3019b77f9c039405d02d81079e5f16bf018738da93ed02b179261dd",
     "sweep_gaussian": "3938bff6460a4b4e094eaf0646538551983da6e9f798d596dee858bbb5e71619",
     "sweep_t2": "fbba1958688088b0f8168ee6941b1c934c1e799fff18adc2fc3d010659a2efb5",
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
