@@ -272,7 +272,8 @@ _VERIFY = {
     **_COMMON,
     "expected_T": _section(1, **_TRIAL_RUNS),
     "hitting_time": _section(1, **_SLACK_RUNS),
-    "drift": _section(1, mu_dots=_Key(list, [-5.0, 0.0, 0.9], "a nonempty list of finite "
+    # a drift probe needs a direction orthogonal to mu, as angle's v does
+    "drift": _section(2, mu_dots=_Key(list, [-5.0, 0.0, 0.9], "a nonempty list of finite "
                                       "numbers", _finite_numbers), n_mc=_int(2, 20000)),
     "angle": _section(2, **_SLACK_RUNS),  # v is the second axis
     "target_delta": _section(1, n_theta=_int(1, 1000)),
@@ -424,7 +425,11 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
         stats, train = center_and_fold(labeled, c["centering_samples"])
     except ValueError as e:  # the centering window saw one class only
         raise ConfigError(f"stopper {stopper.name}: {e}; raise centering_samples") from None
-    alpha = effective_step(c["alpha_tilde"], stats.sigma2_tilde)
+    try:
+        alpha = effective_step(c["alpha_tilde"], stats.sigma2_tilde)
+    except ValueError:  # sigma2_tilde is not finite
+        raise ConfigError(f"stopper {stopper.name}: the data's scale overflows the centering "
+                          f"estimate (sigma2_tilde = {stats.sigma2_tilde})") from None
     max_iter = c["max_iter"]
     config = SgdConfig(loss, alpha, max_iter=max_iter, rule=stopper.rule)
     try:
@@ -560,6 +565,9 @@ def _before_trials(name: str, quantity: Callable, *args):
     """A theory quantity of section ``name``, computed before its trials run."""
     try:
         return quantity(*args)
+    except OverflowError:  # alpha |mu|^2 past the range of a double
+        raise ConfigError(f"config key '{name}.alpha' is too large: alpha * mu_scale**2 "
+                          f"overflows the {name} bound") from None
     except ArithmeticError as e:  # the hinge minimizer's bracket check
         raise ConfigError(f"config section '{name}': {e}; |mu_scale|/sigma is too large") from None
 
@@ -580,28 +588,26 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
     sec = c["hitting_time"]
     if sec is not None:
-        loss, model, alpha = _section_model(c, "hitting_time", ("sigma", "alpha"))
-        rset = _before_trials("hitting_time", regime_set, loss, model, alpha)
-        config = SgdConfig(loss, alpha, max_iter=sec["max_iter"])
-        theta0 = np.zeros(model.d)
-        stats = estimate_hitting_time(theta0, rset, config, sec["trials"], root.substream(2))
-        bound = drift_value(rset, theta0, alpha) / rset.params.b
+        section = _section_model(c, "hitting_time", ("sigma", "alpha"))
+        rset = _before_trials("hitting_time", regime_set, *section)
+        theta0 = np.zeros(rset.model.d)
+        bound = drift_value(rset, theta0) / rset.b
+        stats = estimate_hitting_time(
+            theta0, rset, sec["max_iter"], sec["trials"], root.substream(2)
+        )
         ok = stats.n_censored == 0 and stats.mean <= bound + 4.0 * stats.stderr
         checks.append(_check_row("hitting_time", stats.mean, bound, stats.stderr, ok))
 
     sec = c["drift"]
     if sec is not None:
-        loss, model, alpha = _section_model(c, "drift", ("sigma",), low_noise=True)
-        rset = _before_trials("drift", regime_set, loss, model, alpha)
+        section = _section_model(c, "drift", ("sigma",), low_noise=True)
+        rset = _before_trials("drift", regime_set, *section)
         mu_dots = sec["mu_dots"]
         try:
             probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
-        except ValueError as e:  # a probe inside the target set
+        except ValueError as e:  # a probe inside the target set, or past a double
             raise ConfigError(f"drift.mu_dots: {e}") from None
-        config = SgdConfig(loss, alpha)
-        results = check_drift_inequality(
-            rset, config, probes, sec["n_mc"], root.substream(4)
-        )
+        results = check_drift_inequality(rset, probes, sec["n_mc"], root.substream(4))
         for dot, res in zip(mu_dots, results):
             checks.append(_check_row(
                 f"drift[mu.theta={dot}]", res.estimate, -res.decrement, res.stderr, res.passed

@@ -60,14 +60,12 @@ __all__ = [
     "GaussianFoldedModel",
     "Regime",
     "RegimeSet",
-    "BoundParams",
     "LOW_NOISE_RATIO",
     "minimizer_rho_star",
     "classifier_accuracy",
     "optimal_accuracy",
     "termination_probability",
     "regime_of",
-    "bound_params",
     "regime_set",
     "target_set_contains",
     "drift_value",
@@ -117,32 +115,25 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the stopping-time bounds for one (loss, model, step).
+class RegimeSet:
+    """The regime of one (loss, model, step) with the constants of its bounds.
 
     b is the guaranteed one-step expected decrease of the drift witness
-    outside the target set; M sets the witness scale; c_prime bounds the
-    orthogonal component of the high-noise target set; delta lower-bounds
-    the firing probability on the target set (exactly 1/2 in the low
-    regime).
+    outside the target set; M sets the low-regime witness scale; c_prime
+    bounds the orthogonal component of the high-noise target set; delta
+    lower-bounds the firing probability on the target set (exactly 1/2 in
+    the low regime).
     """
 
+    regime: Regime
+    model: GaussianFoldedModel
     kind: LossKind
-    c: float
+    alpha: float
     b: float
     M: float
     rho_star: float
     c_prime: float
     delta: float
-
-
-@dataclass(frozen=True)
-class RegimeSet:
-    """A regime together with its target set / drift constants."""
-
-    regime: Regime
-    params: BoundParams
-    model: GaussianFoldedModel
 
 
 def minimizer_rho_star(kind: LossKind, mu_norm: float, sigma: float) -> float:
@@ -257,15 +248,14 @@ def regime_of(kind: LossKind, model: GaussianFoldedModel) -> Regime:
     return Regime.HIGH
 
 
-def bound_params(
+def regime_set(
     kind: LossKind, model: GaussianFoldedModel, alpha: float
-) -> BoundParams:
+) -> RegimeSet:
     # alpha = 0 is allowed so degenerate configurations can still be probed;
     # the decrement b is then 0 and no quantitative bound holds.
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     mu2 = model.mu_norm**2
-    c = LOW_NOISE_RATIO[kind]
     b = alpha * mu2
     if kind is LossKind.LOGISTIC:
         M = 501.0 + 640.0 * alpha * mu2
@@ -273,30 +263,21 @@ def bound_params(
         M = 501.0 + 782.0 * alpha * mu2
     else:
         raise TypeError(f"unknown loss kind: {kind!r}")
+    regime = regime_of(kind, model)
+    if regime is Regime.LOW and not math.isfinite(M * M):
+        raise OverflowError(f"the drift witness scale M^2 overflows at alpha |mu|^2 = {b!r}")
     rho_star = minimizer_rho_star(kind, model.mu_norm, model.sigma)
     if kind is LossKind.LOGISTIC:
         c_prime = 436.0
     else:
         c_prime = 8.0 + 10.0 * rho_star * model.sigma**2
-    if regime_of(kind, model) is Regime.LOW:
+    if regime is Regime.LOW:
         delta = 0.5
     else:
         delta = 0.5 * std_normal_ccdf(
             (2.0 / rho_star - mu2) / (model.sigma * model.mu_norm)
         )
-    return BoundParams(
-        kind=kind, c=c, b=b, M=M, rho_star=rho_star, c_prime=c_prime, delta=delta
-    )
-
-
-def regime_set(
-    kind: LossKind, model: GaussianFoldedModel, alpha: float
-) -> RegimeSet:
-    return RegimeSet(
-        regime=regime_of(kind, model),
-        params=bound_params(kind, model, alpha),
-        model=model,
-    )
+    return RegimeSet(regime, model, kind, alpha, b, M, rho_star, c_prime, delta)
 
 
 def _ray_split(theta: np.ndarray, model: GaussianFoldedModel) -> tuple[float, float]:
@@ -315,14 +296,14 @@ def target_set_contains(rset: RegimeSet, theta: np.ndarray) -> bool:
     if rset.regime is Regime.LOW:
         return float(rset.model.mu @ theta) >= MARGIN_THRESHOLD
     rho, perp_norm = _ray_split(theta, rset.model)
-    rho_star = rset.params.rho_star
+    rho_star = rset.rho_star
     return (
         abs(rho - rho_star) < 0.5 * rho_star
-        and rset.model.sigma * perp_norm <= rset.params.c_prime
+        and rset.model.sigma * perp_norm <= rset.c_prime
     )
 
 
-def drift_value(rset: RegimeSet, theta: np.ndarray, alpha: float) -> float:
+def drift_value(rset: RegimeSet, theta: np.ndarray) -> float:
     """Drift witness V(theta) for the regime's target set.
 
     Low regime: (M - mu . theta)^2.  High regime: |theta - rho_star mu|^2
@@ -333,11 +314,11 @@ def drift_value(rset: RegimeSet, theta: np.ndarray, alpha: float) -> float:
     if theta.shape != (rset.model.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({rset.model.d},)")
     if rset.regime is Regime.LOW:
-        return (rset.params.M - float(rset.model.mu @ theta)) ** 2
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    diff = theta - rset.params.rho_star * rset.model.mu
-    return float(diff @ diff) / (2.0 * alpha)
+        return (rset.M - float(rset.model.mu @ theta)) ** 2
+    if rset.alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {rset.alpha}")
+    diff = theta - rset.rho_star * rset.model.mu
+    return float(diff @ diff) / (2.0 * rset.alpha)
 
 
 def low_regime_expected_T_bound(
@@ -358,7 +339,7 @@ def low_regime_expected_T_bound(
         raise ValueError("bound requires sigma > 0")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    p = bound_params(kind, model, alpha)
+    rset = regime_set(kind, model, alpha)
     t = model.mu_norm / model.sigma
     tail = std_normal_ccdf(t)
     gauss_term = (
@@ -368,7 +349,7 @@ def low_regime_expected_T_bound(
         * math.exp(-0.5 * t * t)
         / math.sqrt(2.0 * math.pi)
     )
-    return 2.0 + (2.0 * p.M**2 / p.b) * (tail + gauss_term + 1.0)
+    return 2.0 + (2.0 * rset.M**2 / rset.b) * (tail + gauss_term + 1.0)
 
 
 def angle_bound(sigma: float, alpha: float, expected_T: float) -> float:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LossKind, _sigmoid_vec
 from .numerics import RngState, standard_normals
 from .data import folded_gaussian_stream
-from .sgd import RunResult, SgdConfig, StopKind, StopRule, run
+from .sgd import RunResult, SgdConfig, StopRule, run
 from .theory import GaussianFoldedModel, Regime, RegimeSet, drift_value, target_set_contains
 
 __all__ = [
@@ -54,10 +54,6 @@ class TrialStats:
     n_trials: int
     n_censored: int
 
-    @property
-    def n_used(self) -> int:
-        return self.n_trials - self.n_censored
-
 
 def _reduce(values: list[float], n_trials: int) -> TrialStats:
     n_censored = n_trials - len(values)
@@ -71,28 +67,35 @@ def _reduce(values: list[float], n_trials: int) -> TrialStats:
     return TrialStats(mean, stderr, n_trials, n_censored)
 
 
-def _trial_run(
-    model: GaussianFoldedModel, config: SgdConfig, trial_rng: RngState
-) -> RunResult:
-    sampler = folded_gaussian_stream(model.mu, model.sigma, trial_rng.substream(0))
-    check = None
-    if config.rule.kind is StopKind.EXTRA_SAMPLE:
-        check = folded_gaussian_stream(model.mu, model.sigma, trial_rng.substream(1))
-    return run(sampler, config, check_sampler=check)
+def _stopped_runs(
+    model: GaussianFoldedModel,
+    config: SgdConfig,
+    n_trials: int,
+    rng: RngState,
+    theta0: np.ndarray | None = None,
+) -> list[RunResult]:
+    """The uncensored runs of ``n_trials`` trials.  Trial i trains on
+    ``rng.substream(i).substream(0)``; an extra-sample rule checks on its
+    ``.substream(1)``, a lazy stream that the other rules never read."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    runs = []
+    for i in range(n_trials):
+        trial = rng.substream(i)
+        sampler = folded_gaussian_stream(model.mu, model.sigma, trial.substream(0))
+        check = folded_gaussian_stream(model.mu, model.sigma, trial.substream(1))
+        result = run(sampler, config, check_sampler=check, theta0=theta0)
+        if not result.censored:
+            runs.append(result)
+    return runs
 
 
 def estimate_expected_T(
     model: GaussianFoldedModel, config: SgdConfig, n_trials: int, rng: RngState
 ) -> TrialStats:
     """Empirical mean stopping time of the configured rule on the model."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    times = []
-    for i in range(n_trials):
-        result = _trial_run(model, config, rng.substream(i))
-        if not result.censored:
-            times.append(float(result.iterations))
-    return _reduce(times, n_trials)
+    runs = _stopped_runs(model, config, n_trials, rng)
+    return _reduce([float(r.iterations) for r in runs], n_trials)
 
 
 def estimate_angle_deviation(
@@ -116,48 +119,34 @@ def estimate_angle_deviation(
         raise ValueError("v must be a unit vector")
     if abs(float(v @ model.mu)) > 1e-9 * model.mu_norm:
         raise ValueError("v must be orthogonal to mu")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    deviations = []
-    times = []
-    for i in range(n_trials):
-        result = _trial_run(model, config, rng.substream(i))
-        if not result.censored:
-            deviations.append(abs(float(v @ result.theta)))
-            times.append(float(result.iterations))
-    return _reduce(deviations, n_trials), _reduce(times, n_trials)
+    runs = _stopped_runs(model, config, n_trials, rng)
+    return (
+        _reduce([abs(float(v @ r.theta)) for r in runs], n_trials),
+        _reduce([float(r.iterations) for r in runs], n_trials),
+    )
 
 
 def estimate_hitting_time(
     theta0: np.ndarray,
     rset: RegimeSet,
-    config: SgdConfig,
+    max_iter: int,
     n_trials: int,
     rng: RngState,
 ) -> TrialStats:
     """Empirical mean of the first entry time into the target set.
 
-    Plain SGD from theta0, which must lie outside the set, under the
-    target rule: the hit index is the first k >= 1 with theta_k inside.
-    config.rule is replaced by that rule.  Runs not entering within
-    max_iter count as censored.
+    Plain SGD with the set's loss and step from theta0, which must lie
+    outside the set, under the target rule: the hit index is the first
+    k >= 1 with theta_k inside.  Runs not entering within max_iter count as
+    censored.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if target_set_contains(rset, theta0):
         raise ValueError("theta0 already lies in the target set")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rule = StopRule.target(functools.partial(target_set_contains, rset))
-    config = replace(config, rule=rule)
-    times = []
-    for i in range(n_trials):
-        sampler = folded_gaussian_stream(
-            rset.model.mu, rset.model.sigma, rng.substream(i).substream(0)
-        )
-        result = run(sampler, config, theta0=theta0)
-        if not result.censored:
-            times.append(float(result.iterations))
-    return _reduce(times, n_trials)
+    config = SgdConfig(rset.kind, rset.alpha, max_iter=max_iter, rule=rule)
+    runs = _stopped_runs(rset.model, config, n_trials, rng, theta0)
+    return _reduce([float(r.iterations) for r in runs], n_trials)
 
 
 def make_drift_probes(
@@ -170,7 +159,8 @@ def make_drift_probes(
 
     Each probe is (t / |mu|^2) mu + ortho_norm * u with u a random unit
     vector orthogonal to mu (drawn from the given stream), t running over
-    mu_dots.  Probes must land outside the target set.
+    mu_dots.  Probes must land outside the target set, where the drift
+    witness is a finite double.
     """
     model = rset.model
     gen = rng.generator()
@@ -185,6 +175,10 @@ def make_drift_probes(
         theta = (t / mu2) * model.mu + (ortho_norm / norm) * g
         if target_set_contains(rset, theta):
             raise ValueError(f"probe with mu.theta = {t} lies inside the target set")
+        try:
+            drift_value(rset, theta)
+        except OverflowError:
+            raise ValueError(f"probe with mu.theta = {t} overflows the drift witness") from None
         probes.append(theta)
     return probes
 
@@ -202,7 +196,6 @@ class DriftCheck:
 
 def check_drift_inequality(
     rset: RegimeSet,
-    config: SgdConfig,
     probes: list[np.ndarray],
     n_mc: int,
     rng: RngState,
@@ -218,8 +211,7 @@ def check_drift_inequality(
         raise ValueError("quantitative drift decrement is only specified for low noise")
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
-    model = rset.model
-    b = config.alpha * model.mu_norm**2
+    model, alpha, b = rset.model, rset.alpha, rset.b
     checks = []
     for j, theta in enumerate(probes):
         theta = np.asarray(theta, dtype=float)
@@ -229,16 +221,16 @@ def check_drift_inequality(
         noise = standard_normals(gen, n_mc * model.d).reshape(n_mc, model.d)
         xis = model.mu + model.sigma * noise
         margins = xis @ theta
-        if config.kind is LossKind.LOGISTIC:
+        if rset.kind is LossKind.LOGISTIC:
             s = _sigmoid_vec(-margins)
         else:
             s = (margins <= 1.0).astype(float)
         # V(theta_1) depends on theta_1 only through mu . theta_1, so the
         # rowwise V uses mu . theta + alpha s (mu . xi) directly.
         mu_dot = float(model.mu @ theta)
-        mu_dot_1 = mu_dot + config.alpha * s * (xis @ model.mu)
-        v0 = drift_value(rset, theta, config.alpha)
-        dv = (rset.params.M - mu_dot_1) ** 2 - v0
+        mu_dot_1 = mu_dot + alpha * s * (xis @ model.mu)
+        v0 = drift_value(rset, theta)
+        dv = (rset.M - mu_dot_1) ** 2 - v0
         est = float(dv.mean())
         se = float(dv.std(ddof=1) / math.sqrt(n_mc))
         checks.append(

@@ -202,9 +202,7 @@ def test_criterion_05_drift_inequality(capsys):
         rset = regime_set(kind, model, alpha)
         rng = RngState(5005 + i)
         probes = make_drift_probes(rset, [-5.0, 0.0, 0.9], rng.substream(0))
-        checks = check_drift_inequality(
-            rset, SgdConfig(kind, alpha), probes, 20_000, rng.substream(1)
-        )
+        checks = check_drift_inequality(rset, probes, 20_000, rng.substream(1))
         for c in checks:
             ok = ok and c.passed
             worst = max(worst, c.estimate + c.decrement)
@@ -213,9 +211,7 @@ def test_criterion_05_drift_inequality(capsys):
     rset0 = regime_set(LossKind.LOGISTIC, model0, 0.0)
     rng0 = RngState(5999)
     probes0 = make_drift_probes(rset0, [-5.0, 0.0, 0.9], rng0.substream(0))
-    control = check_drift_inequality(
-        rset0, SgdConfig(LossKind.LOGISTIC, 0.0), probes0, 20_000, rng0.substream(1)
-    )
+    control = check_drift_inequality(rset0, probes0, 20_000, rng0.substream(1))
     control_fails = all(not c.passed for c in control)
     elapsed = time.perf_counter() - t0
     ok = ok and control_fails and elapsed < 30.0
@@ -233,9 +229,8 @@ def test_criterion_06_hitting_time_bound(capsys):
     model = GaussianFoldedModel(mu, 0.1)
     alpha = 0.1
     rset = regime_set(LossKind.LOGISTIC, model, alpha)
-    cfg = SgdConfig(LossKind.LOGISTIC, alpha, max_iter=10**6, rule=StopRule.none())
-    stats = estimate_hitting_time(np.zeros(10), rset, cfg, 300, RngState(6006))
-    bound = rset.params.M**2 / (alpha * model.mu_norm**2)
+    stats = estimate_hitting_time(np.zeros(10), rset, 10**6, 300, RngState(6006))
+    bound = rset.M**2 / (alpha * model.mu_norm**2)
     elapsed = time.perf_counter() - t0
     ok = stats.n_censored == 0 and stats.mean <= bound and elapsed < 30.0
     _report(capsys, 6, "hitting time bound", ok,

@@ -267,6 +267,8 @@ def test_verify_bounds_requires_some_section(tmp_path):
         ("expected_T", "max_iter", -1),
         ("hitting_time", "d", 0),
         ("angle", "d", 1),
+        # d = 1 has no direction orthogonal to mu for a drift probe
+        ("drift", "d", 1),
         ("drift", "sigma", -0.5),
         ("target_delta", "mu_scale", 0.0),
         ("angle", "alpha", math.inf),
@@ -285,9 +287,10 @@ def test_verify_bounds_rejects_out_of_range_section_values(tmp_path, section, ke
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("mu_dots", [["a"], [50.0], [True], [0.0, None]])
+# a probe inside the target set ([50.0] on this model) cannot be checked, nor
+# one whose drift witness (M - mu.theta)^2 overflows ([-1e200])
+@pytest.mark.parametrize("mu_dots", [["a"], [50.0], [True], [0.0, None], [-1e200]])
 def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
-    # a probe inside the target set ([50.0] on this model) cannot be checked
     p = write_config(
         tmp_path / "v.json",
         {"seed": 1, "out": str(tmp_path / "r.json"),
@@ -300,6 +303,10 @@ def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
     assert not (tmp_path / "r.json").exists()
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
 @pytest.mark.parametrize(
     "section, values, key",
     [
@@ -307,22 +314,37 @@ def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
         # sigma 2 |mu| is high noise for the logistic loss
         ("expected_T", {"d": 6, "sigma": 2.0}, "expected_T.sigma"),
         ("hitting_time", {"alpha": 0.0}, "hitting_time.alpha"),
+        # alpha |mu|^2 = 1e300 overflows the square of the drift witness scale M
+        ("hitting_time", {"d": 3, "alpha": 1e300}, "hitting_time.alpha"),
+        ("drift", {"d": 3, "alpha": 1e300}, "drift.alpha"),
+        ("expected_T", {"d": 3, "alpha": 1e300}, "expected_T.alpha"),
     ],
 )
 def test_verify_bounds_inputs_outside_the_theory_exit_2_before_any_trial(
     tmp_path, capsys, monkeypatch, section, values, key
 ):
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "estimate_expected_T", no_trials)
-    monkeypatch.setattr(cli, "estimate_hitting_time", no_trials)
-    sec = {"loss": "logistic", "d": 4, "sigma": 0.1, "alpha": 0.1, "trials": 3, **values}
+    for name in ("estimate_expected_T", "estimate_hitting_time", "check_drift_inequality"):
+        monkeypatch.setattr(cli, name, _no_trials)
+    own = {"n_mc": 100} if section == "drift" else {"trials": 3}
+    sec = {"loss": "logistic", "d": 4, "sigma": 0.1, "alpha": 0.1, **own, **values}
     p = write_config(
         tmp_path / "v.json", {"seed": 1, section: sec, "out": str(tmp_path / "r.json")}
     )
     err = _assert_rejected(capsys, "verify-bounds", p)
     assert f"config key '{key}'" in err, err
+    assert "|mu_scale|/sigma" not in err, err
+
+
+def test_verify_bounds_hinge_bracket_failure_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "estimate_hitting_time", _no_trials)
+    sec = {"loss": "hinge", "d": 4, "sigma": 1e-160, "alpha": 0.1, "trials": 3}
+    p = write_config(
+        tmp_path / "v.json", {"seed": 1, "hitting_time": sec, "out": str(tmp_path / "r.json")}
+    )
+    err = _assert_rejected(capsys, "verify-bounds", p)
+    assert "config section 'hitting_time'" in err and "|mu_scale|/sigma" in err, err
 
 
 def test_verify_bounds_deterministic(tmp_path):
@@ -535,6 +557,13 @@ def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over)
     )
     err = _assert_rejected(capsys, "run-real", cfg)
     assert "centering_samples" in err and "epochs" in err, err
+
+
+def test_centering_estimate_that_overflows_is_config_error(tmp_path, capsys):
+    # squared residuals of points at 1e300 overflow sigma2_tilde to inf
+    p = _sweep_cfg(tmp_path, d=4, sigma_grid=[0.5], mu_scale=1e300, trials=1)
+    err = _assert_rejected(capsys, "sweep-sigma", p)
+    assert "stopper zero_overhead" in err and "overflows the centering estimate" in err, err
 
 
 def test_centering_window_with_one_class_is_config_error(tmp_path, capsys):

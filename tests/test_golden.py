@@ -46,6 +46,18 @@ _VERIFY = {
     "target_delta": {"d": 6, "sigma": 0.8, "alpha": 0.1, "n_theta": 200},
 }
 
+# Every section on the hinge loss.  The hitting-time model is in the high-noise
+# regime, so its bound and target set read rho_star and c_prime; the drift
+# model sits just inside the hinge low-noise regime.
+_VERIFY_HINGE = {
+    "seed": 9,
+    "expected_T": {"loss": "hinge", "d": 6, "sigma": 0.5, "alpha": 0.1, "trials": 30},
+    "hitting_time": {"loss": "hinge", "d": 6, "sigma": 2.0, "alpha": 0.05, "trials": 20},
+    "drift": {"loss": "hinge", "d": 6, "sigma": 1.2, "alpha": 0.1, "n_mc": 4000},
+    "angle": {"loss": "hinge", "d": 8, "sigma": 0.3, "alpha": 0.05, "trials": 30},
+    "target_delta": {"loss": "hinge", "d": 6, "sigma": 0.8, "alpha": 0.1, "n_theta": 100},
+}
+
 
 def _write_csv_dataset(path: Path) -> None:
     gen = RngState(13).generator()
@@ -137,6 +149,7 @@ CASES = {
         lambda: {**_COMPARE, "centering_samples": 256},
     ),
     "verify": ("verify-bounds", lambda: _VERIFY),
+    "verify_hinge": ("verify-bounds", lambda: _VERIFY_HINGE),
     "real_mnist_fixture": ("run-real", _mnist_config),
     "real_mnist_unscaled": ("run-real", lambda: {**_mnist_config(), "scale_pixels": False}),
     "real_cifar10": ("run-real", _cifar_config),
@@ -160,6 +173,7 @@ DIGESTS = {
     "sweep_gaussian": "3938bff6460a4b4e094eaf0646538551983da6e9f798d596dee858bbb5e71619",
     "sweep_t2": "fbba1958688088b0f8168ee6941b1c934c1e799fff18adc2fc3d010659a2efb5",
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
+    "verify_hinge": "b3bebf3f96ee2aa51d69f3744177bd140a77f4a74fbeb8127471ae4e18ffa2f8",
 }
 
 

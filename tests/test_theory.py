@@ -15,7 +15,6 @@ from sgdstop.theory import (
     MARGIN_THRESHOLD,
     Regime,
     angle_bound,
-    bound_params,
     classifier_accuracy,
     drift_value,
     low_regime_expected_T_bound,
@@ -276,32 +275,38 @@ def test_regime_boundary_inclusive(kind, ratio):
     assert regime_of(kind, GaussianFoldedModel(mu, 0.0)) is Regime.LOW
 
 
-def test_bound_params_values():
+def test_regime_set_values():
     model = GaussianFoldedModel(_e1(3), 0.1)
-    p_log = bound_params(LossKind.LOGISTIC, model, 0.1)
+    p_log = regime_set(LossKind.LOGISTIC, model, 0.1)
+    assert (p_log.kind, p_log.alpha, p_log.model) == (LossKind.LOGISTIC, 0.1, model)
     assert p_log.b == pytest.approx(0.1, rel=1e-15)
     assert p_log.M == pytest.approx(501.0 + 640.0 * 0.1, rel=1e-15)
-    assert p_log.c == 0.33
+    assert LOW_NOISE_RATIO[p_log.kind] == 0.33
     assert p_log.c_prime == 436.0
     assert p_log.delta == 0.5
-    p_h = bound_params(LossKind.HINGE, model, 0.1)
+    p_h = regime_set(LossKind.HINGE, model, 0.1)
     assert p_h.M == pytest.approx(501.0 + 782.0 * 0.1, rel=1e-15)
-    assert p_h.c == 1.25
+    assert LOW_NOISE_RATIO[p_h.kind] == 1.25
     assert p_h.c_prime == pytest.approx(8.0 + 10.0 * p_h.rho_star * 0.01, rel=1e-12)
 
 
-def test_bound_params_high_regime_delta():
+def test_regime_set_high_regime_delta():
     model = GaussianFoldedModel(_e1(3), 2.0)
     for kind in BOTH:
-        p = bound_params(kind, model, 0.05)
+        p = regime_set(kind, model, 0.05)
         assert 0.0 < p.delta <= 0.5
 
 
-def test_bound_params_alpha_edge_cases():
+def test_regime_set_alpha_edge_cases():
     model = GaussianFoldedModel(_e1(2), 0.2)
-    assert bound_params(LossKind.LOGISTIC, model, 0.0).b == 0.0
+    assert regime_set(LossKind.LOGISTIC, model, 0.0).b == 0.0
     with pytest.raises(ValueError):
-        bound_params(LossKind.LOGISTIC, model, -0.1)
+        regime_set(LossKind.LOGISTIC, model, -0.1)
+    # the low-regime drift witness (M - mu . theta)^2 must be a finite double
+    with pytest.raises(OverflowError, match="M\\^2"):
+        regime_set(LossKind.LOGISTIC, model, 1e300)
+    # the high regime has no M^2 in its witness
+    assert regime_set(LossKind.LOGISTIC, GaussianFoldedModel(_e1(2), 2.0), 1e300).b == 1e300
 
 
 def test_low_target_set_margin_threshold():
@@ -320,7 +325,7 @@ def test_high_target_set_geometry():
     model = GaussianFoldedModel(_e1(3), 2.0)
     rset = regime_set(LossKind.LOGISTIC, model, 0.01)
     assert rset.regime is Regime.HIGH
-    rho_star = rset.params.rho_star
+    rho_star = rset.rho_star
     perp = np.zeros(3)
     perp[1] = 1.0
     assert target_set_contains(rset, rho_star * model.mu)
@@ -329,7 +334,7 @@ def test_high_target_set_geometry():
     assert not target_set_contains(rset, 1.5 * rho_star * model.mu)
     assert target_set_contains(rset, (1.49 * rho_star) * model.mu)
     # orthogonal cap is inclusive at sigma |perp| = c_prime
-    cap = rset.params.c_prime / model.sigma
+    cap = rset.c_prime / model.sigma
     assert target_set_contains(rset, rho_star * model.mu + cap * perp)
     assert not target_set_contains(rset, rho_star * model.mu + (cap * 1.0001) * perp)
 
@@ -338,15 +343,15 @@ def test_drift_value_shapes():
     model = GaussianFoldedModel(_e1(2), 0.1)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     theta = _e1(2, 0.3)
-    want = (rset.params.M - 0.3) ** 2
-    assert drift_value(rset, theta, 0.1) == pytest.approx(want, rel=1e-12)
+    want = (rset.M - 0.3) ** 2
+    assert drift_value(rset, theta) == pytest.approx(want, rel=1e-12)
 
     model_h = GaussianFoldedModel(_e1(2), 2.0)
     rset_h = regime_set(LossKind.LOGISTIC, model_h, 0.05)
-    rho_star = rset_h.params.rho_star
-    assert drift_value(rset_h, rho_star * model_h.mu, 0.05) == pytest.approx(0.0, abs=1e-18)
+    rho_star = rset_h.rho_star
+    assert drift_value(rset_h, rho_star * model_h.mu) == pytest.approx(0.0, abs=1e-18)
     off = rho_star * model_h.mu + np.array([0.0, 2.0])
-    assert drift_value(rset_h, off, 0.05) == pytest.approx(4.0 / (2.0 * 0.05), rel=1e-12)
+    assert drift_value(rset_h, off) == pytest.approx(4.0 / (2.0 * 0.05), rel=1e-12)
 
 
 def test_low_regime_expected_T_bound_frozen():

@@ -36,7 +36,7 @@ def test_expected_T_deterministic_and_positive():
     a = estimate_expected_T(model, cfg, 40, RngState(3))
     b = estimate_expected_T(model, cfg, 40, RngState(3))
     assert a == b
-    assert a.n_trials == 40 and a.n_censored == 0 and a.n_used == 40
+    assert a.n_trials == 40 and a.n_censored == 0
     assert a.mean > 0 and a.stderr > 0
     # a different seed gives a different (but nearby) estimate
     c = estimate_expected_T(model, cfg, 40, RngState(4))
@@ -103,13 +103,12 @@ def test_angle_deviation_stats_share_trials():
 def test_hitting_time_basic():
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
-    cfg = SgdConfig(LossKind.LOGISTIC, 0.1, rule=StopRule.none())
-    stats = estimate_hitting_time(np.zeros(4), rset, cfg, 50, RngState(9))
+    stats = estimate_hitting_time(np.zeros(4), rset, 1_000_000, 50, RngState(9))
     assert stats.n_censored == 0
     assert stats.mean >= 1.0
     # the drift argument caps the mean hit time by V(theta_0) / b
-    v0 = (rset.params.M - 0.0) ** 2
-    assert stats.mean <= v0 / rset.params.b + 4.0 * stats.stderr
+    v0 = (rset.M - 0.0) ** 2
+    assert stats.mean <= v0 / rset.b + 4.0 * stats.stderr
 
 
 @pytest.mark.parametrize("loss, sigma, alpha, max_iter", [
@@ -126,7 +125,6 @@ def test_hitting_time_matches_per_step_reference(loss, sigma, alpha, max_iter):
 
     model = _model(d=5, sigma=sigma)
     rset = regime_set(loss, model, alpha)
-    cfg = SgdConfig(loss, alpha, max_iter=max_iter)
     rng = RngState(21)
     times = []
     for i in range(12):
@@ -137,7 +135,7 @@ def test_hitting_time_matches_per_step_reference(loss, sigma, alpha, max_iter):
             if target_set_contains(rset, theta):
                 times.append(k)
                 break
-    stats = estimate_hitting_time(np.zeros(5), rset, cfg, 12, rng)
+    stats = estimate_hitting_time(np.zeros(5), rset, max_iter, 12, rng)
     assert stats.n_censored == 12 - len(times)
     if times:
         assert stats.mean == float(np.mean(np.asarray(times, dtype=float)))
@@ -146,18 +144,16 @@ def test_hitting_time_matches_per_step_reference(loss, sigma, alpha, max_iter):
 def test_hitting_time_rejects_start_inside():
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
-    cfg = SgdConfig(LossKind.LOGISTIC, 0.1, rule=StopRule.none())
     inside = np.zeros(4)
     inside[0] = 2.0  # mu . theta = 2 >= 1
     with pytest.raises(ValueError):
-        estimate_hitting_time(inside, rset, cfg, 5, RngState(1))
+        estimate_hitting_time(inside, rset, 1_000_000, 5, RngState(1))
 
 
 def test_hitting_time_censors_when_step_too_small():
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 1e-7)
-    cfg = SgdConfig(LossKind.LOGISTIC, 1e-7, max_iter=10, rule=StopRule.none())
-    stats = estimate_hitting_time(np.zeros(4), rset, cfg, 10, RngState(10))
+    stats = estimate_hitting_time(np.zeros(4), rset, 10, 10, RngState(10))
     assert stats.n_censored == 10
 
 
@@ -186,10 +182,9 @@ def test_make_drift_probes_rejects_inside_target():
 
 def test_drift_inequality_passes_in_low_regime():
     model = _model(d=10)
-    cfg = SgdConfig(LossKind.LOGISTIC, 0.1)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     probes = make_drift_probes(rset, [-5.0, 0.0, 0.9], RngState(12).substream(0))
-    checks = check_drift_inequality(rset, cfg, probes, 4000, RngState(12).substream(1))
+    checks = check_drift_inequality(rset, probes, 4000, RngState(12).substream(1))
     assert len(checks) == 3
     for c in checks:
         assert c.passed
@@ -201,10 +196,9 @@ def test_drift_inequality_passes_in_low_regime():
 def test_drift_inequality_zero_step_control_fails():
     # alpha = 0 makes the drift exactly 0, which must not pass the strict test
     model = _model(d=10)
-    cfg = SgdConfig(LossKind.LOGISTIC, 0.0)
     rset = regime_set(LossKind.LOGISTIC, model, 0.0)
     probes = make_drift_probes(rset, [0.0, 0.9], RngState(13).substream(0))
-    checks = check_drift_inequality(rset, cfg, probes, 2000, RngState(13).substream(1))
+    checks = check_drift_inequality(rset, probes, 2000, RngState(13).substream(1))
     for c in checks:
         assert c.estimate == 0.0 and c.stderr == 0.0
         assert not c.passed
@@ -215,16 +209,16 @@ def test_drift_inequality_guards():
     rset_high = regime_set(LossKind.LOGISTIC, high, 0.01)
     assert rset_high.regime is Regime.HIGH
     with pytest.raises(ValueError):
-        check_drift_inequality(rset_high, SgdConfig(LossKind.LOGISTIC, 0.01), [], 100, RngState(1))
+        check_drift_inequality(rset_high, [], 100, RngState(1))
 
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     inside = np.zeros(4)
     inside[0] = 3.0
     with pytest.raises(ValueError):
-        check_drift_inequality(rset, SgdConfig(LossKind.LOGISTIC, 0.1), [inside], 100, RngState(1))
+        check_drift_inequality(rset, [inside], 100, RngState(1))
     with pytest.raises(ValueError):
-        check_drift_inequality(rset, SgdConfig(LossKind.LOGISTIC, 0.1), [], 1, RngState(1))
+        check_drift_inequality(rset, [], 1, RngState(1))
 
 
 def test_drift_inequality_hinge_matches_per_sample_recompute():
@@ -234,20 +228,19 @@ def test_drift_inequality_hinge_matches_per_sample_recompute():
     from sgdstop.data import folded_gaussian_stream
 
     model = _model(d=5)
-    cfg = SgdConfig(LossKind.HINGE, 0.1)
     rset = regime_set(LossKind.HINGE, model, 0.1)
     probes = make_drift_probes(rset, [0.5], RngState(14).substream(0))
     n = 500
-    checks = check_drift_inequality(rset, cfg, probes, n, RngState(14).substream(1))
+    checks = check_drift_inequality(rset, probes, n, RngState(14).substream(1))
     theta = probes[0]
     gen = RngState(14).substream(1).substream(0).generator()
     from sgdstop.numerics import standard_normals
 
     noise = standard_normals(gen, n * model.d).reshape(n, model.d)
     xis = model.mu + model.sigma * noise
-    v0 = drift_value(rset, theta, 0.1)
+    v0 = drift_value(rset, theta)
     dvs = [
-        drift_value(rset, sgd_step(theta, xi, LossKind.HINGE, 0.1), 0.1) - v0
+        drift_value(rset, sgd_step(theta, xi, LossKind.HINGE, 0.1)) - v0
         for xi in xis
     ]
     assert checks[0].estimate == pytest.approx(float(np.mean(dvs)), rel=1e-12)
