@@ -60,7 +60,7 @@ from .data import (
 )
 from .losses import LossKind
 from .numerics import RngState, standard_normals
-from .sgd import RunResult, SgdConfig, StopKind, StopRule, continue_run, run
+from .sgd import RunResult, SgdConfig, StopKind, StopReason, StopRule, run
 from .theory import (
     LOW_NOISE_RATIO,
     GaussianFoldedModel,
@@ -430,8 +430,7 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
     except ValueError:  # sigma2_tilde is not finite
         raise ConfigError(f"stopper {stopper.name}: the data's scale overflows the centering "
                           f"estimate (sigma2_tilde = {stats.sigma2_tilde})") from None
-    max_iter = c["max_iter"]
-    config = SgdConfig(loss, alpha, max_iter=max_iter, rule=stopper.rule)
+    config = SgdConfig(loss, alpha, max_iter=c["max_iter"], rule=stopper.rule)
     try:
         result = run(train, config)
     except ValueError as e:  # a finite training set ran out before the first step
@@ -440,9 +439,13 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
             "lower centering_samples or raise epochs"
         ) from None
     if stopper.continue_factor is not None and not result.censored:
+        # plain SGD on from the stopped iterate; the row counts both runs
         extra = int(round(stopper.continue_factor * result.iterations))
-        plain = SgdConfig(loss, alpha, max_iter=max_iter, rule=StopRule.none())
-        result = continue_run(result, train, plain, extra)
+        plain = SgdConfig(loss, alpha, max_iter=extra, rule=StopRule.none())
+        more = run(train, plain, theta0=result.theta)
+        reason = result.stop_reason if more.stop_reason is StopReason.CENSORED else more.stop_reason
+        result = RunResult(more.theta, result.iterations + more.iterations,
+                           result.samples_consumed + more.samples_consumed, reason)
     return result, stats, alpha
 
 
@@ -492,7 +495,7 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
     rows: list[list] = []
     for i_s, sigma in enumerate(c["sigma_grid"]):
         sigma = float(sigma)
-        model = GaussianFoldedModel(_e1_scaled(c["d"], c["mu_scale"]), sigma)
+        model = _gaussian_model("mu_scale", c["d"], c["mu_scale"], sigma)
         opt = optimal_accuracy(model)
         for i_l, loss in enumerate(losses):
             for t in range(c["trials"]):
@@ -541,6 +544,14 @@ def _check_row(check: str, value: float, bound: float, stderr: float, passed: bo
     }
 
 
+def _gaussian_model(key: str, d: int, mu_scale: float, sigma: float) -> GaussianFoldedModel:
+    """N(mu_scale e1, sigma^2 I_d), whose |mu|^2 must be a positive finite double."""
+    try:
+        return GaussianFoldedModel(_e1_scaled(d, mu_scale), sigma)
+    except ValueError as e:  # mu_scale**2 underflows to 0 or overflows
+        raise ConfigError(f"config key '{key}' is out of range: {e}") from None
+
+
 def _section_model(
     c: dict[str, Any], name: str, positive: tuple[str, ...] = (), low_noise: bool = False
 ) -> tuple[LossKind, GaussianFoldedModel, float]:
@@ -552,7 +563,7 @@ def _section_model(
         if not sec[key] > 0:
             raise ConfigError(f"config key '{name}.{key}' must be > 0 for the {name} check")
     loss = LossKind(sec["loss"])
-    model = GaussianFoldedModel(_e1_scaled(sec["d"], sec["mu_scale"]), sec["sigma"])
+    model = _gaussian_model(f"{name}.mu_scale", sec["d"], sec["mu_scale"], sec["sigma"])
     if low_noise and regime_of(loss, model) is not Regime.LOW:
         raise ConfigError(
             f"config key '{name}.sigma' must be <= {LOW_NOISE_RATIO[loss]} |mu_scale| for "
@@ -562,88 +573,99 @@ def _section_model(
 
 
 def _before_trials(name: str, quantity: Callable, *args):
-    """A theory quantity of section ``name``, computed before its trials run."""
+    """A theory quantity of section ``name``, computed before any trial runs."""
     try:
         return quantity(*args)
     except OverflowError:  # alpha |mu|^2 past the range of a double
         raise ConfigError(f"config key '{name}.alpha' is too large: alpha * mu_scale**2 "
                           f"overflows the {name} bound") from None
+    except FloatingPointError:  # alpha |mu|^2 below the smallest double
+        raise ConfigError(f"config key '{name}.alpha' is too small: alpha * mu_scale**2 "
+                          f"underflows to 0 in the {name} bound") from None
     except ArithmeticError as e:  # the hinge minimizer's bracket check
         raise ConfigError(f"config section '{name}': {e}; |mu_scale|/sigma is too large") from None
+
+
+def _expected_T(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
+    loss, model, alpha = _section_model(c, "expected_T", ("sigma", "alpha"), low_noise=True)
+    bound = _before_trials("expected_T", low_regime_expected_T_bound, loss, model, alpha)
+    config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
+    yield
+    stats = estimate_expected_T(model, config, sec["trials"], root.substream(1))
+    ok = stats.n_censored == 0 and stats.mean <= bound
+    yield _check_row("expected_T", stats.mean, bound, stats.stderr, ok)
+
+
+def _hitting_time(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
+    section = _section_model(c, "hitting_time", ("sigma", "alpha"))
+    rset = _before_trials("hitting_time", regime_set, *section)
+    theta0 = np.zeros(rset.model.d)
+    bound = drift_value(rset, theta0) / rset.b
+    yield
+    stats = estimate_hitting_time(theta0, rset, sec["max_iter"], sec["trials"], root.substream(2))
+    ok = stats.n_censored == 0 and stats.mean <= bound + 4.0 * stats.stderr
+    yield _check_row("hitting_time", stats.mean, bound, stats.stderr, ok)
+
+
+def _drift(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
+    section = _section_model(c, "drift", ("sigma",), low_noise=True)
+    rset = _before_trials("drift", regime_set, *section)
+    mu_dots = sec["mu_dots"]
+    try:
+        probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
+    except ValueError as e:  # a probe inside the target set, or past a double
+        raise ConfigError(f"drift.mu_dots: {e}") from None
+    yield
+    results = check_drift_inequality(rset, probes, sec["n_mc"], root.substream(4))
+    for dot, res in zip(mu_dots, results):
+        yield _check_row(
+            f"drift[mu.theta={dot}]", res.estimate, -res.decrement, res.stderr, res.passed
+        )
+
+
+def _angle(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
+    loss, model, alpha = _section_model(c, "angle")
+    config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
+    v = np.zeros(model.d)
+    v[1] = 1.0
+    yield
+    dev, times = estimate_angle_deviation(model, config, v, sec["trials"], root.substream(5))
+    bound = angle_bound(model.sigma, alpha, times.mean)
+    slack = 3.0 * math.hypot(dev.stderr, angle_bound(model.sigma, alpha, times.stderr))
+    ok = dev.n_censored == 0 and dev.mean <= bound + slack
+    yield _check_row("angle_deviation", dev.mean, bound, slack / 3.0, ok)
+
+
+def _target_delta(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
+    _, model, _ = _section_model(c, "target_delta")
+    yield
+    gen = root.substream(6).generator()
+    mu2 = model.mu_norm**2
+    worst = 1.0
+    for _ in range(sec["n_theta"]):
+        g = standard_normals(gen, model.d)
+        lift = abs(standard_normals(gen, 1)[0])
+        # shift along mu so the mean margin is exactly 1 + lift >= 1
+        theta = g + ((1.0 + lift) - float(model.mu @ g)) / mu2 * model.mu
+        worst = min(worst, termination_probability(theta, model))
+    yield _check_row("target_delta_min", worst, 0.5, 0.0, worst >= 0.5)
+
+
+# Each check is a generator over one section: it computes the section's model
+# and theory, pauses at a bare yield, then runs its trials and yields its rows.
+_CHECKS = {"expected_T": _expected_T, "hitting_time": _hitting_time, "drift": _drift,
+           "angle": _angle, "target_delta": _target_delta}
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     c = _parse(_VERIFY, cfg.values)
     root = RngState(c["seed"])
-    checks: list[dict] = []
-
-    sec = c["expected_T"]
-    if sec is not None:
-        loss, model, alpha = _section_model(c, "expected_T", ("sigma", "alpha"), low_noise=True)
-        bound = _before_trials("expected_T", low_regime_expected_T_bound, loss, model, alpha)
-        config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
-        stats = estimate_expected_T(model, config, sec["trials"], root.substream(1))
-        ok = stats.n_censored == 0 and stats.mean <= bound
-        checks.append(_check_row("expected_T", stats.mean, bound, stats.stderr, ok))
-
-    sec = c["hitting_time"]
-    if sec is not None:
-        section = _section_model(c, "hitting_time", ("sigma", "alpha"))
-        rset = _before_trials("hitting_time", regime_set, *section)
-        theta0 = np.zeros(rset.model.d)
-        bound = drift_value(rset, theta0) / rset.b
-        stats = estimate_hitting_time(
-            theta0, rset, sec["max_iter"], sec["trials"], root.substream(2)
-        )
-        ok = stats.n_censored == 0 and stats.mean <= bound + 4.0 * stats.stderr
-        checks.append(_check_row("hitting_time", stats.mean, bound, stats.stderr, ok))
-
-    sec = c["drift"]
-    if sec is not None:
-        section = _section_model(c, "drift", ("sigma",), low_noise=True)
-        rset = _before_trials("drift", regime_set, *section)
-        mu_dots = sec["mu_dots"]
-        try:
-            probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
-        except ValueError as e:  # a probe inside the target set, or past a double
-            raise ConfigError(f"drift.mu_dots: {e}") from None
-        results = check_drift_inequality(rset, probes, sec["n_mc"], root.substream(4))
-        for dot, res in zip(mu_dots, results):
-            checks.append(_check_row(
-                f"drift[mu.theta={dot}]", res.estimate, -res.decrement, res.stderr, res.passed
-            ))
-
-    sec = c["angle"]
-    if sec is not None:
-        loss, model, alpha = _section_model(c, "angle")
-        config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
-        v = np.zeros(model.d)
-        v[1] = 1.0
-        dev, times = estimate_angle_deviation(model, config, v, sec["trials"], root.substream(5))
-        bound = angle_bound(model.sigma, alpha, times.mean)
-        slack = 3.0 * math.hypot(dev.stderr, angle_bound(model.sigma, alpha, times.stderr))
-        ok = dev.n_censored == 0 and dev.mean <= bound + slack
-        checks.append(_check_row("angle_deviation", dev.mean, bound, slack / 3.0, ok))
-
-    sec = c["target_delta"]
-    if sec is not None:
-        _, model, _ = _section_model(c, "target_delta")
-        gen = root.substream(6).generator()
-        mu2 = model.mu_norm**2
-        worst = 1.0
-        for _ in range(sec["n_theta"]):
-            g = standard_normals(gen, model.d)
-            lift = abs(standard_normals(gen, 1)[0])
-            # shift along mu so the mean margin is exactly 1 + lift >= 1
-            theta = g + ((1.0 + lift) - float(model.mu @ g)) / mu2 * model.mu
-            worst = min(worst, termination_probability(theta, model))
-        checks.append(_check_row("target_delta_min", worst, 0.5, 0.0, worst >= 0.5))
-
-    if not checks:
-        raise ConfigError(
-            "no checks configured: need at least one of expected_T, "
-            "hitting_time, drift, angle, target_delta"
-        )
+    sections = [check(c, c[name], root) for name, check in _CHECKS.items() if c[name] is not None]
+    if not sections:
+        raise ConfigError(f"no checks configured: need at least one of {', '.join(_CHECKS)}")
+    for section in sections:
+        next(section)  # every section's theory, before any section's trials
+    checks = [row for section in sections for row in section]
     report = {
         "config": {k: v for k, v in cfg.values.items() if k != "out"},
         "seed": c["seed"],

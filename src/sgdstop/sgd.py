@@ -30,12 +30,12 @@ ZeroOverhead
 SmallValidation
     Plain SGD with a held-out validation set of p folded samples, drawn
     from the sampler before iterating.  The fraction of validation margins
-    strictly above 0 is recorded at iteration 0 and again every ``period``
-    iterations (default 2p); the run stops at the first check whose
-    fraction fails to strictly exceed the previous one.  Fractions over p
-    points take at most p + 1 distinct values and each surviving check
-    strictly increases the fraction, so the rule always stops within
-    (p + 1) * period iterations.  Reports iterations + p samples.
+    strictly above 0 is recorded at iteration 0 and again every period = 2p
+    iterations; the run stops at the first check whose fraction fails to
+    strictly exceed the previous one.  Fractions over p points take at most
+    p + 1 distinct values and each surviving check strictly increases the
+    fraction, so the rule always stops within (p + 1) * period iterations.
+    Reports iterations + p samples.
 
 Target
     Plain SGD that stops after the first update whose iterate satisfies a
@@ -44,7 +44,8 @@ Target
     an update, so a run stopping at iteration k reports k samples.
 
 A rule of ``NONE`` has no stop test and runs plain SGD for exactly max_iter
-updates; :func:`continue_run` extends a terminated run the same way.
+updates.  A stopped run is continued by a ``NONE`` run from its iterate
+(``theta0=result.theta``) on the same sampler; the caller adds the counts.
 
 A NaN or infinite margin (a non-finite sample, or an overflowed iterate)
 ends any run at once as ``DIVERGED``, returning the iterate it was computed
@@ -74,7 +75,6 @@ __all__ = [
     "SgdConfig",
     "RunResult",
     "run",
-    "continue_run",
 ]
 
 # Margin level the stopping test checks against.
@@ -109,14 +109,10 @@ class StopRule:
         return cls(StopKind.ZERO_OVERHEAD)
 
     @classmethod
-    def small_validation(cls, p: int, period: int | None = None) -> "StopRule":
+    def small_validation(cls, p: int) -> "StopRule":
         if p < 1:
             raise ValueError(f"validation size p must be >= 1, got {p}")
-        if period is None:
-            period = 2 * p
-        if period < 1:
-            raise ValueError(f"check period must be >= 1, got {period}")
-        return cls(StopKind.SMALL_VALIDATION, p=p, period=period)
+        return cls(StopKind.SMALL_VALIDATION, p=p, period=2 * p)
 
     @classmethod
     def target(cls, inside: Callable[[np.ndarray], bool]) -> "StopRule":
@@ -158,13 +154,18 @@ class RunResult:
     period.  ``samples_consumed`` is what the rule charges: k for
     zero-overhead and none, 2k + 1 for extra-sample, k + p for small
     validation; exhausted and diverged runs report the draws actually made.
+    A continued run is a separate ``NONE`` run from ``theta``.
     """
 
     theta: np.ndarray
     iterations: int
     samples_consumed: int
-    censored: bool
     stop_reason: StopReason
+
+    @property
+    def censored(self) -> bool:
+        """True unless the rule stopped the run (it fired or plateaued)."""
+        return self.stop_reason not in (StopReason.FIRED, StopReason.PLATEAU)
 
 
 def _first(sampler: Sampler) -> np.ndarray:
@@ -186,7 +187,9 @@ def _loop(
 ) -> tuple[np.ndarray, int, int, StopReason]:
     """The update loop: up to ``limit`` updates of ``theta``, in place.
 
-    Returns (theta, updates k, draws made from rows and checks, reason).
+    Returns (theta, updates k, samples charged, reason).  The charge is the
+    draws made from rows and checks, less a zero-overhead firing draw (the
+    next update's sample); small validation's p samples are the caller's.
     The stop test follows ``rule``: zero-overhead tests each update margin
     before applying it; extra-sample draws a row from ``checks`` at k = 0
     and after every update; small validation scores ``val`` at k = 0 and
@@ -231,7 +234,7 @@ def _loop(
             if not isfinite(m):
                 return theta, k, k + checked + 1, StopReason.DIVERGED
             if m >= fire:
-                return theta, k, k + checked + 1, StopReason.FIRED
+                return theta, k, k, StopReason.FIRED
             scale[()] = alpha * factor(kind, m)
             multiply(xi, scale, step)
             add(theta, step, theta)
@@ -279,50 +282,7 @@ def run(
         if theta0 is not None
         else np.zeros_like(first, dtype=float)
     )
-    theta, k, drawn, reason = _loop(
+    theta, k, charged, reason = _loop(
         rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
     )
-    if reason is StopReason.EXHAUSTED or reason is StopReason.DIVERGED:
-        charged = drawn
-    elif rule.kind is StopKind.EXTRA_SAMPLE:
-        charged = 2 * k + 1
-    else:
-        charged = k  # zero-overhead: the firing draw is the next update's sample
-    if val is not None:
-        charged += rule.p
-    censored = reason is not StopReason.FIRED and reason is not StopReason.PLATEAU
-    return RunResult(theta, k, charged, censored, reason)
-
-
-def continue_run(
-    result: RunResult,
-    sampler: Sampler,
-    config: SgdConfig,
-    extra_iters: int,
-) -> RunResult:
-    """Resume plain SGD (no stopping test) from a finished run.
-
-    Applies up to ``extra_iters`` further updates; iterations and samples
-    accumulate additively onto the base result.  The base stop_reason is
-    kept unless the sampler runs out or a margin is non-finite first.
-    """
-    if extra_iters < 0:
-        raise ValueError(f"extra_iters must be >= 0, got {extra_iters}")
-    theta, done, drawn, reason = _loop(
-        sampler,
-        np.array(result.theta, dtype=float),
-        config.kind,
-        config.alpha,
-        extra_iters,
-        StopRule.none(),
-    )
-    censored = True
-    if reason is StopReason.CENSORED:  # every extra update applied
-        reason, censored = result.stop_reason, result.censored
-    return RunResult(
-        theta,
-        result.iterations + done,
-        result.samples_consumed + drawn,
-        censored,
-        reason,
-    )
+    return RunResult(theta, k, charged + (rule.p if val is not None else 0), reason)

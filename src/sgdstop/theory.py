@@ -93,9 +93,10 @@ class GaussianFoldedModel:
             raise ValueError("mu must be a nonempty 1-D vector")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
-        n = float(np.linalg.norm(mu))
-        if n == 0.0:
-            raise ValueError("mu must be nonzero")
+        with np.errstate(over="ignore"):  # an overflowing |mu| is rejected below
+            n = float(np.linalg.norm(mu))
+        if not 0.0 < n * n < math.inf:  # the bounds divide by |mu|^2
+            raise ValueError(f"|mu|^2 must be a positive finite double, got {n * n!r}")
         if not (self.sigma >= 0.0):
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         object.__setattr__(self, "mu", mu)
@@ -186,7 +187,8 @@ def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
     the lower endpoint is rounding noise, so the bracket check may fail; the
     bisection stops once no double lies between its ends.
     """
-    target = math.log(sigma / (mu_norm * math.sqrt(2.0 * math.pi)))
+    ratio = sigma / (mu_norm * math.sqrt(2.0 * math.pi))
+    target = math.log(ratio) if ratio > 0.0 else -math.inf  # underflowed: the bracket fails
 
     def f(w: float) -> float:
         return _log_ndtr(w) + 0.5 * w * w - target
@@ -257,6 +259,8 @@ def regime_set(
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     mu2 = model.mu_norm**2
     b = alpha * mu2
+    if alpha > 0 and b == 0.0:
+        raise FloatingPointError(f"alpha |mu|^2 underflows to 0 at alpha = {alpha!r}")
     if kind is LossKind.LOGISTIC:
         M = 501.0 + 640.0 * alpha * mu2
     elif kind is LossKind.HINGE:

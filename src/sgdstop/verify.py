@@ -149,18 +149,12 @@ def estimate_hitting_time(
     return _reduce([float(r.iterations) for r in runs], n_trials)
 
 
-def make_drift_probes(
-    rset: RegimeSet,
-    mu_dots: list[float],
-    rng: RngState,
-    ortho_norm: float = 1.0,
-) -> list[np.ndarray]:
+def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> list[np.ndarray]:
     """Probe iterates with prescribed mu . theta and random orthogonal parts.
 
-    Each probe is (t / |mu|^2) mu + ortho_norm * u with u a random unit
-    vector orthogonal to mu (drawn from the given stream), t running over
-    mu_dots.  Probes must land outside the target set, where the drift
-    witness is a finite double.
+    Each probe is (t / |mu|^2) mu + u with u a random unit vector orthogonal
+    to mu (drawn from the given stream), t running over mu_dots.  Probes must
+    land outside the target set, where the drift witness is a finite double.
     """
     model = rset.model
     gen = rng.generator()
@@ -172,7 +166,7 @@ def make_drift_probes(
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             raise ArithmeticError("degenerate orthogonal draw")
-        theta = (t / mu2) * model.mu + (ortho_norm / norm) * g
+        theta = (t / mu2) * model.mu + (1.0 / norm) * g
         if target_set_contains(rset, theta):
             raise ValueError(f"probe with mu.theta = {t} lies inside the target set")
         try:

@@ -11,9 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_config, write_mnist_style_fixture
 from sgdstop import cli
+from sgdstop.data import first_rows, gaussian_mixture_sampler
+from sgdstop.losses import LossKind
+from sgdstop.numerics import RngState
+from sgdstop.sgd import StopReason
 from sgdstop.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -182,6 +187,42 @@ def test_compare_stoppers_rows_and_overhead(tmp_path):
         assert 0.0 <= float(row["accuracy"]) <= 1.0
 
 
+def _finite_blocks(n, nan_at=None):
+    """The first n rows of a seeded mixture with means -e1, e1 as one block,
+    with a NaN feature at row ``nan_at`` when it is given."""
+    mu = np.array([1.0, 0.0, 0.0, 0.0])
+    block = first_rows(gaussian_mixture_sampler(-mu, mu, 0.5, RngState(5)), n)
+    if nan_at is not None:
+        block.zeta[nan_at, 0] = np.nan
+    return iter([block])
+
+
+def test_continued_stopper_adds_the_extension_to_the_stopped_run():
+    c = {"centering_samples": 10, "alpha_tilde": 0.1, "max_iter": 10_000}
+    zero_overhead = cli._stopper("zero_overhead", 1.5)
+    continued = cli._stopper("zero_overhead_continue", 1.5)
+
+    def row(blocks):
+        result, _, _ = cli._run_stopper(continued, blocks, LossKind.LOGISTIC, c)
+        return result.iterations, result.samples_consumed, result.stop_reason, result.censored
+
+    base, _, _ = cli._run_stopper(zero_overhead, _finite_blocks(2000), LossKind.LOGISTIC, c)
+    k = base.iterations
+    assert (base.samples_consumed, base.stop_reason) == (k, StopReason.FIRED) and k > 3
+    # the extension starts after the base run's 10 centering rows, k updates
+    # and its uncharged firing draw
+    start = 10 + k + 1
+    # every extra update applied: the counts add and the base reason stands
+    extra = round(1.5 * k)
+    assert row(_finite_blocks(2000)) == (k + extra, k + extra, StopReason.FIRED, False)
+    # the stream ends three rows into the extension: exhausted, charged its draws
+    assert row(_finite_blocks(start + 3)) == (k + 3, k + 3, StopReason.EXHAUSTED, True)
+    # a NaN in the extension's third draw: two updates, then diverged on that draw
+    assert row(_finite_blocks(2000, nan_at=start + 2)) == (
+        k + 2, k + 3, StopReason.DIVERGED, True
+    )
+
+
 def test_compare_stoppers_deterministic(tmp_path):
     p = _compare_cfg(tmp_path, out=str(tmp_path / "a.csv"))
     assert main(["compare-stoppers", "--config", p]) == EXIT_OK
@@ -318,14 +359,23 @@ def _no_trials(*args, **kwargs):
         ("hitting_time", {"d": 3, "alpha": 1e300}, "hitting_time.alpha"),
         ("drift", {"d": 3, "alpha": 1e300}, "drift.alpha"),
         ("expected_T", {"d": 3, "alpha": 1e300}, "expected_T.alpha"),
+        # mu_scale**2 underflows to 0 or overflows: no |mu|^2 for the theory
+        *[(name, {"mu_scale": 1e-170}, f"{name}.mu_scale")
+          for name in ("expected_T", "hitting_time", "drift", "angle", "target_delta")],
+        ("target_delta", {"mu_scale": 1e300}, "target_delta.mu_scale"),
+        ("hitting_time", {"mu_scale": 1e300, "sigma": 1e-10}, "hitting_time.mu_scale"),
+        # alpha |mu|^2 underflows to 0, so the decrement b would be 0
+        *[(name, {"alpha": 1e-300, "mu_scale": 1e-160, "sigma": 1e-161}, f"{name}.alpha")
+          for name in ("expected_T", "hitting_time", "drift")],
     ],
 )
 def test_verify_bounds_inputs_outside_the_theory_exit_2_before_any_trial(
     tmp_path, capsys, monkeypatch, section, values, key
 ):
-    for name in ("estimate_expected_T", "estimate_hitting_time", "check_drift_inequality"):
+    for name in ("estimate_expected_T", "estimate_hitting_time", "check_drift_inequality",
+                 "estimate_angle_deviation"):
         monkeypatch.setattr(cli, name, _no_trials)
-    own = {"n_mc": 100} if section == "drift" else {"trials": 3}
+    own = {"drift": {"n_mc": 100}, "target_delta": {}}.get(section, {"trials": 3})
     sec = {"loss": "logistic", "d": 4, "sigma": 0.1, "alpha": 0.1, **own, **values}
     p = write_config(
         tmp_path / "v.json", {"seed": 1, section: sec, "out": str(tmp_path / "r.json")}
@@ -347,11 +397,82 @@ def test_verify_bounds_hinge_bracket_failure_exits_2_before_any_trial(
     assert "config section 'hitting_time'" in err and "|mu_scale|/sigma" in err, err
 
 
+def test_verify_bounds_hinge_sigma_that_underflows_the_bracket_exits_2(tmp_path, capsys):
+    # sigma / (|mu| sqrt(2 pi)) underflows to 0, whose log the bracket cannot hold
+    sec = {"loss": "hinge", "d": 4, "sigma": 5e-324, "alpha": 0.1, "n_mc": 100}
+    p = write_config(
+        tmp_path / "v.json", {"seed": 1, "drift": sec, "out": str(tmp_path / "r.json")}
+    )
+    err = _assert_rejected(capsys, "verify-bounds", p)
+    assert "config section 'drift'" in err and "|mu_scale|/sigma" in err, err
+
+
+def test_verify_bounds_checks_every_section_before_any_trial(tmp_path, capsys, monkeypatch):
+    # a valid expected_T section, then a hinge drift section outside the low regime
+    for name in ("estimate_expected_T", "check_drift_inequality"):
+        monkeypatch.setattr(cli, name, _no_trials)
+    p = write_config(tmp_path / "v.json", {
+        "seed": 1,
+        "expected_T": {"loss": "logistic", "d": 4, "sigma": 0.1, "alpha": 0.1, "trials": 3},
+        "drift": {"loss": "hinge", "d": 4, "sigma": 5.0, "alpha": 0.1, "n_mc": 100},
+        "out": str(tmp_path / "r.json"),
+    })
+    err = _assert_rejected(capsys, "verify-bounds", p)
+    assert "config key 'drift.sigma'" in err, err
+
+
 def test_verify_bounds_deterministic(tmp_path):
     p = _verify_cfg(tmp_path, out=str(tmp_path / "a.json"))
     assert main(["verify-bounds", "--config", p]) == EXIT_OK
     assert main(["verify-bounds", "--config", p, "--out", str(tmp_path / "b.json")]) == EXIT_OK
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# magnitudes at and past the ends of a double: 0, the least subnormal, values
+# whose square underflows or overflows, and a few ordinary ones
+_EXTREMES = [0.0, 5e-324, 1e-300, 1e-170, 1e-160, 1e-10, 0.1, 1.0, 2.0, 1e10, 1e154, 1e300]
+
+
+@st.composite
+def _verify_section(draw):
+    """One verify-bounds section with extreme model values and small work."""
+    name = draw(st.sampled_from([key for key in cli._VERIFY if key not in cli._COMMON]))
+    values = st.sampled_from(_EXTREMES)
+    sec = {
+        "loss": draw(st.sampled_from(["logistic", "hinge"])),
+        "d": draw(st.sampled_from([2, 3])),
+        "mu_scale": draw(values) * draw(st.sampled_from([1.0, -1.0])),
+        "sigma": draw(values),
+        "alpha": draw(values),
+    }
+    own = {
+        "trials": st.integers(1, 2),
+        "max_iter": st.integers(0, 50),
+        "n_mc": st.integers(1, 5),
+        "n_theta": st.integers(1, 3),
+        "mu_dots": st.lists(st.sampled_from([-1e300, -5.0, 0.0, 0.9, 1e10, 1e300]), min_size=1,
+                            max_size=3),
+    }
+    for key, strategy in own.items():  # in a fixed order, so the examples are too
+        if key in cli._VERIFY[name].kind:
+            sec[key] = draw(strategy)
+    return name, sec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(section=_verify_section())
+def test_verify_bounds_section_search_ends_in_a_report_or_one_error_line(
+    tmp_path, capsys, section
+):
+    name, sec = section
+    p = write_config(tmp_path / "v.json",
+                     {"seed": 1, name: sec, "out": str(tmp_path / "r.json")})
+    code = main(["verify-bounds", "--config", p])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CHECK_FAILED), (code, err)
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +597,8 @@ _RUN_SETTING_CONFIGS = {
         ("sweep-sigma", "sigma_grid", [math.inf]), ("compare-stoppers", "sigma", math.inf),
         ("compare-stoppers", "sigma", math.nan), ("compare-stoppers", "stoppers", [1]),
         ("run-real", "stoppers", ["zero_overhead", None]),
+        # mu_scale**2 underflows to 0 or overflows: the model has no |mu|^2
+        ("sweep-sigma", "mu_scale", 1e-170), ("sweep-sigma", "mu_scale", 1e300),
     ],
 )
 def test_out_of_range_run_settings_are_config_errors(tmp_path, capsys, command, key, value):
@@ -561,7 +684,7 @@ def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over)
 
 def test_centering_estimate_that_overflows_is_config_error(tmp_path, capsys):
     # squared residuals of points at 1e300 overflow sigma2_tilde to inf
-    p = _sweep_cfg(tmp_path, d=4, sigma_grid=[0.5], mu_scale=1e300, trials=1)
+    p = _sweep_cfg(tmp_path, d=4, sigma_grid=[1e300], trials=1)
     err = _assert_rejected(capsys, "sweep-sigma", p)
     assert "stopper zero_overhead" in err and "overflows the centering estimate" in err, err
 

@@ -18,7 +18,6 @@ from sgdstop.sgd import (
     StopKind,
     StopReason,
     StopRule,
-    continue_run,
     run,
 )
 
@@ -163,14 +162,11 @@ def test_config_validation():
         SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=-1)
     with pytest.raises(ValueError):
         StopRule.small_validation(0)
-    with pytest.raises(ValueError):
-        StopRule.small_validation(2, period=0)
 
 
 def test_svs_defaults_and_period():
     rule = StopRule.small_validation(4)
     assert rule.p == 4 and rule.period == 8
-    assert StopRule.small_validation(4, period=3).period == 3
 
 
 def test_svs_zero_step_plateaus_at_first_check():
@@ -230,32 +226,38 @@ def test_run_dispatcher_routes_by_rule():
         assert res.stop_reason is reason
 
 
+def _plain(alpha, extra):
+    """The config that continues a stopped run: ``extra`` plain updates."""
+    return SgdConfig(LossKind.LOGISTIC, alpha, max_iter=extra, rule=StopRule.none())
+
+
 def test_continue_run_accumulates():
-    cfg = SgdConfig(LossKind.LOGISTIC, 1.0)
-    base = run(_const_stream(E1), cfg)
-    ext = continue_run(base, _const_stream(E1), cfg, 5)
-    assert ext.iterations == base.iterations + 5
-    assert ext.samples_consumed == base.samples_consumed + 5
-    assert ext.stop_reason is base.stop_reason
+    # a stopped run continues as a rule-none run from its iterate
+    base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
+    ext = run(_const_stream(E1), _plain(1.0, 5), theta0=base.theta)
+    assert (ext.iterations, ext.samples_consumed) == (5, 5)
+    assert ext.stop_reason is StopReason.CENSORED  # every extra update applied
     assert float(ext.theta[0]) > float(base.theta[0])
     # base result is untouched
     assert base.iterations == 3
+    assert float(base.theta[0]) == pytest.approx(NOISEFREE_MARGINS[-1], rel=1e-15)
 
-    frozen = continue_run(base, _const_stream(E1), SgdConfig(LossKind.LOGISTIC, 0.0), 4)
+    frozen = run(_const_stream(E1), _plain(0.0, 4), theta0=base.theta)
     assert np.array_equal(frozen.theta, base.theta)
-    assert frozen.iterations == base.iterations + 4
+    assert frozen.iterations == 4
 
 
 def test_continue_run_edge_cases():
-    cfg = SgdConfig(LossKind.LOGISTIC, 1.0)
-    base = run(_const_stream(E1), cfg)
-    assert continue_run(base, _const_stream(E1), cfg, 0).iterations == base.iterations
+    base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
+    zero = run(_const_stream(E1), _plain(1.0, 0), theta0=base.theta)
+    assert (zero.iterations, zero.samples_consumed) == (0, 0)
+    assert zero.theta.tobytes() == base.theta.tobytes()
     with pytest.raises(ValueError):
-        continue_run(base, _const_stream(E1), cfg, -1)
-    short = continue_run(base, _const_stream(E1, 2), cfg, 10)
+        _plain(1.0, -1)
+    short = run(_const_stream(E1, 2), _plain(1.0, 10), theta0=base.theta)
     assert short.stop_reason is StopReason.EXHAUSTED
     assert short.censored
-    assert short.iterations == base.iterations + 2
+    assert (short.iterations, short.samples_consumed) == (2, 2)
 
 
 def test_stop_rule_kinds_exposed():
@@ -315,15 +317,13 @@ def test_svs_diverges_on_non_finite_sample(bad):
 
 @pytest.mark.parametrize("bad", [NAN2, INF2])
 def test_continue_run_diverges_on_non_finite_sample(bad):
-    cfg = SgdConfig(LossKind.LOGISTIC, 1.0)
-    base = run(_const_stream(E1), cfg)
+    base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
     good = np.array([1.0])
     stream = itertools.chain([good, good], [bad[:1]], itertools.repeat(good))
-    ext = continue_run(base, stream, cfg, 10)
+    ext = run(stream, _plain(1.0, 10), theta0=base.theta)
     assert ext.stop_reason is StopReason.DIVERGED
     assert ext.censored
-    assert ext.iterations == base.iterations + 2
-    assert ext.samples_consumed == base.samples_consumed + 3
+    assert (ext.iterations, ext.samples_consumed) == (2, 3)  # two updates, then the bad draw
     assert np.all(np.isfinite(ext.theta))
 
 
@@ -355,7 +355,7 @@ RULES = st.one_of(
     st.just(StopRule.zero_overhead()),
     st.just(StopRule.extra_sample()),
     st.just(StopRule.none()),
-    st.builds(StopRule.small_validation, st.integers(1, 4), st.none() | st.integers(1, 6)),
+    st.builds(StopRule.small_validation, st.integers(1, 4)),
     st.builds(_sum_at_least, FINITE),
 )
 
@@ -516,13 +516,12 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
     d=st.integers(1, 4),
     data=st.data(),
     p=st.integers(1, 5),
-    period=st.none() | st.integers(1, 8),
     kind=st.sampled_from(LossKind),
     alpha=st.floats(0.0, 2.0),
 )
-def test_svs_stops_within_cap_on_finite_streams(d, data, p, period, kind, alpha):
+def test_svs_stops_within_cap_on_finite_streams(d, data, p, kind, alpha):
     rows = data.draw(arrays(float, (data.draw(st.integers(1, 12)), d), elements=FINITE))
-    rule = StopRule.small_validation(p, period)
+    rule = StopRule.small_validation(p)
     res = run(itertools.cycle(rows), SgdConfig(kind, alpha, max_iter=10**6, rule=rule))
     assert res.stop_reason is StopReason.PLATEAU
     assert res.iterations <= (p + 1) * rule.period
@@ -532,6 +531,8 @@ def test_svs_stops_within_cap_on_finite_streams(d, data, p, period, kind, alpha)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_continue_run_is_base_plus_extension(data):
+    # a stopped run continued by a rule-none run from its iterate applies
+    # exactly the extension's rows to the base iterate, and is charged its draws
     d = data.draw(st.integers(1, 4), label="d")
     kind = data.draw(st.sampled_from(LossKind))
     alpha = data.draw(st.floats(0.0, 2.0))
@@ -542,15 +543,16 @@ def test_continue_run_is_base_plus_extension(data):
     rows = data.draw(_rows(d), label="rows")
     extra = data.draw(st.integers(0, 40), label="extra")
     log = []
-    ext = continue_run(base, _Recorder(rows, log), cfg, extra)
+    plain = SgdConfig(kind, alpha, max_iter=extra, rule=StopRule.none())
+    ext = run(_Recorder(rows, log), plain, theta0=base.theta)
 
-    done = ext.iterations - base.iterations
+    done = ext.iterations
     assert 0 <= done <= extra
-    assert ext.samples_consumed == base.samples_consumed + len(log)
+    assert ext.samples_consumed == len(log)
     assert ext.theta.tobytes() == _iterates(base_theta, rows[:done], kind, alpha)[-1].tobytes()
     assert base.theta.tobytes() == base_theta.tobytes()  # the base result is untouched
     if done == extra:
-        assert (ext.stop_reason, ext.censored) == (base.stop_reason, base.censored)
+        assert ext.stop_reason is StopReason.CENSORED
         assert len(log) == extra
     else:
         assert ext.censored
@@ -558,13 +560,3 @@ def test_continue_run_is_base_plus_extension(data):
             assert len(log) == len(rows) == done
         else:
             assert ext.stop_reason is StopReason.DIVERGED
-            assert len(log) == done + 1 and not _finite(log[-1])
-
-    # the extension is a rule-none run of extra updates from the base iterate
-    plain = run(
-        iter(rows),
-        SgdConfig(kind, alpha, max_iter=extra, rule=StopRule.none()),
-        theta0=base_theta,
-    )
-    assert plain.theta.tobytes() == ext.theta.tobytes()
-    assert plain.iterations == done

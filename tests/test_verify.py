@@ -161,14 +161,14 @@ def test_make_drift_probes_geometry():
     model = _model(d=8, scale=2.0)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     dots = [-5.0, 0.0, 0.9]
-    probes = make_drift_probes(rset, dots, RngState(11), ortho_norm=1.5)
+    probes = make_drift_probes(rset, dots, RngState(11))
     assert len(probes) == 3
     for t, theta in zip(dots, probes):
         assert float(model.mu @ theta) == pytest.approx(t, abs=1e-10)
         perp = theta - (float(model.mu @ theta) / model.mu_norm**2) * model.mu
-        assert float(np.linalg.norm(perp)) == pytest.approx(1.5, rel=1e-12)
+        assert float(np.linalg.norm(perp)) == pytest.approx(1.0, rel=1e-12)
     # determinism
-    again = make_drift_probes(rset, dots, RngState(11), ortho_norm=1.5)
+    again = make_drift_probes(rset, dots, RngState(11))
     for a, b in zip(probes, again):
         assert np.array_equal(a, b)
 
