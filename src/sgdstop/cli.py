@@ -60,7 +60,7 @@ from .data import (
 )
 from .losses import LossKind
 from .numerics import RngState, standard_normals
-from .sgd import RunResult, SgdConfig, StopKind, StopReason, StopRule, run
+from .sgd import RunResult, SgdConfig, StopReason, StopRule, run
 from .theory import (
     LOW_NOISE_RATIO,
     GaussianFoldedModel,
@@ -213,6 +213,8 @@ _STOPPERS = _Key(
     lambda v: bool(v) and all(isinstance(n, str) and _stopper(n, 0.0) for n in v),
 )
 _NONNEGATIVE = _Key(float, REQUIRED, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+# zero_overhead_continue adds round(continue_factor * k) updates to a base run of k
+_CONTINUE = _Key(float, 1.5, "a number in [0, 1000]", lambda v: 0 <= v <= 1000)
 # the Gaussian model needs a nonzero mean
 _MU_SCALE = _Key(float, 1.0, "a finite nonzero number", lambda v: math.isfinite(v) and v != 0.0)
 _COMMON = {  # keys of every command
@@ -251,7 +253,7 @@ _COMPARE = {
     "sigma": _NONNEGATIVE,
     "loss": _one_of(_LOSSES, "logistic"),
     "eval_samples": _int(1, 4000),
-    "continue_factor": _NONNEGATIVE._replace(default=1.5),
+    "continue_factor": _CONTINUE,
     "stoppers": _STOPPERS._replace(
         default=["zero_overhead", "svs_32", "svs_128", "svs_512", "zero_overhead_continue"]
     ),
@@ -285,7 +287,7 @@ _REAL = {
     "loss": _one_of(_LOSSES, "logistic"),
     "epochs": _Key((int, type(None)), 1, "an integer >= 1, or null to cycle forever",
                    lambda v: v is None or v >= 1),
-    "continue_factor": _NONNEGATIVE._replace(default=1.5),
+    "continue_factor": _CONTINUE,
     "stoppers": _STOPPERS,
     "dataset": _one_of(("mnist", "cifar10", "csv")),
     "class_a": _Key(int, REQUIRED, "an integer label"),
@@ -403,18 +405,6 @@ def _stream_index(stoppers: list[_Stopper], j: int) -> int:
     return j
 
 
-def _overhead(stopper: _Stopper, result: RunResult) -> int:
-    """Margin evaluations spent on stopping checks beyond plain SGD."""
-    rule = stopper.rule
-    if rule.kind is StopKind.SMALL_VALIDATION:
-        assert rule.p is not None and rule.period is not None
-        checks = result.iterations // rule.period + 1  # + the baseline check
-        return rule.p * checks
-    if rule.kind is StopKind.EXTRA_SAMPLE:
-        return result.iterations + 1
-    return 0
-
-
 def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c: dict):
     """Centering protocol + run for one stopper on one labeled stream, with
     the run settings of the parsed config ``c``.
@@ -430,6 +420,8 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
     except ValueError:  # sigma2_tilde is not finite
         raise ConfigError(f"stopper {stopper.name}: the data's scale overflows the centering "
                           f"estimate (sigma2_tilde = {stats.sigma2_tilde})") from None
+    except OverflowError as e:  # a large alpha_tilde over a small sigma2_tilde
+        raise ConfigError(f"config key 'alpha_tilde' is too large: {e}") from None
     config = SgdConfig(loss, alpha, max_iter=c["max_iter"], rule=stopper.rule)
     try:
         result = run(train, config)
@@ -445,7 +437,8 @@ def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c:
         more = run(train, plain, theta0=result.theta)
         reason = result.stop_reason if more.stop_reason is StopReason.CENSORED else more.stop_reason
         result = RunResult(more.theta, result.iterations + more.iterations,
-                           result.samples_consumed + more.samples_consumed, reason)
+                           result.samples_consumed + more.samples_consumed, reason,
+                           result.overhead + more.overhead)
     return result, stats, alpha
 
 
@@ -473,7 +466,7 @@ def _stopper_table(
             acc = accuracy_on_set(result.theta, fold(test, stats.offset))
             rows.append([
                 stopper.name, t, result.iterations, result.samples_consumed,
-                _overhead(stopper, result), acc, *extra.values(), result.stop_reason.value,
+                result.overhead, acc, *extra.values(), result.stop_reason.value,
             ])
     _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, *extra, "stop_reason"], rows)
     return EXIT_OK
@@ -563,6 +556,9 @@ def _section_model(
         if not sec[key] > 0:
             raise ConfigError(f"config key '{name}.{key}' must be > 0 for the {name} check")
     loss = LossKind(sec["loss"])
+    if "sigma" in positive and loss is LossKind.LOGISTIC and sec["sigma"] * sec["sigma"] == 0:
+        raise ConfigError(f"config key '{name}.sigma' is too small: sigma**2 underflows to 0 "
+                          "in the logistic rho_star = 2 / sigma**2")
     model = _gaussian_model(f"{name}.mu_scale", sec["d"], sec["mu_scale"], sec["sigma"])
     if low_noise and regime_of(loss, model) is not Regime.LOW:
         raise ConfigError(

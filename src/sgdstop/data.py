@@ -335,7 +335,10 @@ def effective_step(alpha_tilde: float, sigma2_tilde: float) -> float:
         raise ValueError(f"alpha_tilde must be positive, got {alpha_tilde}")
     if not (sigma2_tilde >= 0) or not np.isfinite(sigma2_tilde):
         raise ValueError(f"sigma2_tilde must be >= 0, got {sigma2_tilde}")
-    return alpha_tilde / max(sigma2_tilde, _SIGMA2_FLOOR)
+    alpha = alpha_tilde / max(sigma2_tilde, _SIGMA2_FLOOR)
+    if math.isinf(alpha):
+        raise OverflowError(f"alpha_tilde / sigma2_tilde overflows at sigma2_tilde {sigma2_tilde}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------

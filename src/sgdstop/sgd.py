@@ -43,6 +43,10 @@ Target
     first k >= 1 with theta_k inside; theta_0 is not tested.  Every draw is
     an update, so a run stopping at iteration k reports k samples.
 
+A run's overhead is the margin evaluations its stop test made beyond plain
+SGD: each check drawn (extra-sample), p per validation check (small
+validation), none for the other rules.
+
 A rule of ``NONE`` has no stop test and runs plain SGD for exactly max_iter
 updates.  A stopped run is continued by a ``NONE`` run from its iterate
 (``theta0=result.theta``) on the same sampler; the caller adds the counts.
@@ -97,8 +101,11 @@ class StopRule:
 
     kind: StopKind
     p: int | None = None
-    period: int | None = None
     inside: Callable[[np.ndarray], bool] | None = None
+
+    @property
+    def period(self) -> int:  # updates between two small-validation checks
+        return 2 * self.p
 
     @classmethod
     def extra_sample(cls) -> "StopRule":
@@ -112,7 +119,7 @@ class StopRule:
     def small_validation(cls, p: int) -> "StopRule":
         if p < 1:
             raise ValueError(f"validation size p must be >= 1, got {p}")
-        return cls(StopKind.SMALL_VALIDATION, p=p, period=2 * p)
+        return cls(StopKind.SMALL_VALIDATION, p=p)
 
     @classmethod
     def target(cls, inside: Callable[[np.ndarray], bool]) -> "StopRule":
@@ -154,6 +161,8 @@ class RunResult:
     period.  ``samples_consumed`` is what the rule charges: k for
     zero-overhead and none, 2k + 1 for extra-sample, k + p for small
     validation; exhausted and diverged runs report the draws actually made.
+    ``overhead`` is the stop test's margin evaluations: the checks drawn for
+    extra-sample, p * (k // 2p + 1) for small validation, 0 otherwise.
     A continued run is a separate ``NONE`` run from ``theta``.
     """
 
@@ -161,6 +170,7 @@ class RunResult:
     iterations: int
     samples_consumed: int
     stop_reason: StopReason
+    overhead: int
 
     @property
     def censored(self) -> bool:
@@ -184,12 +194,13 @@ def _loop(
     rule: StopRule,
     checks: Sampler | None = None,
     val: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, int, StopReason]:
+) -> tuple[np.ndarray, int, int, StopReason, int]:
     """The update loop: up to ``limit`` updates of ``theta``, in place.
 
-    Returns (theta, updates k, samples charged, reason).  The charge is the
-    draws made from rows and checks, less a zero-overhead firing draw (the
-    next update's sample); small validation's p samples are the caller's.
+    Returns (theta, updates k, samples charged, reason, checks drawn).  The
+    charge is the draws made from rows and checks, less a zero-overhead
+    firing draw (the next update's sample); small validation's p samples
+    are the caller's.
     The stop test follows ``rule``: zero-overhead tests each update margin
     before applying it; extra-sample draws a row from ``checks`` at k = 0
     and after every update; small validation scores ``val`` at k = 0 and
@@ -216,31 +227,31 @@ def _loop(
                     c = next(checks).dot(theta)
                     checked += 1
                     if not isfinite(c):
-                        return theta, k, k + checked, StopReason.DIVERGED
+                        return theta, k, k + checked, StopReason.DIVERGED, checked
                     if c >= MARGIN_THRESHOLD:
-                        return theta, k, k + checked, StopReason.FIRED
+                        return theta, k, k + checked, StopReason.FIRED, checked
                 elif val is not None:
                     # margin exactly 0 counts incorrect, so theta = 0 scores 0.0
                     frac = float(np.mean(val @ theta > 0.0))
                     if frac <= prev:
-                        return theta, k, k, StopReason.PLATEAU
+                        return theta, k, k, StopReason.PLATEAU, 0
                     prev = frac
                 elif inside(theta):
-                    return theta, k, k, StopReason.FIRED
+                    return theta, k, k, StopReason.FIRED, 0
             if k >= limit:
-                return theta, k, k + checked, StopReason.CENSORED
+                return theta, k, k + checked, StopReason.CENSORED, checked
             xi = next(rows)
             m = xi.dot(theta)
             if not isfinite(m):
-                return theta, k, k + checked + 1, StopReason.DIVERGED
+                return theta, k, k + checked + 1, StopReason.DIVERGED, checked
             if m >= fire:
-                return theta, k, k, StopReason.FIRED
+                return theta, k, k, StopReason.FIRED, 0
             scale[()] = alpha * factor(kind, m)
             multiply(xi, scale, step)
             add(theta, step, theta)
             k += 1
     except StopIteration:
-        return theta, k, k + checked, StopReason.EXHAUSTED
+        return theta, k, k + checked, StopReason.EXHAUSTED, checked
 
 
 def run(
@@ -282,7 +293,10 @@ def run(
         if theta0 is not None
         else np.zeros_like(first, dtype=float)
     )
-    theta, k, charged, reason = _loop(
+    theta, k, charged, reason, checked = _loop(
         rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
     )
-    return RunResult(theta, k, charged + (rule.p if val is not None else 0), reason)
+    if val is not None:  # the p validation draws, and p margins per check
+        charged += rule.p
+        checked = rule.p * (k // rule.period + 1)
+    return RunResult(theta, k, charged, reason, checked)

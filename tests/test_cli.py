@@ -163,6 +163,8 @@ def _compare_cfg(tmp, **over):
 
 
 def test_compare_stoppers_rows_and_overhead(tmp_path):
+    # the overhead column is the engine's count; on stopped runs it matches
+    # the per-rule formulas
     p = _compare_cfg(tmp_path)
     assert main(["compare-stoppers", "--config", p]) == EXIT_OK
     _, rows = _read_csv(tmp_path / "cmp.csv")
@@ -242,6 +244,70 @@ def test_compare_stoppers_rejects_nonpositive_eval_samples(tmp_path):
     _assert_config_error(_run_process("compare-stoppers", "--config", p))
     p = _compare_cfg(tmp_path, eval_samples=-5)
     assert main(["compare-stoppers", "--config", p]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("factor", [1e308, 1e154, 1000.5])
+def test_continue_factor_above_its_limit_is_config_error(tmp_path, capsys, factor):
+    # the extension runs round(factor * k) updates: 1e308 * k is not even a
+    # finite count, and 1e154 * k would run practically forever
+    p = _compare_cfg(tmp_path, d=5, trials=1, continue_factor=factor,
+                     stoppers=["zero_overhead", "zero_overhead_continue"])
+    err = _assert_rejected(capsys, "compare-stoppers", p)
+    assert "config key 'continue_factor' must be a number in [0, 1000]" in err, err
+
+
+def test_continue_factor_may_extend_a_late_base_past_max_iter(tmp_path):
+    # max_iter 9 and both bases fire after 2/3 of it, so the default factor
+    # 1.5 runs the continued rows past max_iter, as it always has
+    p = _compare_cfg(tmp_path, d=2, trials=2, eval_samples=5, max_iter=9, seed=3,
+                     stoppers=["zero_overhead", "zero_overhead_continue"])
+    assert main(["compare-stoppers", "--config", p]) == EXIT_OK
+    _, rows = _read_csv(tmp_path / "cmp.csv")
+    got = [(r["stopper"], r["iterations"], r["samples_consumed"], r["overhead"],
+            r["stop_reason"]) for r in rows]
+    assert got == [
+        ("zero_overhead", "8", "8", "0", "fired"),
+        ("zero_overhead_continue", "20", "20", "0", "fired"),  # 8 + round(1.5 * 8)
+        ("zero_overhead", "7", "7", "0", "fired"),
+        ("zero_overhead_continue", "17", "17", "0", "fired"),  # 7 + round(1.5 * 7)
+    ]
+
+
+@pytest.mark.parametrize("command", ["sweep-sigma", "compare-stoppers"])
+def test_step_that_overflows_is_config_error(tmp_path, capsys, command):
+    # noise-free data (sigma 0, or a sigma whose square underflows) floor
+    # sigma2_tilde at 1e-12, so alpha_tilde 1e300 gives an infinite step
+    if command == "sweep-sigma":
+        p = _sweep_cfg(tmp_path, trials=1, sigma_grid=[1e-200], alpha_tilde=1e300)
+    else:
+        p = _compare_cfg(tmp_path, trials=1, sigma=0.0, alpha_tilde=1e300)
+    err = _assert_rejected(capsys, command, p)
+    assert "config key 'alpha_tilde'" in err, err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries({
+    # duplicates, and a continued stopper before, after or without its base
+    "stoppers": st.lists(st.sampled_from(
+        ["zero_overhead", "zero_overhead_continue", "extra_sample", "svs_1", "svs_2"]
+    ), min_size=1, max_size=4),
+    "continue_factor": st.sampled_from([0, 5e-324, 1, 1e154, 1e308]),
+    "centering_samples": st.sampled_from([2, 3, 1]),  # the limit is 2
+    "sigma": st.sampled_from([0.0, 0.5, 1e300]),
+    "alpha_tilde": st.sampled_from([0.1, 10.0, 1e300]),
+    "d": st.integers(1, 2),
+    "trials": st.integers(1, 2),
+    "max_iter": st.integers(0, 20),
+    "eval_samples": st.integers(1, 3),
+}))
+def test_compare_stoppers_search_ends_in_a_table_or_one_error_line(tmp_path, capsys, values):
+    p = write_config(tmp_path / "c.json", {**values, "seed": 1, "out": str(tmp_path / "c.csv")})
+    code = main(["compare-stoppers", "--config", p])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +432,9 @@ def _no_trials(*args, **kwargs):
         ("hitting_time", {"mu_scale": 1e300, "sigma": 1e-10}, "hitting_time.mu_scale"),
         # alpha |mu|^2 underflows to 0, so the decrement b would be 0
         *[(name, {"alpha": 1e-300, "mu_scale": 1e-160, "sigma": 1e-161}, f"{name}.alpha")
+          for name in ("expected_T", "hitting_time", "drift")],
+        # sigma**2 underflows to 0 where the logistic rho_star = 2 / sigma**2 is computed
+        *[(name, {"sigma": 5e-324}, f"{name}.sigma")
           for name in ("expected_T", "hitting_time", "drift")],
     ],
 )
@@ -571,6 +640,17 @@ def _real_csv_cfg(tmp, **over):
               "out": str(tmp / "o.csv")}
     values.update(over)
     return write_config(tmp / "real.json", values)
+
+
+def test_run_real_extra_sample_that_runs_out_counts_only_the_checks_drawn(tmp_path):
+    # 32 training rows, 10 of them for centering: the 22 left alternate check
+    # and update, and the stream ends on the twelfth check
+    p = _real_csv_cfg(tmp_path, stoppers=["extra_sample"], centering_samples=10)
+    assert main(["run-real", "--config", p]) == EXIT_OK
+    _, [row] = _read_csv(tmp_path / "o.csv")
+    k, samples = int(row["iterations"]), int(row["samples_consumed"])
+    assert (row["stop_reason"], k, samples) == ("exhausted", 11, 22)
+    assert int(row["overhead"]) == samples - k
 
 
 _RUN_SETTING_CONFIGS = {

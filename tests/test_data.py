@@ -527,6 +527,9 @@ def test_effective_step():
         effective_step(0.1, -1.0)
     with pytest.raises(ValueError):
         effective_step(math.nan, 1.0)
+    # a finite alpha_tilde over the floor can still overflow the step
+    with pytest.raises(OverflowError):
+        effective_step(1e300, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ def test_config_validation():
 def test_svs_defaults_and_period():
     rule = StopRule.small_validation(4)
     assert rule.p == 4 and rule.period == 8
+    # the period is derived from p, so a raw rule cannot carry another one
+    assert StopRule(StopKind.SMALL_VALIDATION, p=3).period == 6
+
+
+def test_extra_sample_overhead_counts_only_the_checks_drawn():
+    # alpha = 0 never fires, so the stream ends on a check (4 rows: two
+    # updates, two checks) or on an update row (5 rows: two updates, three checks)
+    cfg = SgdConfig(LossKind.LOGISTIC, 0.0, rule=StopRule.extra_sample())
+    for n, checks in ((4, 2), (5, 3)):
+        res = run(_const_stream(E1, n), cfg)
+        assert res.stop_reason is StopReason.EXHAUSTED
+        assert (res.iterations, res.samples_consumed, res.overhead) == (2, n, checks)
 
 
 def test_svs_zero_step_plateaus_at_first_check():
@@ -465,7 +477,7 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
         assert all(float(c @ t) < 1.0 for c, t in zip(check_seq[:k], thetas))
     elif rule.kind is StopKind.SMALL_VALIDATION:
         val = np.stack(rows[:p])
-        fracs = [np.mean(val @ thetas[i] > 0.0) for i in range(0, k + 1, rule.period)]
+        fracs = [np.mean(val @ thetas[i] > 0.0) for i in range(0, k + 1, 2 * p)]
         passed = fracs[:-1] if reason is StopReason.PLATEAU else fracs
         assert all(a < b for a, b in zip(passed, passed[1:]))
     elif rule.kind is StopKind.TARGET:
@@ -492,6 +504,15 @@ def test_run_accounting_and_iterate_match_sgd_step(data):
         assert res.samples_consumed == k
         fired_on_draw = reason is StopReason.FIRED and rule.kind is StopKind.ZERO_OVERHEAD
         assert drawn == k + (fired_on_draw or sizing_only)
+
+    # the stop test's margin evaluations, whatever the reason: each check
+    # drawn (interleaved checks are the even draws), or p per validation check
+    if rule.kind is StopKind.EXTRA_SAMPLE:
+        assert res.overhead == (checks.drawn if dedicated else len(log[0::2]))
+    elif rule.kind is StopKind.SMALL_VALIDATION:
+        assert res.overhead == p * len(range(0, k + 1, 2 * p))
+    else:
+        assert res.overhead == 0
 
     if reason is StopReason.CENSORED:
         assert k == max_iter
