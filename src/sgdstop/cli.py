@@ -496,7 +496,7 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
                 labeled = _labeled_source(c, sigma, cell.substream(0))
                 stopper = _Stopper("zero_overhead", StopRule.zero_overhead())
                 result, _, alpha = _run_stopper(stopper, labeled, loss, c)
-                if float(np.linalg.norm(result.theta)) == 0.0:
+                if not result.theta.any():
                     acc = 0.5  # never-updated iterate classifies at chance
                 else:
                     acc = classifier_accuracy(result.theta, model)

@@ -213,13 +213,22 @@ def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
 def classifier_accuracy(theta: np.ndarray, model: GaussianFoldedModel) -> float:
     """P(xi . theta > 0) for xi ~ N(mu, sigma^2 I); requires theta != 0."""
     theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
+    if not theta.any():
         raise ValueError("classifier accuracy undefined for theta = 0")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(theta))
+    if norm == 0.0 or not math.isfinite(norm):
+        # the sum of squares underflowed or overflowed; the accuracy does not
+        # depend on the scale of theta
+        theta = theta / np.max(np.abs(theta))
+        norm = float(np.linalg.norm(theta))
     mean_margin = float(model.mu @ theta)
     if model.sigma == 0.0:
         return 1.0 if mean_margin > 0.0 else 0.0
-    return std_normal_cdf(mean_margin / (model.sigma * norm))
+    spread = model.sigma * norm
+    if spread == 0.0:  # sigma |theta| underflows: Phi(+-inf), or 1/2 on the boundary
+        return 0.5 if mean_margin == 0.0 else float(mean_margin > 0.0)
+    return std_normal_cdf(mean_margin / spread)
 
 
 def optimal_accuracy(model: GaussianFoldedModel) -> float:

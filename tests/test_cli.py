@@ -4,9 +4,11 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_config, write_mnist_style_fixture
-from sgdstop import cli
+from sgdstop import cli, numerics
 from sgdstop.data import first_rows, gaussian_mixture_sampler
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
@@ -119,6 +121,34 @@ def test_sweep_sigma_output_shape(tmp_path):
         assert ratio == pytest.approx(acc / opt, rel=1e-12)
 
 
+def test_sweep_sigma_accuracy_of_a_huge_iterate(tmp_path):
+    # alpha_tilde 1e300 leaves |theta| past 1e300 after one update; its norm
+    # overflows, which once read as accuracy 0.5 on every row
+    p = _sweep_cfg(tmp_path, d=3, sigma_grid=[0.5], losses=["logistic", "hinge"], alpha_tilde=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep-sigma", "--config", p]) == EXIT_OK
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["alpha"]) > 1e299
+        acc, opt = float(row["accuracy"]), float(row["optimal_accuracy"])
+        assert 0.5 < acc <= opt
+
+
+@pytest.mark.parametrize("source", [{"source": "gaussian"}, {"source": "t2", "beta": 1e154}])
+def test_sweep_sigma_accuracy_of_a_subnormal_iterate(tmp_path, source):
+    # sigma 5e-324 and a subnormal step: |theta| underflows to 0 although
+    # theta is not 0 (once written as accuracy 0.5), and sigma |theta|
+    # underflows (once a ZeroDivisionError traceback)
+    p = _sweep_cfg(tmp_path, d=1, trials=1, max_iter=1, seed=1, centering_samples=2,
+                   sigma_grid=[5e-324], alpha_tilde=5e-324, **source)
+    assert main(["sweep-sigma", "--config", p]) == EXIT_OK
+    _, (row,) = _read_csv(tmp_path / "sweep.csv")
+    assert float(row["alpha"]) > 0.0 and row["censored"] == "true"
+    assert float(row["accuracy"]) == float(row["optimal_accuracy"]) == 1.0
+
+
 def test_sweep_sigma_deterministic_reruns(tmp_path):
     p1 = _sweep_cfg(tmp_path, out=str(tmp_path / "a.csv"))
     assert main(["sweep-sigma", "--config", p1]) == EXIT_OK
@@ -140,6 +170,66 @@ def test_trials_override(tmp_path):
     assert main(["sweep-sigma", "--config", p, "--trials", "1"]) == EXIT_OK
     _, rows = _read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 2  # one trial per grid cell
+
+
+# A table search draws each key from values at and inside its limit and
+# extremes, except at most one key, drawn from values just outside its limit
+# or of a wrong type.  _OMIT leaves a key out; None is JSON null.
+_OMIT = "<omit>"
+_POSITIVE = [5e-324, 1e-300, 0.1, 10.0, 1e154, 1e300]
+_NOT_POSITIVE = [0, -0.1, math.inf, math.nan, "1", True, None, _OMIT]
+
+
+def _search_dict(draw, keys):
+    """A config drawn key by key, in a fixed order, so the examples are too.
+    ``keys`` maps each key to (values in its limit, values outside it), each
+    a list or a strategy."""
+    wrong = draw(st.sampled_from([None] * len(keys) + list(keys)))  # None: every key in limit
+    values = {}
+    for key, (good, bad) in keys.items():
+        pick = bad if key == wrong else good
+        v = draw(pick if isinstance(pick, st.SearchStrategy) else st.sampled_from(pick))
+        if v is not _OMIT:
+            values[key] = v
+    return values
+
+
+@st.composite
+def _sweep_values(draw):
+    """A sweep-sigma config with extreme values and milliseconds of work."""
+    return _search_dict(draw, {
+        "d": ([1, 2, 3], [0, -1, 2.0, True, "2", None]),
+        "trials": ([1, 2], [0, 1.0]),
+        "max_iter": ([0, 1, 20, 50], [-1, 0.5]),  # always small: the default is 1e6
+        "centering_samples": ([2, 3, _OMIT], [1, 0]),
+        "seed": ([0, 1, 2**64 - 1, _OMIT], [2**64, -1, 1.5]),
+        "alpha_tilde": (_POSITIVE, _NOT_POSITIVE),
+        "mu_scale": ([1.0, -1.0, 5e-324, 1e-160, 1e-170, 1e300, -1e10, _OMIT],
+                     [0.0, math.inf, math.nan, "1"]),
+        "sigma_grid": (
+            st.lists(st.sampled_from(_POSITIVE + [1e-170, 1e10]), min_size=1, max_size=2),
+            [[], [0.0], [-1.0], [math.nan], ["0.1"], 0.5, None, _OMIT],
+        ),
+        "losses": (
+            st.one_of(st.lists(st.sampled_from(["logistic", "hinge"]), min_size=1, max_size=2),
+                      st.just(_OMIT)),
+            [[], ["squared"], "logistic"],
+        ),
+        "source": (["gaussian", "t2", _OMIT], ["cauchy", None]),
+        "beta": ([0.5, 0.0, 5e-324, 1e154, 1e300], [-0.1, math.inf, "1", _OMIT]),
+    })
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_sweep_values())
+def test_sweep_sigma_search_ends_in_a_table_or_one_error_line(tmp_path, capsys, values):
+    p = write_config(tmp_path / "s.json", {**values, "out": str(tmp_path / "s.csv")})
+    code = main(["sweep-sigma", "--config", p])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +661,81 @@ def test_run_real_missing_data_exits_3(tmp_path, capsys):
     assert len(lines) == 2  # comment + header, no data rows
 
 
+@pytest.fixture(scope="module")
+def real_search_data(tmp_path_factory):
+    """Small datasets of every kind: a CSV with labels 0, 1 and 2, an
+    MNIST-shaped IDX set (labels 1, 8 and 3) and CIFAR-10 batches (3 and 5)."""
+    tmp = tmp_path_factory.mktemp("real-search")
+    paths = {"csv": tmp / "points.csv", **write_mnist_style_fixture(tmp / "idx", 60, 20)}
+    rows = [f"{i % 7 + 3 * (i % 2)},{(i * 5) % 11},{i % 3}" for i in range(60)]
+    paths["csv"].write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+    gen = RngState(5).generator()
+    for name, n in (("batch", 40), ("test_batch", 10)):
+        records = gen.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+        records[:, 0] = np.where(np.arange(n) % 2, 3, 5)
+        paths[name] = tmp / name
+        paths[name].write_bytes(records.tobytes())
+    return {k: str(v) for k, v in paths.items()}
+
+
+@st.composite
+def _real_values(draw, data):
+    """A run-real config over the search datasets, with extreme values."""
+    dataset = draw(st.sampled_from(["csv", "mnist", "cifar10"]))
+    source = {
+        "csv": {"path": data["csv"]},
+        "mnist": {k: data[k] for k in ("train_images", "train_labels", "test_images",
+                                       "test_labels")},
+        "cifar10": {"train_batches": [data["batch"]], "test_batch": data["test_batch"]},
+    }[dataset]
+    if draw(st.sampled_from([False, False, True])):
+        # a path left out, missing, or naming a file of another kind
+        key = draw(st.sampled_from(sorted(source)))
+        v = draw(st.sampled_from([data["csv"] + ".absent", data["csv"], data["batch"],
+                                  data["train_images"], _OMIT]))
+        if key == "train_batches" and v is not _OMIT:
+            v = draw(st.sampled_from([[v], [], v]))
+        source[key] = v
+    a, b = draw(st.permutations({"csv": [0, 1, 2], "mnist": [1, 8, 3],
+                                 "cifar10": [3, 5]}[dataset]))[:2]
+    return {**{key: v for key, v in source.items() if v is not _OMIT}, **_search_dict(draw, {
+        "dataset": ([dataset], ["idx", None]),
+        "class_a": ([a], [9, 2**70, "1", _OMIT]),
+        "class_b": ([b], [a, -1, 1.0, None]),
+        "trials": ([1, 2, _OMIT], [0]),
+        "max_iter": ([0, 1, 30], [-1]),  # always small: epochs null cycles until max_iter
+        "epochs": ([1, 2, None, _OMIT], [0, "1", 1.5]),
+        "centering_samples": ([2, 3, 40, _OMIT], [1]),
+        "seed": ([0, 2**64 - 1, _OMIT], [2**64]),
+        "alpha_tilde": (_POSITIVE, _NOT_POSITIVE),
+        "loss": (["logistic", "hinge", _OMIT], ["squared"]),
+        "continue_factor": ([0, 5e-324, 1.5, 1000, _OMIT], [1001, 1e308, -1]),
+        "stoppers": (
+            st.one_of(st.lists(st.sampled_from(["zero_overhead", "zero_overhead_continue",
+                                                "extra_sample", "svs_1", "svs_3"]),
+                               min_size=1, max_size=3), st.just(_OMIT)),
+            [[], ["svs_0"], ["nope"]],
+        ),
+        "scale_pixels": ([True, False, _OMIT], [1, None]),
+        "test_fraction": ([5e-324, 0.01, 0.2, 0.98, 1 - 2**-53, _OMIT], [0, 1, -0.5]),
+    })}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_real_search_ends_in_a_table_or_one_error_line(
+    tmp_path, capsys, real_search_data, data
+):
+    values = data.draw(_real_values(real_search_data))
+    p = write_config(tmp_path / "r.json", {**values, "out": str(tmp_path / "r.csv")})
+    code = main(["run-real", "--config", p])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA_MISSING), (code, err)
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_run_real_mnist_style_fixture(tmp_path):
     paths = write_mnist_style_fixture(tmp_path / "data")
     cfg = write_config(
@@ -952,6 +1117,64 @@ code = main(sys.argv[1:])
 late = sorted(m for m in set(sys.modules) - ready if m.partition(".")[0] == "numpy")
 print(code, [m for m in ("scipy", "numpy.polynomial") if m in sys.modules], late)
 """
+
+
+# runs main in a fresh interpreter and prints its exit code, the thread count
+# before and after it, and how many runs reached box_muller's helper
+_MAIN_THEN_THREADS = """
+import sys, threading
+from sgdstop import numerics
+from sgdstop.cli import main
+reached, sine_helper = [], numerics._sine_helper
+numerics._sine_helper = lambda: reached.append(1) or sine_helper()
+before = threading.active_count()
+code = main(sys.argv[1:])
+print(code, before, threading.active_count(), len(reached))
+"""
+
+
+def _readme_verify_config():
+    section = re.split(r"^### (\S+)$", _README.read_text(), flags=re.M)
+    body = section[section.index("verify-bounds") + 1]
+    return json.loads(body.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _threads_around_main(tmp, values):
+    cfg = write_config(tmp / "verify.json", {**values, "out": str(tmp / "report.json")})
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_THREADS, "verify-bounds", "--config", cfg],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [int(v) for v in proc.stdout.split()]
+
+
+def test_readme_verify_bounds_starts_no_thread_below_the_split(tmp_path):
+    values = _readme_verify_config()
+    # drift draws its n_mc d normals in one run of 100,000 pairs, the only
+    # run of the README config at or above numerics.SPLIT_PAIRS
+    assert values["drift"]["n_mc"] * values["drift"]["d"] // 2 >= numerics.SPLIT_PAIRS
+    del values["drift"]
+    code, before, after, reached = _threads_around_main(tmp_path, values)
+    assert (code, reached) == (EXIT_OK, 0)
+    assert after == before
+
+
+def test_readme_verify_bounds_starts_at_most_one_helper(tmp_path):
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    code, before, after, reached = _threads_around_main(tmp_path, _readme_verify_config())
+    assert code == EXIT_OK and reached >= 1
+    assert after == before + (cpus >= 2)
+
+
+def test_cli_import_loads_no_thread_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threading, sgdstop.cli; "
+         "print('concurrent.futures' in sys.modules, threading.active_count())"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "False 1\n", proc.stderr
 
 
 def _verify_hinge_cfg(tmp):

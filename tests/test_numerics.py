@@ -1,6 +1,13 @@
-"""Tests for RNG plumbing, normal-CDF helpers, and quadrature."""
+"""Tests for RNG plumbing, the two Box-Muller paths, normal-CDF helpers, and quadrature."""
 
 import math
+import os
+import sys
+import threading
+import time
+import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +19,12 @@ from oracles import (
     gauss_hermite_rule,
     truncated_normal_lower_moment,
 )
+from sgdstop import numerics
 from sgdstop.numerics import (
+    SPLIT_PAIRS,
     RngState,
+    box_muller,
+    box_muller_polar,
     sample_student_t2,
     standard_normals,
     std_normal_cdf,
@@ -102,6 +113,206 @@ def test_standard_normals_moments():
     assert abs(z.mean()) < 4.0 / math.sqrt(100_000)
     assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / 100_000)
     assert np.all(np.isfinite(z))
+
+
+# ---------------------------------------------------------------------------
+# box_muller: the sines of a large run on a helper thread
+
+
+def _two_cpus() -> bool:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+
+
+@contextmanager
+def _helper_handoffs():
+    """Counts the runs box_muller hands to its helper inside the block."""
+    calls = []
+    split = numerics._SineHelper.split
+
+    def spy(self, *args):
+        calls.append(args[1].size)
+        return split(self, *args)
+
+    with mock.patch.object(numerics._SineHelper, "split", spy):
+        yield calls
+
+
+def _inline_box_muller(r, t, out):
+    even, odd = out[0::2], out[1::2]
+    np.cos(t, out=even)
+    even *= r
+    np.sin(t, out=odd)
+    odd *= r
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.one_of(
+        st.integers(1, 9),
+        st.integers(SPLIT_PAIRS - 3, SPLIT_PAIRS + 3),
+        st.integers(SPLIT_PAIRS, 5 * SPLIT_PAIRS),
+    ),
+    a=st.integers(0, 7),
+    tail=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_muller_helper_path_gives_the_inline_bytes(m, a, tail, seed):
+    # the layout of data._gaussian_chunks: the m pairs from pair a of a
+    # uniforms buffer, their normals written into flat[2a : 2(a + m)]
+    uniforms = np.random.default_rng(seed).random((2, a + m + tail))
+    uniforms[:, a] = 0.0  # 1 - u = 1: a radius of -0.0
+    r, t = box_muller_polar(uniforms[:, a : a + m])
+    flat = np.full(2 * (a + m + tail), np.nan)
+    expected = _inline_box_muller(r, t, flat.copy()[2 * a : 2 * (a + m)])
+    with _helper_handoffs() as handoffs:
+        got = box_muller(r, t, flat[2 * a : 2 * (a + m)])
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(flat[: 2 * a]).all() and np.isnan(flat[2 * (a + m) :]).all()
+    assert handoffs == ([m] if m >= SPLIT_PAIRS and _two_cpus() else [])
+
+
+def _on_the_helper(call, tries=200):
+    """call() repeated until the helper, not the caller, took the sines of
+    its run (the caller takes back the sines of a helper that starts late);
+    returns that call's outcome, its result or the exception it raised."""
+    if numerics._sine_helper() is None:
+        pytest.skip("one usable CPU: box_muller never starts its helper")
+    sines = numerics._SineHelper._sines
+    for _ in range(tries):
+        ran = []
+
+        def spy(self, *args):
+            ran.append(True)
+            return sines(self, *args)
+
+        with mock.patch.object(numerics._SineHelper, "_sines", spy):
+            try:
+                outcome = call()
+            except Exception as exc:
+                outcome = exc
+        if ran:
+            return outcome
+    pytest.fail(f"the helper took the sines of none of {tries} runs")
+
+
+def test_box_muller_helper_error_is_the_inline_error_and_the_next_call_works():
+    m = 4 * SPLIT_PAIRS + 1  # cosines long enough for the helper to start first
+    r, t = box_muller_polar(np.random.default_rng(3).random((2, m)))
+    inline_out, out = np.full(2 * m - 1, np.nan), np.full(2 * m - 1, np.nan)  # one sine short
+    with pytest.raises(ValueError) as inline:
+        _inline_box_muller(r, t, inline_out)
+    error = _on_the_helper(lambda: box_muller(r, t, out))
+    assert isinstance(error, ValueError) and str(error) == str(inline.value)
+    assert out.tobytes() == inline_out.tobytes()  # the cosines were written, as inline
+    out = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
+    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+
+
+def test_box_muller_helper_keeps_the_callers_floating_point_error_modes():
+    # r = inf at t = 0: the cosine half is inf * 1 (no flag), the sine half
+    # inf * 0, an invalid operation, which must raise as the inline code does
+    m = 4 * SPLIT_PAIRS
+    r, t = np.ones(m), np.zeros(m)
+    r[5] = np.inf
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            _inline_box_muller(r, t, np.empty(2 * m))
+        error = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
+    assert isinstance(error, FloatingPointError)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on the helper would be raised here
+        out = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
+    assert out[10] == np.inf and np.isnan(out[11])
+
+
+def test_box_muller_computes_inline_while_another_thread_holds_the_helper():
+    m = SPLIT_PAIRS
+    r, t = box_muller_polar(np.random.default_rng(4).random((2, m)))
+    helper = numerics._sine_helper()
+    if helper is None:
+        pytest.skip("one usable CPU: box_muller never starts its helper")
+    with helper._free:
+        out = box_muller(r, t, np.empty(2 * m))
+    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+
+
+def test_box_muller_takes_the_sines_back_from_a_helper_that_has_not_started():
+    m = SPLIT_PAIRS
+    r, t = box_muller_polar(np.random.default_rng(5).random((2, m)))
+    helper = numerics._sine_helper()
+    if helper is None:
+        pytest.skip("one usable CPU: box_muller never starts its helper")
+    go, asleep = helper._go, threading.Lock()
+    asleep.acquire()
+    helper._go = asleep  # the run is posted, but the helper sleeps through it
+    try:
+        out = box_muller(r, t, np.empty(2 * m))
+    finally:
+        helper._go = go
+        go.release()  # the helper wakes, finds the run taken back and frees itself
+    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+    assert helper._free.acquire(timeout=10)
+    helper._free.release()
+    with _helper_handoffs() as handoffs:
+        out = box_muller(r, t, np.empty(2 * m))
+    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+    assert handoffs == [m]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_box_muller_in_a_forked_child_gives_the_inline_bytes():
+    # the helper thread is not copied into a child, so the child's caller
+    # must take its sines back rather than wait for them
+    m = SPLIT_PAIRS
+    r, t = box_muller_polar(np.random.default_rng(6).random((2, m)))
+    expected = _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+    box_muller(r, t, np.empty(2 * m))  # the parent's helper, if any, is running
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if box_muller(r, t, np.empty(2 * m)).tobytes() == expected else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("box_muller in a forked child did not return")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_box_muller_from_more_threads_than_cpus_gives_the_inline_bytes():
+    # the callers contend for the one helper; a caller that finds it taken
+    # computes inline, and every output must still be exact
+    m = SPLIT_PAIRS + 7
+    runs = [box_muller_polar(np.random.default_rng(seed).random((2, m))) for seed in range(4)]
+    expected = [_inline_box_muller(r, t, np.empty(2 * m)).tobytes() for r, t in runs]
+    wrong = []
+
+    def work(i):
+        r, t = runs[i]
+        for _ in range(25):
+            if box_muller(r, t, np.empty(2 * m)).tobytes() != expected[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    helpers = [th for th in threading.enumerate() if th.name == "sgdstop-sines"]
+    assert len(helpers) == int(_two_cpus())
 
 
 class _FixedUniforms:

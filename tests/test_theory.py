@@ -1,6 +1,7 @@
 """Tests for the exact Gaussian-model quantities and regime constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,36 @@ def test_classifier_accuracy_scale_invariant():
         a = classifier_accuracy(theta, model)
         assert classifier_accuracy(2.5 * theta, model) == pytest.approx(a, rel=1e-12)
         assert 0.0 <= a <= 1.0
+
+
+def test_classifier_accuracy_when_the_norm_overflows():
+    # |theta| past about 1.3e154 overflows the sum of squares; the accuracy
+    # is scale-free, so it must read as for the unscaled direction
+    model = GaussianFoldedModel(_e1(3), 0.5)
+    direction = np.array([1.0, 0.3, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classifier_accuracy(1e300 * direction, model)
+    assert got == pytest.approx(classifier_accuracy(direction, model), rel=1e-15)
+    assert got == pytest.approx(0.9700, abs=5e-5)
+    assert classifier_accuracy(-1e300 * direction, model) == pytest.approx(1.0 - got, rel=1e-12)
+
+
+def test_classifier_accuracy_when_the_norm_or_the_spread_underflows():
+    # a subnormal theta is still a direction, and sigma |theta| below the
+    # smallest double leaves only the sign of the mean margin
+    model = GaussianFoldedModel(_e1(3), 0.5)
+    direction = np.array([1.0, 0.3, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e-310 keeps about 13 digits of the direction
+        assert classifier_accuracy(1e-310 * direction, model) == pytest.approx(
+            classifier_accuracy(direction, model), rel=1e-12
+        )
+        tiny = GaussianFoldedModel(_e1(3), 5e-324)
+        assert classifier_accuracy(0.1 * direction, tiny) == 1.0
+        assert classifier_accuracy(-0.1 * direction, tiny) == 0.0
+        assert classifier_accuracy(np.array([0.0, 0.1, 0.0]), tiny) == 0.5
 
 
 def test_classifier_accuracy_never_beats_optimal():
