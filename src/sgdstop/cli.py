@@ -643,7 +643,9 @@ def _target_delta(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Ite
         lift = abs(standard_normals(gen, 1)[0])
         # shift along mu so the mean margin is exactly 1 + lift >= 1
         theta = g + ((1.0 + lift) - float(model.mu @ g)) / mu2 * model.mu
-        worst = min(worst, termination_probability(theta, model))
+        # a NaN probability (the shift overflowed) sticks and fails the check;
+        # min() would skip it
+        worst = float(np.minimum(worst, termination_probability(theta, model)))
     yield _check_row("target_delta_min", worst, 0.5, 0.0, worst >= 0.5)
 
 

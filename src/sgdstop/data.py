@@ -300,10 +300,12 @@ def center_and_fold(
         n_read = sum(p.y.shape[0] for p in parts)
         raise ValueError(f"one class absent among the first {n_read} centering samples")
     y, z = _concat(parts)
-    mean0 = z[y == 0].mean(axis=0)
-    mean1 = z[y == 1].mean(axis=0)
-    resid = z - np.where(y[:, None] == 0, mean0, mean1)
-    sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
+    # data past a double's range gives inf or NaN here, which effective_step rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean0 = z[y == 0].mean(axis=0)
+        mean1 = z[y == 1].mean(axis=0)
+        resid = z - np.where(y[:, None] == 0, mean0, mean1)
+        sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
     stats = CenteringStats(
         mean0=mean0,
         mean1=mean1,

@@ -19,24 +19,21 @@ run of pairs into a given array.  Both are elementwise, so uniforms drawn
 up front may be transformed in pieces later, only as they are needed.
 
 The cosines and sines are the largest cost of sampling (20-30 ns per pair
-through libm), so box_muller takes the sines of a run of at least
-``SPLIT_PAIRS`` = 8,192 pairs on one helper thread, started on first use and
+through libm), so box_muller hands the sines of a run of at least
+``SPLIT_PAIRS`` = 8,192 pairs to one helper thread, started on first use and
 only where at least two CPUs are usable, while the caller takes the
-cosines; if the helper has not started by the time the cosines are done,
-the caller takes the sines back.  Handing a run over, which wakes the
-helper from a lock wait, costs 50-150 us on a 2-CPU x86-64 VM (Python
-3.11, numpy 2.4), and the caller pays it even when it takes the run back.  The
-crossover was measured there as the median time of the split over that of
-the inline code, with 0.3 ms or 1 ms of SGD updates before each call, as a
-sampler calls it between chunks: the split loses at 4,096 pairs (1.07 and
-1.27), breaks even at 5,120-6,400 (1.00 and 1.00; 0.89 and 1.04) and wins
-from 8,192 on (0.77 and 0.94; 0.74 and 0.70 at 32,000).  With the helper
-just back from a run it breaks even near 2,000 pairs (0.74 at 3,072).
-Under load from other tenants of the host the ratios spread to 0.8-1.1 at
-8,192 pairs and 0.6-1.1 at 32,000.  So the 128-row mixture chunks at
-d = 500 (32,000 pairs) and the drift check's draws split, while those at
-d = 100 (6,400 pairs) and the folded stream's 32-row chunks below d = 512
-stay inline.
+cosines and then waits for the sines.  Waking the helper and waiting for it
+cost 100-200 us over half the inline time on a 2-CPU x86-64 VM (Python
+3.11, numpy 2.4).  The crossover was measured there as the median time of
+the split over that of the inline code, over 300-500 calls per size and
+three rounds, with 0.3 ms or 1 ms of SGD-like updates before each call, as
+a sampler calls it between chunks: the split loses or breaks even up to
+4,096 pairs (0.80-1.66 and 1.01-1.66), breaks even at 5,120 (0.84-0.91 and
+0.98-1.30), mostly wins at 6,400 (0.78-0.81 and 0.82-0.98) and wins from
+8,192 on (0.73-0.75 and 0.74-0.90; 0.60-0.63 at 32,000).  So the 128-row
+mixture chunks at d = 500 (32,000 pairs) and the drift check's draws
+split, while those at d = 100 (6,400 pairs) and the folded stream's 32-row
+chunks below d = 512 stay inline.
 
 The normal CDF is computed from ``erfc``:
 
@@ -145,14 +142,14 @@ def box_muller(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     cos and sin go straight into ``out``, which is returned.
 
     A run of at least ``SPLIT_PAIRS`` (8,192) pairs, where at least two CPUs
-    are usable and ``out`` shares no memory with ``r`` or ``t``, has its
-    sines taken on one helper thread while the caller takes the cosines;
-    numpy releases the GIL inside both ufuncs.  Below that, handing the run
-    over (50-150 us) costs more than half the run saves (see the module
-    docstring).  Each half is the same ufunc on the same arrays as the
-    inline code, under the caller's floating-point error modes, so the bytes
-    of ``out`` do not depend on which path ran, and an exception of the
-    helper's half is raised here.
+    are usable, the helper is not busy with another caller's run and ``out``
+    shares no memory with ``r`` or ``t``, has its sines taken on one helper
+    thread while the caller takes the cosines; numpy releases the GIL inside
+    both ufuncs.  Below that, handing the run over costs more than half the
+    run saves (see the module docstring).  Each half is the same ufunc on
+    the same arrays as the inline code, under the caller's floating-point
+    error modes, so the bytes of ``out`` do not depend on which path ran,
+    and an exception of the helper's half is raised here.
     """
     even, odd = out[0::2], out[1::2]
     helper = _sine_helper() if t.size >= SPLIT_PAIRS else None
@@ -170,80 +167,55 @@ class _SineHelper:
     """One daemon thread that writes odd = r sin t for ``box_muller``.
 
     A caller claims the helper by taking ``_free`` without blocking (if it
-    is taken, the caller computes inline), posts the run, releases ``_go``
-    and takes the cosines.  Whoever then takes ``_start`` first computes
-    the sines: the helper once it is scheduled, or the caller if the helper
-    has not started by the time the cosines are done, so a helper that
-    wakes late costs about what the inline code does.  The one who lost
-    ends the run: the caller waits for ``_done`` and gives ``_start`` and
-    ``_free`` back, or the helper, finding the run taken back, gives them
-    back itself.  A wait cut short by an exception retires the helper, since
-    it may still be writing: later calls compute inline.  So do the calls of
-    a forked child, which has no helper thread: it takes its first run back
-    and never gets ``_free`` again.
+    is taken, the caller computes inline), posts the run, releases ``_go``,
+    takes the cosines and waits for ``_done``.  The helper computes the
+    sines of every run it is handed, under the caller's error modes, and
+    lets go of the run's arrays before it releases ``_done``, so it keeps no
+    block alive while it waits.  A wait cut short by an exception leaves
+    ``_free`` held, since the helper may still be writing: later calls
+    compute inline.
     """
 
     def __init__(self) -> None:
-        self._free, self._go, self._start, self._done = (threading.Lock() for _ in range(4))
+        self._free, self._go, self._done = (threading.Lock() for _ in range(3))
         self._go.acquire()
         self._done.acquire()
-        self._run: list | None = None  # r, t, odd, the caller's error modes, the error raised
-        self._retired = False
+        self._run: tuple | None = None  # r, t, odd, the caller's error modes
+        self._error: BaseException | None = None
         threading.Thread(target=self._serve, name="sgdstop-sines", daemon=True).start()
 
     def _serve(self) -> None:
         errmodes = np.geterr()
         while True:
             self._go.acquire()
-            if self._start.acquire(blocking=False):
-                errmodes = self._sines(errmodes)
-                self._done.release()
-            else:  # the caller took the run back
-                self._run = None
-                self._start.release()
-                self._free.release()
-
-    def _sines(self, errmodes: dict) -> dict:
-        """Writes the posted run's sines and returns the error modes now in
-        force on this thread.  The run's arrays are let go on return, so the
-        helper keeps no block alive while it waits."""
-        run, self._run = self._run, None
-        r, t, odd, caller_errmodes, _ = run
-        try:
-            if caller_errmodes != errmodes:
-                errmodes = caller_errmodes
-                np.seterr(**errmodes)
-            np.sin(t, out=odd)
-            odd *= r
-        except BaseException as exc:  # raised again by the caller
-            run[4] = exc
-        return errmodes
+            r, t, odd, caller_errmodes = self._run
+            self._run = None
+            try:
+                if caller_errmodes != errmodes:
+                    errmodes = caller_errmodes
+                    np.seterr(**errmodes)
+                np.sin(t, out=odd)
+                odd *= r
+            except BaseException as exc:  # raised again by the caller
+                self._error = exc
+            del r, t, odd
+            self._done.release()
 
     def split(self, r: np.ndarray, t: np.ndarray, even: np.ndarray, odd: np.ndarray) -> bool:
-        """even = r cos t here and odd = r sin t here or on the helper;
-        False (nothing written) if the helper is taken or retired."""
-        if self._retired or not self._free.acquire(blocking=False):
+        """even = r cos t here and odd = r sin t on the helper; False
+        (nothing written) if the helper is taken."""
+        if not self._free.acquire(blocking=False):
             return False
-        self._run = run = [r, t, odd, np.geterr(), None]
+        self._run = (r, t, odd, np.geterr())
         self._go.release()
         try:
             np.cos(t, out=even)
             even *= r
         finally:
-            taken_back = self._start.acquire(blocking=False)
-            if not taken_back:
-                try:
-                    self._done.acquire()
-                except BaseException:
-                    self._retired = True
-                    raise
-                self._start.release()
-                self._free.release()
-        if taken_back:
-            np.sin(t, out=odd)
-            odd *= r
-        elif run[4] is not None:
-            error, run[4] = run[4], None  # no cycle through the run's arrays
+            self._done.acquire()
+            error, self._error = self._error, None
+            self._free.release()
+        if error is not None:
             raise error
         return True
 
@@ -264,6 +236,17 @@ def _sine_helper() -> _SineHelper | None:
                 if _helper_usable:
                     _helper = _SineHelper()
     return _helper
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread, and its copy of the start lock
+    may be held: it starts afresh."""
+    global _helper, _helper_start
+    _helper, _helper_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:

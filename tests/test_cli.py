@@ -149,6 +149,18 @@ def test_sweep_sigma_accuracy_of_a_subnormal_iterate(tmp_path, source):
     assert float(row["accuracy"]) == float(row["optimal_accuracy"]) == 1.0
 
 
+def test_sweep_sigma_centering_overflow_is_one_error_line_and_no_warning(tmp_path, capsys):
+    # t2 noise at beta 1e154 squares past a double in the centering estimate
+    p = write_config(tmp_path / "sweep.json", {
+        "d": 1, "source": "t2", "beta": 1e154, "sigma_grid": [5e-324], "alpha_tilde": 5e-324,
+        "max_iter": 1, "trials": 1, "out": str(tmp_path / "sweep.csv"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning, printed to stderr outside pytest
+        err = _assert_rejected(capsys, "sweep-sigma", p)
+    assert "overflows the centering estimate" in err, err
+
+
 def test_sweep_sigma_deterministic_reruns(tmp_path):
     p1 = _sweep_cfg(tmp_path, out=str(tmp_path / "a.csv"))
     assert main(["sweep-sigma", "--config", p1]) == EXIT_OK
@@ -578,6 +590,19 @@ def test_verify_bounds_checks_every_section_before_any_trial(tmp_path, capsys, m
     })
     err = _assert_rejected(capsys, "verify-bounds", p)
     assert "config key 'drift.sigma'" in err, err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_target_delta_fails_when_every_probability_is_nan(tmp_path):
+    # |mu|^2 = 1e-320: the shift along mu overflows, so every theta and every
+    # firing probability is NaN, which min() once skipped to report 1.0, a pass
+    p = write_config(tmp_path / "v.json", {
+        "target_delta": {"d": 3, "mu_scale": 1e-160, "sigma": 0.8, "alpha": 0.1, "n_theta": 5},
+        "out": str(tmp_path / "r.json"),
+    })
+    assert main(["verify-bounds", "--config", p]) == EXIT_CHECK_FAILED
+    (row,) = json.loads((tmp_path / "r.json").read_text())["checks"]
+    assert (row["check"], row["value"], row["pass"]) == ("target_delta_min", None, False)
 
 
 def test_verify_bounds_deterministic(tmp_path):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -173,41 +174,20 @@ def test_box_muller_helper_path_gives_the_inline_bytes(m, a, tail, seed):
     assert handoffs == ([m] if m >= SPLIT_PAIRS and _two_cpus() else [])
 
 
-def _on_the_helper(call, tries=200):
-    """call() repeated until the helper, not the caller, took the sines of
-    its run (the caller takes back the sines of a helper that starts late);
-    returns that call's outcome, its result or the exception it raised."""
-    if numerics._sine_helper() is None:
-        pytest.skip("one usable CPU: box_muller never starts its helper")
-    sines = numerics._SineHelper._sines
-    for _ in range(tries):
-        ran = []
-
-        def spy(self, *args):
-            ran.append(True)
-            return sines(self, *args)
-
-        with mock.patch.object(numerics._SineHelper, "_sines", spy):
-            try:
-                outcome = call()
-            except Exception as exc:
-                outcome = exc
-        if ran:
-            return outcome
-    pytest.fail(f"the helper took the sines of none of {tries} runs")
-
-
 def test_box_muller_helper_error_is_the_inline_error_and_the_next_call_works():
-    m = 4 * SPLIT_PAIRS + 1  # cosines long enough for the helper to start first
+    m = 4 * SPLIT_PAIRS + 1
     r, t = box_muller_polar(np.random.default_rng(3).random((2, m)))
     inline_out, out = np.full(2 * m - 1, np.nan), np.full(2 * m - 1, np.nan)  # one sine short
     with pytest.raises(ValueError) as inline:
         _inline_box_muller(r, t, inline_out)
-    error = _on_the_helper(lambda: box_muller(r, t, out))
-    assert isinstance(error, ValueError) and str(error) == str(inline.value)
+    with _helper_handoffs() as handoffs, pytest.raises(ValueError) as error:
+        box_muller(r, t, out)
+    assert str(error.value) == str(inline.value)
     assert out.tobytes() == inline_out.tobytes()  # the cosines were written, as inline
-    out = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
+    with _helper_handoffs() as more:
+        out = box_muller(r, t, np.empty(2 * m))
     assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+    assert handoffs == more == ([m] if _two_cpus() else [])
 
 
 def test_box_muller_helper_keeps_the_callers_floating_point_error_modes():
@@ -216,15 +196,30 @@ def test_box_muller_helper_keeps_the_callers_floating_point_error_modes():
     m = 4 * SPLIT_PAIRS
     r, t = np.ones(m), np.zeros(m)
     r[5] = np.inf
-    with np.errstate(invalid="raise"):
+    with np.errstate(invalid="raise"), _helper_handoffs() as handoffs:
         with pytest.raises(FloatingPointError):
             _inline_box_muller(r, t, np.empty(2 * m))
-        error = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
-    assert isinstance(error, FloatingPointError)
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        with pytest.raises(FloatingPointError):
+            box_muller(r, t, np.empty(2 * m))
+    with np.errstate(invalid="ignore"), warnings.catch_warnings(), _helper_handoffs() as more:
         warnings.simplefilter("error")  # a warning on the helper would be raised here
-        out = _on_the_helper(lambda: box_muller(r, t, np.empty(2 * m)))
+        out = box_muller(r, t, np.empty(2 * m))
     assert out[10] == np.inf and np.isnan(out[11])
+    assert handoffs == more == ([m] if _two_cpus() else [])
+
+
+def test_box_muller_keeps_no_run_alive():
+    # neither the caller nor the helper holds a run's arrays once it returns
+    m = SPLIT_PAIRS
+    u = np.random.default_rng(8).random((2, m))
+    r, t = box_muller_polar(u)
+    out = np.empty(2 * m)
+    with _helper_handoffs() as handoffs:
+        box_muller(r, t, out)
+    runs = [weakref.ref(a) for a in (u, r, t, out)]
+    del u, r, t, out
+    assert [run() is None for run in runs] == [True] * 4  # u, r, t, out
+    assert handoffs == ([m] if _two_cpus() else [])
 
 
 def test_box_muller_computes_inline_while_another_thread_holds_the_helper():
@@ -238,51 +233,88 @@ def test_box_muller_computes_inline_while_another_thread_holds_the_helper():
     assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
 
 
-def test_box_muller_takes_the_sines_back_from_a_helper_that_has_not_started():
+class _CutShort:
+    """Stands for the helper's ``_done`` lock: a wait on it is cut short by
+    KeyboardInterrupt, and the helper's release reaches the real lock."""
+
+    def __init__(self, lock):
+        self._lock = lock
+
+    def acquire(self):
+        raise KeyboardInterrupt
+
+    def release(self):
+        self._lock.release()
+
+
+def test_box_muller_computes_inline_after_a_wait_cut_short():
     m = SPLIT_PAIRS
     r, t = box_muller_polar(np.random.default_rng(5).random((2, m)))
+    expected = _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
     helper = numerics._sine_helper()
     if helper is None:
         pytest.skip("one usable CPU: box_muller never starts its helper")
-    go, asleep = helper._go, threading.Lock()
-    asleep.acquire()
-    helper._go = asleep  # the run is posted, but the helper sleeps through it
+    done = helper._done
+    helper._done = _CutShort(done)
     try:
-        out = box_muller(r, t, np.empty(2 * m))
+        with pytest.raises(KeyboardInterrupt):
+            box_muller(r, t, np.empty(2 * m))
     finally:
-        helper._go = go
-        go.release()  # the helper wakes, finds the run taken back and frees itself
-    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
-    assert helper._free.acquire(timeout=10)
-    helper._free.release()
+        helper._done = done
+    try:
+        assert helper._free.locked()  # the helper may still be writing: left claimed
+        assert box_muller(r, t, np.empty(2 * m)).tobytes() == expected
+    finally:
+        assert done.acquire(timeout=10)  # the helper finished the cut-short run
+        helper._free.release()
     with _helper_handoffs() as handoffs:
-        out = box_muller(r, t, np.empty(2 * m))
-    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+        assert box_muller(r, t, np.empty(2 * m)).tobytes() == expected
     assert handoffs == [m]
+
+
+def _forked_box_muller_is_inline(r, t) -> bool:
+    """box_muller in a forked child returns and gives the inline bytes."""
+    expected = _inline_box_muller(r, t, np.empty(2 * r.size)).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if box_muller(r, t, np.empty(2 * r.size)).tobytes() == expected else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status) == 0
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("box_muller in a forked child did not return")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_box_muller_in_a_forked_child_gives_the_inline_bytes():
-    # the helper thread is not copied into a child, so the child's caller
-    # must take its sines back rather than wait for them
+    # the helper thread is not copied into a child, which must start its own
+    # or compute inline rather than wait for a thread it does not have
     m = SPLIT_PAIRS
     r, t = box_muller_polar(np.random.default_rng(6).random((2, m)))
-    expected = _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
-    box_muller(r, t, np.empty(2 * m))  # the parent's helper, if any, is running
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0 if box_muller(r, t, np.empty(2 * m)).tobytes() == expected else 1)
-    for _ in range(600):
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.05)
-    else:
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("box_muller in a forked child did not return")
-    assert os.waitstatus_to_exitcode(status) == 0
+    box_muller(r, t, np.empty(2 * m))  # the parent's helper, if any, has run
+    assert _forked_box_muller_is_inline(r, t)
+    helper = numerics._sine_helper()
+    if helper is None:
+        return
+    holder_has_it, release = threading.Event(), threading.Event()
+
+    def hold():
+        with helper._free:
+            holder_has_it.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert holder_has_it.wait(60)
+        assert _forked_box_muller_is_inline(r, t)
+    finally:
+        release.set()
+        holder.join(60)
 
 
 def test_box_muller_from_more_threads_than_cpus_gives_the_inline_bytes():
