@@ -15,6 +15,11 @@ Four subcommands, all driven by a JSON config file plus override flags
 Each command (and each verify-bounds section) declares a table of the keys
 it reads, which ``_parse`` checks a config against before any work starts.
 
+run-real keeps its training split as parsed (uint8 pixels, float CSV
+features) and allocates one float buffer of the split's shape per command;
+each stopper run folds the rows it reaches into it, each at most once
+(data.center_and_fold_split), and trains on read-only views of its rows.
+
 Exit codes: 0 success, 2 config error, 3 required data missing, 4 bound
 check failed.
 
@@ -31,23 +36,24 @@ import csv
 import difflib
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .data import (
-    BLOCK_ROWS,
     Block,
+    CenteringStats,
     CsvError,
     ParseError,
     accuracy_on_set,
     center_and_fold,
+    center_and_fold_split,
     effective_step,
     first_rows,
     fold,
@@ -347,18 +353,9 @@ def _labeled_source(c: dict[str, Any], sigma: float, rng: RngState) -> Iterator[
     return gaussian_mixture_sampler(-mu, mu, sigma, rng)
 
 
-def _labeled_dataset_stream(
-    dataset: Block, rng: RngState, epochs: int | None
-) -> Iterator[Block]:
-    """Shuffled pass(es) over a dataset in blocks; each block is a gathered
-    copy, so folding it in place leaves the dataset untouched."""
-    gen = rng.generator()
-    n = dataset.y.shape[0]
-    for _ in itertools.count() if epochs is None else range(epochs):
-        order = gen.permutation(n)
-        for start in range(0, n, BLOCK_ROWS):
-            rows = order[start:start + BLOCK_ROWS]
-            yield Block(dataset.y[rows], dataset.zeta[rows])
+# What the centering protocol returns for one run: the statistics of its
+# first n training rows (2n if a class is missing) and the folded rest
+_Centered = tuple[CenteringStats, Iterator[np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +402,16 @@ def _stream_index(stoppers: list[_Stopper], j: int) -> int:
     return j
 
 
-def _run_stopper(stopper: _Stopper, labeled: Iterator[Block], loss: LossKind, c: dict):
-    """Centering protocol + run for one stopper on one labeled stream, with
-    the run settings of the parsed config ``c``.
+def _run_stopper(
+    stopper: _Stopper, centered: Callable[[int], _Centered], loss: LossKind, c: dict
+):
+    """Centering protocol + run for one stopper on one run's training data,
+    with the run settings of the parsed config ``c``.
 
     Returns (result, centering stats, effective alpha).
     """
     try:
-        stats, train = center_and_fold(labeled, c["centering_samples"])
+        stats, train = centered(c["centering_samples"])
     except ValueError as e:  # the centering window saw one class only
         raise ConfigError(f"stopper {stopper.name}: {e}; raise centering_samples") from None
     try:
@@ -446,13 +445,14 @@ _STOPPER_COLUMNS = ["stopper", "trial", "iterations", "samples_consumed", "overh
 
 
 def _stopper_table(
-    cfg: ExperimentConfig, c: dict[str, Any], source: Callable[[RngState], Iterator[Block]],
+    cfg: ExperimentConfig, c: dict[str, Any], source: Callable[[RngState, int], _Centered],
     held_out: Callable[[RngState], Block], **extra: float,
 ) -> int:
     """Write the table of compare-stoppers or run-real: in trial t (sub-stream
-    t of the seed) each stopper trains on ``source`` of its sub-stream and is
-    scored on ``held_out`` of the trial's; the ``extra`` columns, constant
-    across rows, precede the stop reason."""
+    t of the seed) each stopper trains on ``source(rng, n)``, the centering
+    protocol with window n on the data of its sub-stream rng, and is scored
+    on ``held_out`` of the trial's; the ``extra`` columns, constant across
+    rows, precede the stop reason."""
     loss = LossKind(c["loss"])
     stoppers = [_stopper(n, c["continue_factor"]) for n in c["stoppers"]]
     root = RngState(c["seed"])
@@ -461,8 +461,8 @@ def _stopper_table(
         cell = root.substream(t)
         test = held_out(cell)
         for j, stopper in enumerate(stoppers):
-            labeled = source(cell.substream(_stream_index(stoppers, j)))
-            result, stats, _ = _run_stopper(stopper, labeled, loss, c)
+            centered = partial(source, cell.substream(_stream_index(stoppers, j)))
+            result, stats, _ = _run_stopper(stopper, centered, loss, c)
             acc = accuracy_on_set(result.theta, fold(test, stats.offset))
             rows.append([
                 stopper.name, t, result.iterations, result.samples_consumed,
@@ -495,7 +495,8 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
                 cell = root.substream(i_s).substream(i_l).substream(t)
                 labeled = _labeled_source(c, sigma, cell.substream(0))
                 stopper = _Stopper("zero_overhead", StopRule.zero_overhead())
-                result, _, alpha = _run_stopper(stopper, labeled, loss, c)
+                centered = partial(center_and_fold, labeled)
+                result, _, alpha = _run_stopper(stopper, centered, loss, c)
                 if not result.theta.any():
                     acc = 0.5  # never-updated iterate classifies at chance
                 else:
@@ -516,7 +517,7 @@ def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
     c = _parse(_COMPARE, cfg.values)
     sigma, eval_stream = c["sigma"], len(c["stoppers"])
     return _stopper_table(
-        cfg, c, lambda rng: _labeled_source(c, sigma, rng),
+        cfg, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
         lambda cell: first_rows(
             _labeled_source(c, sigma, cell.substream(eval_stream)), c["eval_samples"]
         ),
@@ -641,8 +642,10 @@ def _target_delta(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Ite
     for _ in range(sec["n_theta"]):
         g = standard_normals(gen, model.d)
         lift = abs(standard_normals(gen, 1)[0])
-        # shift along mu so the mean margin is exactly 1 + lift >= 1
-        theta = g + ((1.0 + lift) - float(model.mu @ g)) / mu2 * model.mu
+        # shift along mu so the mean margin is exactly 1 + lift >= 1; a tiny
+        # |mu|^2 overflows the shift to inf and 0 * inf to NaN, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = g + ((1.0 + lift) - float(model.mu @ g)) / mu2 * model.mu
         # a NaN probability (the shift overflowed) sticks and fails the check;
         # min() would skip it
         worst = float(np.minimum(worst, termination_probability(theta, model)))
@@ -689,16 +692,12 @@ def _read(path: str, text: bool = False) -> Any:
         raise CsvError(f"data file {path} is not UTF-8 text: {e.reason}") from None
 
 
-def _task(c: dict[str, Any], labels: np.ndarray, features: np.ndarray, pixels: bool) -> Block:
-    """The binary task of class_a against class_b; with ``pixels`` and
-    scale_pixels set, its rows (only the kept ones) are divided by 255."""
+def _task(c: dict[str, Any], labels: np.ndarray, features: np.ndarray) -> Block:
+    """The binary task of class_a against class_b, in the parsed dtype."""
     try:  # equal classes, a class without rows or mismatched arrays
-        task = make_binary_task(labels, features, c["class_a"], c["class_b"])
+        return make_binary_task(labels, features, c["class_a"], c["class_b"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    if pixels and c["scale_pixels"]:
-        np.divide(task.zeta, 255.0, out=task.zeta)
-    return task
 
 
 def _idx_images(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -708,8 +707,10 @@ def _idx_images(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndar
     return load_idx(_read(labels_path)), images.reshape(images.shape[0], -1)
 
 
-def _load_real(c: dict[str, Any]) -> tuple[Block, Block]:
-    """(train, test) binary tasks for the configured source."""
+def _load_real(c: dict[str, Any]) -> tuple[Block, Block, float]:
+    """(train, test, divisor) for the configured source: binary tasks in the
+    parsed dtype (uint8 pixels, float CSV features) and what their features
+    are divided by, 255.0 for pixels under scale_pixels and 1.0 otherwise."""
     kind = c["dataset"]
     if kind == "mnist":
         paths = _needed(
@@ -724,34 +725,40 @@ def _load_real(c: dict[str, Any]) -> tuple[Block, Block]:
     if missing:
         raise DataMissing(missing)
     if kind == "csv":
-        task = _task(c, *load_csv_points(_read(paths[0], text=True)), pixels=False)
+        task = _task(c, *load_csv_points(_read(paths[0], text=True)))
         n = task.y.shape[0]
         n_test = max(1, int(c["test_fraction"] * n))
         if n_test >= n:
             raise ConfigError("test split leaves no training data")
         order = RngState(c["seed"]).substream(999).generator().permutation(n)
         y, zeta = task.y[order], task.zeta[order]
-        return Block(y[n_test:], zeta[n_test:]), Block(y[:n_test], zeta[:n_test])
+        return Block(y[n_test:], zeta[n_test:]), Block(y[:n_test], zeta[:n_test]), 1.0
     if kind == "mnist":
         splits = [_idx_images(*paths[:2]), _idx_images(*paths[2:])]
     else:
         train = [load_cifar10_batch(_read(p)) for p in batches]
         labels, pixels = (np.concatenate(arrays) for arrays in zip(*train))
         splits = [(labels, pixels), load_cifar10_batch(_read(test_batch))]
-    return _task(c, *splits[0], pixels=True), _task(c, *splits[1], pixels=True)
+    divisor = 255.0 if c["scale_pixels"] else 1.0
+    return _task(c, *splits[0]), _task(c, *splits[1]), divisor
 
 
 def cmd_run_real(cfg: ExperimentConfig) -> int:
     c = _parse(_REAL, cfg.values)
     try:
-        train, test = _load_real(c)
+        train, test, divisor = _load_real(c)
     except DataMissing as e:
         _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, "baseline", "stop_reason"], [])
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
+    test = Block(test.y, np.divide(test.zeta, divisor, dtype=float))
+    folded = np.empty(train.zeta.shape)  # every run folds into this one buffer
     return _stopper_table(
-        cfg, c, lambda rng: _labeled_dataset_stream(train, rng, c["epochs"]),
+        cfg, c,
+        lambda rng, n: center_and_fold_split(
+            train, rng.generator(), n, c["epochs"], folded, divisor
+        ),
         lambda cell: test, baseline=baseline,
     )
 

@@ -11,10 +11,10 @@ class-0 rows in place (no integer multiply; bit-equal to the formula).
 Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
 (rows, d), the one labeled type from the parsers' binary task to the fold:
 the Gaussian mixture hands out 128-row chunks of its 256-row blocks (views
-of one array per block), the Student-t2 mixture 256-row blocks,
-make_binary_task one block holding a whole dataset split, and the CLI's
-dataset stream gathers each 256-row chunk of an epoch's permutation of that
-split into a fresh copy.  Whoever receives a block owns it.
+of one array per block), the Student-t2 mixture 256-row blocks, and
+make_binary_task one block holding a whole dataset split in its parsed
+dtype.  Whoever receives a block owns it, except a dataset split, which is
+only read.
 
 Centering follows a fixed protocol (center_and_fold): from the first n rows
 of a labeled block stream, estimate the per-class means, set the offset to
@@ -32,6 +32,16 @@ alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
 across noise scales and datasets.  Held-out sets are folded with fold, the
 same primitive written into a new array, once per offset.
 
+A dataset split takes the same protocol through center_and_fold_split,
+which never copies its rows out as float blocks: the centering rows are
+gathered from the first epoch's permutation, then the first epoch's rows
+are converted to float (divided by 255 for pixels, else cast) and folded,
+in cache-sized chunks as the run reaches them, into one float buffer the
+caller reuses from run to run.  The engine is handed read-only views of
+the buffer's rows in permutation order, and later epochs find each row
+where the first epoch put it.  So a run folds each row of the split at
+most once, however many epochs it reads.
+
 Synthetic generators (two-component Gaussian mixture, heavy-tailed
 Student-t2 mixture) and binary dataset readers (IDX tensors, CIFAR-10
 batches, CSV) all feed the same folding pipeline.  The parsers return
@@ -41,9 +51,10 @@ else.
 
 Samplers and streams here are iterators.  Synthetic ones are infinite and
 draw through a numpy Generator in documented block sizes, so a fixed
-(seed, stream) pair reproduces the exact sequence; dataset streams shuffle
-once per epoch with the stream's own generator and simply end when their
-epoch budget runs out.
+(seed, stream) pair reproduces the exact sequence; a split's stream
+shuffles once per epoch with the run's own generator, drawing each
+permutation when the last epoch runs out, and simply ends when its epoch
+budget does.
 
 Both Gaussian samplers share one source.  A 256-row block's uniforms (after
 its label coins, for the mixture) are drawn when its first row is
@@ -86,6 +97,7 @@ __all__ = [
     "folded_gaussian_stream",
     "first_rows",
     "center_and_fold",
+    "center_and_fold_split",
     "effective_step",
     "load_idx",
     "load_cifar10_batch",
@@ -94,11 +106,14 @@ __all__ = [
     "accuracy_on_set",
 ]
 
-BLOCK_ROWS = 256  # rows per block in the synthetic and dataset streams
+BLOCK_ROWS = 256  # rows per block in the synthetic streams
 # rows per Box-Muller chunk (even, so a chunk starts on a pair): the folded
 # stream's Monte-Carlo trials read a few dozen rows, sampler runs thousands
 CHUNK_ROWS = 32
 MIXTURE_CHUNK_ROWS = 128
+# doubles per chunk of a split's fold (512 KB), small enough to stay in cache
+# between its gather, divide, subtract and negate passes
+FOLD_ELEMENTS = 1 << 16
 
 
 class Block(NamedTuple):
@@ -289,13 +304,94 @@ def center_and_fold(
     iterator yields every later row folded against the offset; each block
     is folded in place once, so the caller must own the blocks.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 centering samples, got {n}")
+    _check_window(n)
     it = iter(blocks)
     parts, rest = _take(it, None, n)
     if not _both_classes(parts):
         more, rest = _take(it, rest, n)
         parts += more
+    stats = _centering_stats(parts)
+    later = it if rest is None else itertools.chain([rest], it)
+    # one block is held at a time, so a finished block is freed as the next arrives
+    folded = (_fold_rows(y, zeta, stats.offset, zeta) for y, zeta in later)
+    return stats, itertools.chain.from_iterable(folded)
+
+
+def center_and_fold_split(
+    split: Block,
+    gen: np.random.Generator,
+    n: int,
+    epochs: int | None,
+    out: np.ndarray,
+    divisor: float = 1.0,
+) -> tuple[CenteringStats, Iterator[np.ndarray]]:
+    """The centering protocol of center_and_fold on shuffled epochs of a
+    dataset split, each row folded at most once, into ``out``.
+
+    Each epoch is one gen.permutation of the split's rows, drawn when the
+    previous epoch runs out; ``epochs`` of them (None: without end) make the
+    row stream.  Its features are split.zeta / divisor as doubles (a divisor
+    of 1.0 is an exact cast), so the stream is bit for bit the one
+    center_and_fold would read from blocks of that stream.  The centering
+    rows (the first n, or 2n when a class is absent) are gathered.  The
+    returned iterator hands out read-only views of the rows of ``out``, a
+    float (rows, d) buffer, in stream order from row n_used on: out[j] is
+    the row at place j of the first epoch, folded against the offset in
+    chunks as the first epoch reaches it, and later epochs find each row at
+    its place.  ``split`` is only read; the views are valid until ``out``
+    is written again.
+    """
+    _check_window(n)
+    if out.shape != split.zeta.shape or out.dtype != np.float64:
+        raise ValueError(f"out {out.dtype} {out.shape} is not a float buffer {split.zeta.shape}")
+    size = split.y.shape[0]
+    each_epoch = itertools.count() if epochs is None else range(epochs)
+    orders = (gen.permutation(size) for _ in each_epoch)
+    drawn: list[np.ndarray] = []
+
+    def window(k: int) -> list[Block]:
+        """The first k rows of the stream (fewer if it ends), gathered."""
+        while sum(map(len, drawn)) < k and (order := next(orders, None)) is not None:
+            drawn.append(order)
+        head = np.concatenate(drawn)[:k]
+        return [Block(split.y[head], np.divide(split.zeta[head], divisor, dtype=float))]
+
+    parts = window(n)
+    if not _both_classes(parts):
+        parts = window(2 * n)
+    stats = _centering_stats(parts)
+    first = drawn[0]
+    place = np.empty(size, dtype=np.intp)
+    place[first] = np.arange(size)
+    step = max(1, FOLD_ELEMENTS // max(1, split.zeta.shape[1]))
+    raw = np.empty((step, *split.zeta.shape[1:]), split.zeta.dtype)  # reused by every chunk
+    rows = out.view()
+    rows.flags.writeable = False
+
+    def epochs_of_views() -> Iterator[Iterable[np.ndarray]]:
+        for a in range(0, size, step):
+            at = first[a : a + step]
+            k = at.shape[0]
+            # permutation entries are in range, and mode "raise" would buffer the gather
+            np.take(split.zeta, at, axis=0, out=raw[:k], mode="clip")
+            chunk = out[a : a + k]
+            np.divide(raw[:k], divisor, out=chunk, dtype=float)
+            _fold_rows(split.y[at], chunk, stats.offset, chunk)
+            yield rows[a : a + k]
+        for order in itertools.chain(drawn[1:], orders):
+            yield map(rows.__getitem__, place[order].tolist())
+
+    views = itertools.chain.from_iterable(epochs_of_views())
+    return stats, itertools.islice(views, stats.n_used, None)
+
+
+def _check_window(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2 centering samples, got {n}")
+
+
+def _centering_stats(parts: Sequence[Block]) -> CenteringStats:
+    """Class means, offset and residual scale of the centering rows ``parts``."""
     if not _both_classes(parts):
         n_read = sum(p.y.shape[0] for p in parts)
         raise ValueError(f"one class absent among the first {n_read} centering samples")
@@ -306,17 +402,13 @@ def center_and_fold(
         mean1 = z[y == 1].mean(axis=0)
         resid = z - np.where(y[:, None] == 0, mean0, mean1)
         sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
-    stats = CenteringStats(
+    return CenteringStats(
         mean0=mean0,
         mean1=mean1,
         offset=0.5 * (mean0 + mean1),
         sigma2_tilde=sigma2,
         n_used=y.shape[0],
     )
-    later = it if rest is None else itertools.chain([rest], it)
-    # one block is held at a time, so a finished block is freed as the next arrives
-    folded = (_fold_rows(y, zeta, stats.offset, zeta) for y, zeta in later)
-    return stats, itertools.chain.from_iterable(folded)
 
 
 def _both_classes(parts: Sequence[Block]) -> bool:
@@ -479,8 +571,9 @@ def make_binary_task(
     """Keep the rows labelled class_a (-> 0) or class_b (-> 1), in order.
 
     ``labels`` is (n,) and ``features`` (n, d) of any numeric dtype, as a
-    parser returns them; only the kept rows are converted to float.  Both
-    classes must be present and distinct.
+    parser returns them; the kept rows are copied in that dtype (uint8
+    pixels stay uint8), to be converted when they are folded.  Both classes
+    must be present and distinct.
     """
     labels, features = np.asarray(labels), np.asarray(features)
     if labels.ndim != 1 or features.ndim != 2 or labels.shape[0] != features.shape[0]:
@@ -492,7 +585,7 @@ def make_binary_task(
     for label, cls in ((0, class_a), (1, class_b)):
         if not np.any(y == label):
             raise ValueError(f"class {cls} has no samples")
-    return Block(y, np.asarray(features[keep], dtype=float))
+    return Block(y, features[keep])
 
 
 def accuracy_on_set(theta: np.ndarray, folded: np.ndarray) -> float:

@@ -17,17 +17,23 @@ multiple of xi:
 The hinge subgradient at the kink m = 1 is taken as -xi (the one-sided choice
 that keeps pushing while the margin has not cleared 1); for continuous data
 the kink has probability zero.
+
+Each loss's s(m) is one scalar function of a Python float; gradient_factor
+dispatches to it by kind, and the engine binds it once per run through
+factor_function.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "LossKind",
+    "factor_function",
     "gradient_factor",
 ]
 
@@ -37,20 +43,37 @@ class LossKind(enum.Enum):
     HINGE = "hinge"
 
 
+def _logistic_factor(margin: float) -> float:
+    """1 / (1 + exp(m)), evaluated on the stable side so large |m| never overflows."""
+    if margin >= 0:
+        e = math.exp(-margin)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(margin))
+
+
+def _hinge_factor(margin: float) -> float:
+    """1{m <= 1}."""
+    return 1.0 if margin <= 1.0 else 0.0
+
+
+_FACTORS = {LossKind.LOGISTIC: _logistic_factor, LossKind.HINGE: _hinge_factor}
+
+
+def factor_function(kind: LossKind) -> Callable[[float], float]:
+    """The scalar function m -> s(m) of ``kind``, to bind once per run."""
+    try:
+        return _FACTORS[kind]
+    except (KeyError, TypeError):  # not a LossKind, or not even hashable
+        raise TypeError(f"unknown loss kind: {kind!r}") from None
+
+
 def gradient_factor(kind: LossKind, margin: float) -> float:
     """Scalar s(m) with -grad_theta l(xi . theta) = s(m) xi.
 
     logistic: s(m) = 1 / (1 + exp(m)), evaluated on the stable side so large
     |m| never overflows; hinge: s(m) = 1{m <= 1}.
     """
-    if kind is LossKind.LOGISTIC:
-        if margin >= 0:
-            e = math.exp(-margin)
-            return e / (1.0 + e)
-        return 1.0 / (1.0 + math.exp(margin))
-    if kind is LossKind.HINGE:
-        return 1.0 if margin <= 1.0 else 0.0
-    raise TypeError(f"unknown loss kind: {kind!r}")
+    return factor_function(kind)(margin)
 
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .losses import LossKind, gradient_factor
+from .losses import LossKind, factor_function
 
 __all__ = [
     "StopKind",
@@ -215,7 +215,7 @@ def _loop(
     else:
         next_check = 1 if inside is not None else -1
     prev = -1.0  # below every fraction, so the k = 0 check only sets the baseline
-    factor, isfinite, multiply, add = gradient_factor, math.isfinite, np.multiply, np.add
+    factor, isfinite, multiply, add = factor_function(kind), math.isfinite, np.multiply, np.add
     step = np.empty_like(theta)
     scale = np.empty(())  # a 0-d array: a float argument is converted on every call
     k = checked = 0
@@ -241,12 +241,12 @@ def _loop(
             if k >= limit:
                 return theta, k, k + checked, StopReason.CENSORED, checked
             xi = next(rows)
-            m = xi.dot(theta)
+            m = float(xi.dot(theta))  # exact; Python floats are cheaper to test and pass
             if not isfinite(m):
                 return theta, k, k + checked + 1, StopReason.DIVERGED, checked
             if m >= fire:
                 return theta, k, k, StopReason.FIRED, 0
-            scale[()] = alpha * factor(kind, m)
+            scale[()] = alpha * factor(m)
             multiply(xi, scale, step)
             add(theta, step, theta)
             k += 1

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_config, write_mnist_style_fixture
 from sgdstop import cli, numerics
-from sgdstop.data import first_rows, gaussian_mixture_sampler
+from sgdstop.data import center_and_fold, first_rows, gaussian_mixture_sampler
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
 from sgdstop.sgd import StopReason
@@ -307,10 +308,12 @@ def test_continued_stopper_adds_the_extension_to_the_stopped_run():
     continued = cli._stopper("zero_overhead_continue", 1.5)
 
     def row(blocks):
-        result, _, _ = cli._run_stopper(continued, blocks, LossKind.LOGISTIC, c)
+        result, _, _ = cli._run_stopper(continued, partial(center_and_fold, blocks),
+                                        LossKind.LOGISTIC, c)
         return result.iterations, result.samples_consumed, result.stop_reason, result.censored
 
-    base, _, _ = cli._run_stopper(zero_overhead, _finite_blocks(2000), LossKind.LOGISTIC, c)
+    base, _, _ = cli._run_stopper(zero_overhead, partial(center_and_fold, _finite_blocks(2000)),
+                                  LossKind.LOGISTIC, c)
     k = base.iterations
     assert (base.samples_consumed, base.stop_reason) == (k, StopReason.FIRED) and k > 3
     # the extension starts after the base run's 10 centering rows, k updates
@@ -605,6 +608,20 @@ def test_target_delta_fails_when_every_probability_is_nan(tmp_path):
     assert (row["check"], row["value"], row["pass"]) == ("target_delta_min", None, False)
 
 
+def test_target_delta_overflowing_shift_warns_nothing(tmp_path, capsys):
+    # the same overflow, computed quietly: numpy warnings are errors here
+    p = write_config(tmp_path / "v.json", {
+        "target_delta": {"d": 3, "mu_scale": 1e-160, "sigma": 0.8, "alpha": 0.1, "n_theta": 5},
+        "out": str(tmp_path / "r.json"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-bounds", "--config", p]) == EXIT_CHECK_FAILED
+    (row,) = json.loads((tmp_path / "r.json").read_text())["checks"]
+    assert (row["value"], row["pass"]) == (None, False)
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_bounds_deterministic(tmp_path):
     p = _verify_cfg(tmp_path, out=str(tmp_path / "a.json"))
     assert main(["verify-bounds", "--config", p]) == EXIT_OK
@@ -789,6 +806,34 @@ def test_run_real_mnist_style_fixture(tmp_path):
     for zo, cont in zip(by_stopper["zero_overhead"], by_stopper["zero_overhead_continue"]):
         k = int(zo["iterations"])
         assert int(cont["iterations"]) == k + int(round(1.5 * k))
+
+
+@pytest.mark.parametrize("scale_pixels", [True, False])
+def test_run_real_keeps_the_pixel_split_uint8_and_unchanged(tmp_path, monkeypatch, scale_pixels):
+    # every run folds the parsed training split, still uint8, into one float
+    # buffer of the command; the split itself is never written
+    paths = write_mnist_style_fixture(tmp_path / "data", n_train=120, n_test=30)
+    cfg = write_config(tmp_path / "real.json", {
+        "dataset": "mnist", **paths, "class_a": 1, "class_b": 8, "alpha_tilde": 0.05,
+        "trials": 2, "epochs": 3, "stoppers": ["zero_overhead", "svs_4", "extra_sample"],
+        "scale_pixels": scale_pixels, "out": str(tmp_path / "real.csv"),
+    })
+    calls = []
+    real = cli.center_and_fold_split
+
+    def recorded(split, gen, n, epochs, out, divisor):
+        calls.append((split, split.zeta.tobytes(), out, divisor))
+        return real(split, gen, n, epochs, out, divisor)
+
+    monkeypatch.setattr(cli, "center_and_fold_split", recorded)
+    assert main(["run-real", "--config", cfg]) == EXIT_OK
+    assert len(calls) == 6  # three stoppers in each of two trials
+    split, before, out, divisor = calls[0]
+    assert split.zeta.dtype == np.uint8 and out.dtype == float
+    assert divisor == (255.0 if scale_pixels else 1.0)
+    for other, _, other_out, _ in calls:
+        assert other is split and other_out is out
+    assert split.zeta.tobytes() == before
 
 
 def test_run_real_csv_dataset(tmp_path):

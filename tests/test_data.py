@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgdstop.cli import _labeled_dataset_stream
+from sgdstop import data
 from sgdstop.data import (
     BLOCK_ROWS,
     MIXTURE_CHUNK_ROWS,
@@ -24,6 +24,7 @@ from sgdstop.data import (
     ParseError,
     accuracy_on_set,
     center_and_fold,
+    center_and_fold_split,
     effective_step,
     first_rows,
     fold,
@@ -337,11 +338,38 @@ def test_folded_gaussian_stream_moments():
     assert np.all(np.abs(xs.std(axis=0) - 0.7) < 4.0 * se)
 
 
+class _Recording:
+    """A generator whose permutations are kept, in the order they are drawn."""
+
+    def __init__(self, rng):
+        self.gen = rng.generator()
+        self.orders = []
+
+    def permutation(self, n):
+        self.orders.append(self.gen.permutation(n))
+        return self.orders[-1]
+
+
+def _split_stream(ds, rng, epochs, limit=None, n=2):
+    """The feature rows of ``ds`` that a center_and_fold_split stream reads,
+    in order: its n_used centering rows (the first places of the permutations
+    drawn), then the row of each view it hands out (the first epoch's row at
+    the view's place in the buffer), which must be the next place of those
+    permutations."""
+    gen, out = _Recording(rng), np.empty(ds.zeta.shape)
+    stats, rows = center_and_fold_split(ds, gen, n, epochs, out)
+    handed = [gen.orders[0][(r.ctypes.data - out.ctypes.data) // out.strides[0]]
+              for r in itertools.islice(rows, limit)]
+    read = np.concatenate(gen.orders)[: stats.n_used].tolist() + handed
+    assert read == np.concatenate(gen.orders)[: len(read)].tolist()
+    return [ds.zeta[i] for i in read]
+
+
 def test_dataset_stream_epoch_accounting():
     ds = Block(np.arange(7) % 2, np.stack([np.arange(7.0), np.ones(7)], axis=1))
-    one = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 1))]
+    one = _split_stream(ds, RngState(7), 1)
     assert len(one) == 7
-    two = [zeta for _, zeta in _rows(_labeled_dataset_stream(ds, RngState(7), 2))]
+    two = _split_stream(ds, RngState(7), 2)
     assert len(two) == 14
     # each epoch is a permutation of the rows
     want = sorted(float(v[0]) for v in ds.zeta)
@@ -353,7 +381,7 @@ def test_dataset_stream_epoch_accounting():
 
 def test_dataset_stream_infinite_when_epochs_none():
     ds = Block(np.array([0, 1]), np.array([[0.0], [1.0]]))
-    xs = list(itertools.islice(_rows(_labeled_dataset_stream(ds, RngState(8), None)), 11))
+    xs = _split_stream(ds, RngState(8), None, limit=9)
     assert len(xs) == 11
 
 
@@ -423,15 +451,16 @@ def _per_point_reference(rows, n):
     return stats, folded
 
 
-def _check_against_reference(make_blocks, n, limit=None):
-    """Run the block pipeline over ``make_blocks()`` and compare it bit for
-    bit with the per-point reference over the raw rows of a second, untouched
+def _check_against_reference(make_blocks, n, limit=None, centered=None):
+    """Run the block pipeline over ``make_blocks()`` (or ``centered(n)``, a
+    pipeline that reads the same rows) and compare it bit for bit with the
+    per-point reference over the raw rows of a second, untouched
     ``make_blocks()`` stream: every row after the centering rows (up to
     ``limit``) must be handed out, so a pipeline that stops early fails."""
     raw = list(itertools.islice(_rows(make_blocks()), None if limit is None else 2 * n + limit))
     want = _per_point_reference(raw, n)
     try:
-        stats, rows = center_and_fold(make_blocks(), n)
+        stats, rows = centered(n) if centered else center_and_fold(make_blocks(), n)
     except ValueError:
         assert want is None
         return
@@ -474,6 +503,15 @@ def test_center_and_fold_matches_per_point_reference(d, sizes, n, ones_prefix, s
     _check_against_reference(lambda: (Block(b.y.copy(), b.zeta.copy()) for b in blocks), n)
 
 
+def _epochs_gathered(ds, rng, epochs, divisor=1.0):
+    """The labeled rows of shuffled epochs of ``ds``, one gen.permutation per
+    epoch, each row gathered and its features divided by ``divisor``."""
+    gen = rng.generator()
+    for _ in itertools.count() if epochs is None else range(epochs):
+        for i in gen.permutation(ds.y.shape[0]).tolist():
+            yield Block(ds.y[i : i + 1], ds.zeta[i : i + 1].astype(float) / divisor)
+
+
 @given(
     d=st.integers(1, 4),
     n_rows=st.integers(2, 700),
@@ -489,19 +527,85 @@ def test_dataset_stream_pipeline_matches_reference_and_keeps_dataset(
     d, n_rows, n, epochs, minority, seed
 ):
     # a finite dataset that usually ends mid-block, possibly with few rows
-    # of one class; the in-place fold must never touch the dataset's storage
+    # of one class, against the shuffled epochs gathered row by row; the
+    # fold must never touch the dataset's storage
     gen = RngState(seed).generator()
     y = np.ones(n_rows, dtype=int)
     y[: min(minority, n_rows - 1)] = 0
     ds = Block(y, gen.standard_normal((n_rows, d)))
     y_before, zeta_before = ds.y.copy(), ds.zeta.copy()
+    out = np.empty(ds.zeta.shape)
     _check_against_reference(
-        lambda: _labeled_dataset_stream(ds, RngState(seed, 1), epochs),
+        lambda: _epochs_gathered(ds, RngState(seed, 1), epochs),
         n,
         limit=1000 if epochs is None else None,
+        centered=lambda n: center_and_fold_split(ds, RngState(seed, 1).generator(), n, epochs, out),
     )
     assert np.array_equal(ds.y, y_before)
     assert ds.zeta.tobytes() == zeta_before.tobytes()
+
+
+@pytest.mark.parametrize("divisor", [255.0, 1.0])
+@pytest.mark.parametrize("n", [2, 40, 90, 150])
+def test_pixel_split_pipeline_matches_reference(monkeypatch, divisor, n):
+    # a uint8 split stays uint8: its features are divided (or cast, at 1.0)
+    # as they are folded, bit for bit as a float copy divided row by row;
+    # centering reads within one epoch, to its end and into the next, and
+    # the first epoch folds in 7-row chunks, the last one short
+    monkeypatch.setattr(data, "FOLD_ELEMENTS", 35)
+    gen = RngState(21).generator()
+    y = (gen.random(90) < 0.3).astype(int)
+    y[:2] = [0, 1]
+    ds = Block(y, gen.integers(0, 256, size=(90, 5)).astype(np.uint8))
+    before = ds.zeta.tobytes()
+    out = np.empty(ds.zeta.shape)
+    _check_against_reference(
+        lambda: _epochs_gathered(ds, RngState(22), 3, divisor),
+        n,
+        centered=lambda n: center_and_fold_split(
+            ds, RngState(22).generator(), n, 3, out, divisor
+        ),
+    )
+    assert ds.zeta.dtype == np.uint8 and ds.zeta.tobytes() == before
+
+
+def test_split_rows_are_read_only_views_of_the_buffer():
+    ds = Block(np.array([0, 1, 0, 1]), np.arange(12, dtype=np.uint8).reshape(4, 3))
+    out = np.empty((4, 3))
+    _, rows = center_and_fold_split(ds, RngState(3).generator(), 2, None, out)
+    for row in itertools.islice(rows, 6):
+        assert np.shares_memory(row, out)
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    assert out.flags.writeable  # the next run folds into it again
+    for wrong in (np.empty((4, 2)), np.empty((4, 3), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            center_and_fold_split(ds, RngState(3).generator(), 2, None, wrong)
+    with pytest.raises(ValueError):
+        center_and_fold_split(ds, RngState(3).generator(), 1, None, out)
+
+
+def test_split_folds_only_the_chunks_a_run_reaches(monkeypatch):
+    monkeypatch.setattr(data, "FOLD_ELEMENTS", 8)  # 4 rows of 2 per chunk
+    ds = Block(np.arange(40) % 2, np.ones((40, 2)))
+    out = np.full((40, 2), np.nan)
+    _, rows = center_and_fold_split(ds, RngState(5).generator(), 2, 1, out)
+    assert np.isnan(out).all()  # centering gathers its own rows
+    for _ in range(3):  # three rows past the centering rows, all within the first 8
+        next(rows)
+    assert not np.isnan(out[:8]).any() and np.isnan(out[8:]).all()
+
+
+def test_split_draws_each_epoch_when_the_last_runs_out():
+    ds = Block(np.arange(10) % 2, np.zeros((10, 2)))
+    gen = _Recording(RngState(4))
+    _, rows = center_and_fold_split(ds, gen, 4, None, np.empty((10, 2)))
+    assert len(gen.orders) == 1
+    for _ in range(6):  # the rest of epoch 0
+        next(rows)
+    assert len(gen.orders) == 1
+    next(rows)
+    assert len(gen.orders) == 2
 
 
 def test_gaussian_pipeline_matches_reference():
@@ -710,7 +814,9 @@ def test_make_binary_task_validation():
         make_binary_task(np.array([0, 1, 1]), features, 0, 1)  # label/row count mismatch
     task = make_binary_task(labels, features, 0, 1)
     assert task.zeta.shape == (2, 4) and task.y.shape[0] == 2
-    assert task.zeta.dtype == float and task.y.dtype == int  # uint8 converted
+    # the kept rows are a copy in the parsed dtype, converted only when folded
+    assert task.zeta.dtype == np.uint8 and task.y.dtype == int
+    assert not np.shares_memory(task.zeta, features)
     assert features.dtype == np.uint8  # the input is left as it is
 
 
