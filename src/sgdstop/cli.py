@@ -13,7 +13,14 @@ Four subcommands, all driven by a JSON config file plus override flags
                       datasets; exit 3 when dataset files are absent
 
 Each command (and each verify-bounds section) declares a table of the keys
-it reads, which ``_parse`` checks a config against before any work starts.
+it reads.  ``main`` loads the config, applies the override flags and checks
+the result against the command's table once, before any work starts; the
+command receives the config both as given (for the provenance hash and the
+verify-bounds echo) and as parsed, with defaults filled in.
+
+compare-stoppers and run-real name their stoppers in the config, and the
+name is the only form a stopper takes: ``_rule`` gives its stop rule, and
+``zero_overhead_continue`` is the one name whose run is continued.
 
 run-real keeps its training split as parsed (uint8 pixels, float CSV
 features) and allocates one float buffer of the split's shape per command;
@@ -39,8 +46,8 @@ import io
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -89,7 +96,6 @@ from .verify import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "ConfigError",
     "DataMissing",
     "cmd_sweep_sigma",
@@ -116,30 +122,24 @@ class DataMissing(Exception):
         self.paths = paths
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The effective (post-override) config as raw JSON values, which the
-    hash and the verify-bounds report echo use; commands read ``_parse``'s."""
+def _load(path: str) -> dict[str, Any]:
+    """The JSON object of a config file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return raw
 
-    values: dict[str, Any]
 
-    @classmethod
-    def load(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                raw = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        return cls(raw)
-
-    def hash(self) -> str:
-        scrubbed = {k: v for k, v in self.values.items() if k != "out"}
-        canon = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+def _echo(values: dict[str, Any]) -> dict[str, Any]:
+    """The effective (post-override) config as given, less its output path:
+    what the provenance hash covers and the verify-bounds report echoes."""
+    return {k: v for k, v in values.items() if k != "out"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,13 @@ def _finite_numbers(v: list, test: Callable[[float], bool] = lambda x: True) -> 
 
 
 _LOSSES = tuple(k.value for k in LossKind)
+# svs_<p> is small validation on p samples, p written in ASCII digits with no
+# leading zero, so each stopper has one spelling in the table's stopper column
+_STOPPER_NAME = re.compile(r"zero_overhead|zero_overhead_continue|extra_sample|svs_[1-9][0-9]*")
 _STOPPERS = _Key(
     list, ["zero_overhead"], "a nonempty list of stopper names: zero_overhead, "
-    "extra_sample, svs_p (p >= 1), zero_overhead_continue",
-    lambda v: bool(v) and all(isinstance(n, str) and _stopper(n, 0.0) for n in v),
+    "extra_sample, svs_p (p >= 1 in digits, no leading 0), zero_overhead_continue",
+    lambda v: bool(v) and all(isinstance(n, str) and _STOPPER_NAME.fullmatch(n) for n in v),
 )
 _NONNEGATIVE = _Key(float, REQUIRED, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
 # zero_overhead_continue adds round(continue_factor * k) updates to a base run of k
@@ -225,8 +228,9 @@ _CONTINUE = _Key(float, 1.5, "a number in [0, 1000]", lambda v: 0 <= v <= 1000)
 _MU_SCALE = _Key(float, 1.0, "a finite nonzero number", lambda v: math.isfinite(v) and v != 0.0)
 _COMMON = {  # keys of every command
     "seed": _Key(int, 0, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64),
-    "out": _Key(str, REQUIRED, "an output path in an existing directory (or --out)",
-                lambda v: os.path.isdir(os.path.dirname(v) or ".")),
+    "out": _Key(str, REQUIRED, "a file path in an existing directory (or --out)",
+                lambda v: v != "" and not os.path.isdir(v)
+                and os.path.isdir(os.path.dirname(v) or ".")),
 }
 _TRAINING = {  # keys of every command that trains after the centering protocol
     **_COMMON,
@@ -325,12 +329,18 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {e.strerror}") from None
 
 
-def _write_csv(path: str, cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
+def _write_csv(
+    values: dict[str, Any], c: dict[str, Any], header: list[str], rows: list[list]
+) -> None:
+    """Write the table to ``c["out"]`` under its provenance line, which hashes
+    the config as given (``values``) and names the parsed seed."""
+    canon = json.dumps(_echo(values), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows([_fmt(v) for v in row] for row in rows)
-    _write(path, f"# config={cfg.hash()} seed={cfg.values.get('seed', 0)}\n" + buf.getvalue())
+    _write(c["out"], f"# config={digest} seed={c['seed']}\n" + buf.getvalue())
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -362,76 +372,58 @@ _Centered = tuple[CenteringStats, Iterator[np.ndarray]]
 # stoppers shared by compare-stoppers and run-real
 
 
-@dataclass(frozen=True)
-class _Stopper:
-    name: str
-    rule: StopRule
-    continue_factor: float | None = None  # extend by factor * base iterations
-
-
-def _stopper(name: str, continue_factor: float) -> _Stopper | None:
-    """The stopper a name stands for; None for a name that is not one."""
-    if name == "zero_overhead":
-        return _Stopper(name, StopRule.zero_overhead())
+def _rule(name: str) -> StopRule:
+    """The stop rule of a stopper name (a continued run stops as its base)."""
     if name == "extra_sample":
-        return _Stopper(name, StopRule.extra_sample())
-    if name == "zero_overhead_continue":
-        return _Stopper(name, StopRule.zero_overhead(), continue_factor)
+        return StopRule.extra_sample()
     if name.startswith("svs_"):
-        try:
-            p = int(name[4:])
-        except ValueError:
-            return None
-        return _Stopper(name, StopRule.small_validation(p)) if p >= 1 else None
-    return None
+        return StopRule.small_validation(int(name[4:]))
+    return StopRule.zero_overhead()
 
 
-def _stream_index(stoppers: list[_Stopper], j: int) -> int:
+def _stream_index(names: list[str], j: int) -> int:
     """Sub-stream index for stopper j within a trial: its list position j, so
     reordering or inserting stoppers changes what each trains on (and the
-    eval set compare-stoppers draws from sub-stream len(stoppers)).
+    eval set compare-stoppers draws from sub-stream len(names)).
 
-    A continued run replays the plain zero-overhead run of the same trial
-    (same sub-stream, hence bit-identical base trajectory) before extending
-    it, so the two CSV rows relate exactly.
+    A continued run replays the trial's first plain zero-overhead run (same
+    sub-stream, hence bit-identical base trajectory) before extending it, so
+    the two CSV rows relate exactly.
     """
-    if stoppers[j].continue_factor is not None:
-        for i, other in enumerate(stoppers):
-            if other.name == "zero_overhead" and other.continue_factor is None:
-                return i
+    if names[j] == "zero_overhead_continue" and "zero_overhead" in names:
+        return names.index("zero_overhead")
     return j
 
 
-def _run_stopper(
-    stopper: _Stopper, centered: Callable[[int], _Centered], loss: LossKind, c: dict
-):
-    """Centering protocol + run for one stopper on one run's training data,
-    with the run settings of the parsed config ``c``.
+def _run_stopper(name: str, centered: Callable[[int], _Centered], loss: LossKind, c: dict):
+    """Centering protocol + run for stopper ``name`` on one run's training
+    data, with the run settings of the parsed config ``c``; a
+    ``zero_overhead_continue`` run goes on by ``c["continue_factor"]``.
 
     Returns (result, centering stats, effective alpha).
     """
     try:
         stats, train = centered(c["centering_samples"])
     except ValueError as e:  # the centering window saw one class only
-        raise ConfigError(f"stopper {stopper.name}: {e}; raise centering_samples") from None
+        raise ConfigError(f"stopper {name}: {e}; raise centering_samples") from None
     try:
         alpha = effective_step(c["alpha_tilde"], stats.sigma2_tilde)
     except ValueError:  # sigma2_tilde is not finite
-        raise ConfigError(f"stopper {stopper.name}: the data's scale overflows the centering "
+        raise ConfigError(f"stopper {name}: the data's scale overflows the centering "
                           f"estimate (sigma2_tilde = {stats.sigma2_tilde})") from None
     except OverflowError as e:  # a large alpha_tilde over a small sigma2_tilde
         raise ConfigError(f"config key 'alpha_tilde' is too large: {e}") from None
-    config = SgdConfig(loss, alpha, max_iter=c["max_iter"], rule=stopper.rule)
+    config = SgdConfig(loss, alpha, max_iter=c["max_iter"], rule=_rule(name))
     try:
         result = run(train, config)
     except ValueError as e:  # a finite training set ran out before the first step
         raise ConfigError(
-            f"stopper {stopper.name}: {e} after {stats.n_used} centering samples; "
+            f"stopper {name}: {e} after {stats.n_used} centering samples; "
             "lower centering_samples or raise epochs"
         ) from None
-    if stopper.continue_factor is not None and not result.censored:
+    if name == "zero_overhead_continue" and not result.censored:
         # plain SGD on from the stopped iterate; the row counts both runs
-        extra = int(round(stopper.continue_factor * result.iterations))
+        extra = int(round(c["continue_factor"] * result.iterations))
         plain = SgdConfig(loss, alpha, max_iter=extra, rule=StopRule.none())
         more = run(train, plain, theta0=result.theta)
         reason = result.stop_reason if more.stop_reason is StopReason.CENSORED else more.stop_reason
@@ -441,11 +433,14 @@ def _run_stopper(
     return result, stats, alpha
 
 
-_STOPPER_COLUMNS = ["stopper", "trial", "iterations", "samples_consumed", "overhead", "accuracy"]
+def _stopper_header(*extra: str) -> list[str]:
+    """The columns of a stopper table, the ``extra`` ones before the stop reason."""
+    return ["stopper", "trial", "iterations", "samples_consumed", "overhead", "accuracy",
+            *extra, "stop_reason"]
 
 
 def _stopper_table(
-    cfg: ExperimentConfig, c: dict[str, Any], source: Callable[[RngState, int], _Centered],
+    values: dict[str, Any], c: dict[str, Any], source: Callable[[RngState, int], _Centered],
     held_out: Callable[[RngState], Block], **extra: float,
 ) -> int:
     """Write the table of compare-stoppers or run-real: in trial t (sub-stream
@@ -453,22 +448,21 @@ def _stopper_table(
     protocol with window n on the data of its sub-stream rng, and is scored
     on ``held_out`` of the trial's; the ``extra`` columns, constant across
     rows, precede the stop reason."""
-    loss = LossKind(c["loss"])
-    stoppers = [_stopper(n, c["continue_factor"]) for n in c["stoppers"]]
+    loss, names = LossKind(c["loss"]), c["stoppers"]
     root = RngState(c["seed"])
     rows: list[list] = []
     for t in range(c["trials"]):
         cell = root.substream(t)
         test = held_out(cell)
-        for j, stopper in enumerate(stoppers):
-            centered = partial(source, cell.substream(_stream_index(stoppers, j)))
-            result, stats, _ = _run_stopper(stopper, centered, loss, c)
+        for j, name in enumerate(names):
+            centered = partial(source, cell.substream(_stream_index(names, j)))
+            result, stats, _ = _run_stopper(name, centered, loss, c)
             acc = accuracy_on_set(result.theta, fold(test, stats.offset))
             rows.append([
-                stopper.name, t, result.iterations, result.samples_consumed,
+                name, t, result.iterations, result.samples_consumed,
                 result.overhead, acc, *extra.values(), result.stop_reason.value,
             ])
-    _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, *extra, "stop_reason"], rows)
+    _write_csv(values, c, _stopper_header(*extra), rows)
     return EXIT_OK
 
 
@@ -476,8 +470,7 @@ def _stopper_table(
 # sweep-sigma
 
 
-def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
-    c = _parse(_SWEEP, cfg.values)
+def cmd_sweep_sigma(values: dict[str, Any], c: dict[str, Any]) -> int:
     losses = [LossKind(name) for name in c["losses"]]
     root = RngState(c["seed"])
 
@@ -494,9 +487,8 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
             for t in range(c["trials"]):
                 cell = root.substream(i_s).substream(i_l).substream(t)
                 labeled = _labeled_source(c, sigma, cell.substream(0))
-                stopper = _Stopper("zero_overhead", StopRule.zero_overhead())
                 centered = partial(center_and_fold, labeled)
-                result, _, alpha = _run_stopper(stopper, centered, loss, c)
+                result, _, alpha = _run_stopper("zero_overhead", centered, loss, c)
                 if not result.theta.any():
                     acc = 0.5  # never-updated iterate classifies at chance
                 else:
@@ -505,7 +497,7 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
                     sigma, loss.value, t, result.iterations, result.censored,
                     acc, opt, acc / opt, alpha,
                 ])
-    _write_csv(c["out"], cfg, header, rows)
+    _write_csv(values, c, header, rows)
     return EXIT_OK
 
 
@@ -513,11 +505,10 @@ def cmd_sweep_sigma(cfg: ExperimentConfig) -> int:
 # compare-stoppers
 
 
-def cmd_compare_stoppers(cfg: ExperimentConfig) -> int:
-    c = _parse(_COMPARE, cfg.values)
+def cmd_compare_stoppers(values: dict[str, Any], c: dict[str, Any]) -> int:
     sigma, eval_stream = c["sigma"], len(c["stoppers"])
     return _stopper_table(
-        cfg, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
+        values, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
         lambda cell: first_rows(
             _labeled_source(c, sigma, cell.substream(eval_stream)), c["eval_samples"]
         ),
@@ -547,12 +538,12 @@ def _gaussian_model(key: str, d: int, mu_scale: float, sigma: float) -> Gaussian
 
 
 def _section_model(
-    c: dict[str, Any], name: str, positive: tuple[str, ...] = (), low_noise: bool = False
+    sec: dict[str, Any], name: str, positive: tuple[str, ...] = (), low_noise: bool = False
 ) -> tuple[LossKind, GaussianFoldedModel, float]:
-    """Loss, model and step of section ``name``, once the theory its check
-    rests on is known to cover them: the ``positive`` keys must be > 0, and
-    with ``low_noise`` the model must be in the loss's low-noise regime."""
-    sec = c[name]
+    """Loss, model and step of section ``name`` (parsed as ``sec``), once the
+    theory its check rests on is known to cover them: the ``positive`` keys
+    must be > 0, and with ``low_noise`` the model must be in the loss's
+    low-noise regime."""
     for key in positive:
         if not sec[key] > 0:
             raise ConfigError(f"config key '{name}.{key}' must be > 0 for the {name} check")
@@ -583,35 +574,35 @@ def _before_trials(name: str, quantity: Callable, *args):
         raise ConfigError(f"config section '{name}': {e}; |mu_scale|/sigma is too large") from None
 
 
-def _expected_T(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
-    loss, model, alpha = _section_model(c, "expected_T", ("sigma", "alpha"), low_noise=True)
-    bound = _before_trials("expected_T", low_regime_expected_T_bound, loss, model, alpha)
+def _expected_T(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
+    loss, model, alpha = _section_model(sec, name, ("sigma", "alpha"), low_noise=True)
+    bound = _before_trials(name, low_regime_expected_T_bound, loss, model, alpha)
     config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
     yield
     stats = estimate_expected_T(model, config, sec["trials"], root.substream(1))
     ok = stats.n_censored == 0 and stats.mean <= bound
-    yield _check_row("expected_T", stats.mean, bound, stats.stderr, ok)
+    yield _check_row(name, stats.mean, bound, stats.stderr, ok)
 
 
-def _hitting_time(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
-    section = _section_model(c, "hitting_time", ("sigma", "alpha"))
-    rset = _before_trials("hitting_time", regime_set, *section)
+def _hitting_time(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
+    section = _section_model(sec, name, ("sigma", "alpha"))
+    rset = _before_trials(name, regime_set, *section)
     theta0 = np.zeros(rset.model.d)
     bound = drift_value(rset, theta0) / rset.b
     yield
     stats = estimate_hitting_time(theta0, rset, sec["max_iter"], sec["trials"], root.substream(2))
     ok = stats.n_censored == 0 and stats.mean <= bound + 4.0 * stats.stderr
-    yield _check_row("hitting_time", stats.mean, bound, stats.stderr, ok)
+    yield _check_row(name, stats.mean, bound, stats.stderr, ok)
 
 
-def _drift(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
-    section = _section_model(c, "drift", ("sigma",), low_noise=True)
-    rset = _before_trials("drift", regime_set, *section)
+def _drift(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
+    section = _section_model(sec, name, ("sigma",), low_noise=True)
+    rset = _before_trials(name, regime_set, *section)
     mu_dots = sec["mu_dots"]
     try:
         probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
     except ValueError as e:  # a probe inside the target set, or past a double
-        raise ConfigError(f"drift.mu_dots: {e}") from None
+        raise ConfigError(f"{name}.mu_dots: {e}") from None
     yield
     results = check_drift_inequality(rset, probes, sec["n_mc"], root.substream(4))
     for dot, res in zip(mu_dots, results):
@@ -620,8 +611,8 @@ def _drift(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[d
         )
 
 
-def _angle(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
-    loss, model, alpha = _section_model(c, "angle")
+def _angle(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
+    loss, model, alpha = _section_model(sec, name)
     config = SgdConfig(loss, alpha, max_iter=sec["max_iter"], rule=StopRule.extra_sample())
     v = np.zeros(model.d)
     v[1] = 1.0
@@ -633,8 +624,8 @@ def _angle(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[d
     yield _check_row("angle_deviation", dev.mean, bound, slack / 3.0, ok)
 
 
-def _target_delta(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Iterator[dict]:
-    _, model, _ = _section_model(c, "target_delta")
+def _target_delta(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
+    _, model, _ = _section_model(sec, name)
     yield
     gen = root.substream(6).generator()
     mu2 = model.mu_norm**2
@@ -652,26 +643,23 @@ def _target_delta(c: dict[str, Any], sec: dict[str, Any], root: RngState) -> Ite
     yield _check_row("target_delta_min", worst, 0.5, 0.0, worst >= 0.5)
 
 
-# Each check is a generator over one section: it computes the section's model
-# and theory, pauses at a bare yield, then runs its trials and yields its rows.
+# Each check is a generator over one parsed section and its name: it computes
+# the section's model and theory, pauses at a bare yield, then runs its
+# trials and yields its rows.
 _CHECKS = {"expected_T": _expected_T, "hitting_time": _hitting_time, "drift": _drift,
            "angle": _angle, "target_delta": _target_delta}
 
 
-def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
-    c = _parse(_VERIFY, cfg.values)
+def cmd_verify_bounds(values: dict[str, Any], c: dict[str, Any]) -> int:
     root = RngState(c["seed"])
-    sections = [check(c, c[name], root) for name, check in _CHECKS.items() if c[name] is not None]
+    sections = [check(c[name], name, root) for name, check in _CHECKS.items()
+                if c[name] is not None]
     if not sections:
         raise ConfigError(f"no checks configured: need at least one of {', '.join(_CHECKS)}")
     for section in sections:
         next(section)  # every section's theory, before any section's trials
     checks = [row for section in sections for row in section]
-    report = {
-        "config": {k: v for k, v in cfg.values.items() if k != "out"},
-        "seed": c["seed"],
-        "checks": checks,
-    }
+    report = {"config": _echo(values), "seed": c["seed"], "checks": checks}
     _write(c["out"], json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if all(row["pass"] for row in checks) else EXIT_CHECK_FAILED
 
@@ -743,19 +731,18 @@ def _load_real(c: dict[str, Any]) -> tuple[Block, Block, float]:
     return _task(c, *splits[0]), _task(c, *splits[1]), divisor
 
 
-def cmd_run_real(cfg: ExperimentConfig) -> int:
-    c = _parse(_REAL, cfg.values)
+def cmd_run_real(values: dict[str, Any], c: dict[str, Any]) -> int:
     try:
         train, test, divisor = _load_real(c)
     except DataMissing as e:
-        _write_csv(c["out"], cfg, [*_STOPPER_COLUMNS, "baseline", "stop_reason"], [])
+        _write_csv(values, c, _stopper_header("baseline"), [])
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
     test = Block(test.y, np.divide(test.zeta, divisor, dtype=float))
     folded = np.empty(train.zeta.shape)  # every run folds into this one buffer
     return _stopper_table(
-        cfg, c,
+        values, c,
         lambda rng, n: center_and_fold_split(
             train, rng.generator(), n, c["epochs"], folded, divisor
         ),
@@ -794,7 +781,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command, table = _COMMANDS[args.command]
     try:
-        values = dict(ExperimentConfig.load(args.config).values)
+        values = _load(args.config)
         if args.seed is not None:
             values["seed"] = args.seed
         if args.out is not None:
@@ -809,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             if "trials" in table:
                 values["trials"] = args.trials
-        return command(ExperimentConfig(values))
+        return command(values, _parse(table, values))
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -598,4 +598,6 @@ def accuracy_on_set(theta: np.ndarray, folded: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: folded {folded.shape}, theta {theta.shape}"
         )
-    return float(np.mean(folded @ theta > 0.0))
+    # a diverged theta's margins overflow to inf or NaN, which compare with 0 as usual
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(folded @ theta > 0.0))

@@ -18,9 +18,8 @@ The hinge subgradient at the kink m = 1 is taken as -xi (the one-sided choice
 that keeps pushing while the margin has not cleared 1); for continuous data
 the kink has probability zero.
 
-Each loss's s(m) is one scalar function of a Python float; gradient_factor
-dispatches to it by kind, and the engine binds it once per run through
-factor_function.
+Each loss's s(m) is one scalar function of a Python float, which
+factor_function returns by kind; the engine binds it once per run.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 __all__ = [
     "LossKind",
     "factor_function",
-    "gradient_factor",
 ]
 
 
@@ -60,20 +58,12 @@ _FACTORS = {LossKind.LOGISTIC: _logistic_factor, LossKind.HINGE: _hinge_factor}
 
 
 def factor_function(kind: LossKind) -> Callable[[float], float]:
-    """The scalar function m -> s(m) of ``kind``, to bind once per run."""
+    """The scalar function m -> s(m) of ``kind``, with -grad_theta l(xi . theta)
+    = s(m) xi, to bind once per run."""
     try:
         return _FACTORS[kind]
     except (KeyError, TypeError):  # not a LossKind, or not even hashable
         raise TypeError(f"unknown loss kind: {kind!r}") from None
-
-
-def gradient_factor(kind: LossKind, margin: float) -> float:
-    """Scalar s(m) with -grad_theta l(xi . theta) = s(m) xi.
-
-    logistic: s(m) = 1 / (1 + exp(m)), evaluated on the stable side so large
-    |m| never overflows; hinge: s(m) = 1{m <= 1}.
-    """
-    return factor_function(kind)(margin)
 
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:

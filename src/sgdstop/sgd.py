@@ -293,9 +293,12 @@ def run(
         if theta0 is not None
         else np.zeros_like(first, dtype=float)
     )
-    theta, k, charged, reason, checked = _loop(
-        rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
-    )
+    # an overflowed iterate or margin ends the run as DIVERGED, so numpy's
+    # warnings about it would only repeat the stop reason
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, k, charged, reason, checked = _loop(
+            rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
+        )
     if val is not None:  # the p validation draws, and p margins per check
         charged += rule.p
         checked = rule.p * (k // rule.period + 1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from sgdstop.losses import LossKind, _sigmoid_vec, gradient_factor
+from sgdstop.losses import LossKind, _sigmoid_vec, factor_function
 from sgdstop.numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -242,5 +242,5 @@ def sgd_step(
     xi = np.asarray(xi, dtype=float)
     if theta.shape != xi.shape:
         raise ValueError(f"shape mismatch: theta {theta.shape}, xi {xi.shape}")
-    s = gradient_factor(kind, float(xi @ theta))
+    s = factor_function(kind)(float(xi @ theta))
     return theta + (alpha * s) * xi

@@ -303,16 +303,14 @@ def _finite_blocks(n, nan_at=None):
 
 
 def test_continued_stopper_adds_the_extension_to_the_stopped_run():
-    c = {"centering_samples": 10, "alpha_tilde": 0.1, "max_iter": 10_000}
-    zero_overhead = cli._stopper("zero_overhead", 1.5)
-    continued = cli._stopper("zero_overhead_continue", 1.5)
+    c = {"centering_samples": 10, "alpha_tilde": 0.1, "max_iter": 10_000, "continue_factor": 1.5}
 
     def row(blocks):
-        result, _, _ = cli._run_stopper(continued, partial(center_and_fold, blocks),
-                                        LossKind.LOGISTIC, c)
+        result, _, _ = cli._run_stopper("zero_overhead_continue",
+                                        partial(center_and_fold, blocks), LossKind.LOGISTIC, c)
         return result.iterations, result.samples_consumed, result.stop_reason, result.censored
 
-    base, _, _ = cli._run_stopper(zero_overhead, partial(center_and_fold, _finite_blocks(2000)),
+    base, _, _ = cli._run_stopper("zero_overhead", partial(center_and_fold, _finite_blocks(2000)),
                                   LossKind.LOGISTIC, c)
     k = base.iterations
     assert (base.samples_consumed, base.stop_reason) == (k, StopReason.FIRED) and k > 3
@@ -337,11 +335,42 @@ def test_compare_stoppers_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_compare_stoppers_unknown_stopper(tmp_path):
-    p = _compare_cfg(tmp_path, stoppers=["zero_overhead", "svs_0"])
-    assert main(["compare-stoppers", "--config", p]) == EXIT_CONFIG
-    p2 = _compare_cfg(tmp_path, stoppers=["frobnicate"])
-    assert main(["compare-stoppers", "--config", p2]) == EXIT_CONFIG
+def test_compare_stoppers_unknown_stopper(tmp_path, capsys):
+    # svs_<p> has one spelling: p in ASCII digits with no sign, space,
+    # separator or leading zero
+    for name in ["svs_0", "frobnicate", "svs_+3", "svs_ 3", "svs_03", "svs_0_3", "svs_\u0663",
+                 "svs_1\u0663", "svs_3\n"]:
+        p = _compare_cfg(tmp_path, stoppers=["zero_overhead", name])
+        err = _assert_rejected(capsys, "compare-stoppers", p)
+        assert err.startswith("error: config key 'stoppers' must be"), err
+
+
+@pytest.mark.parametrize(
+    "stoppers",
+    [
+        ["zero_overhead_continue", "svs_4", "zero_overhead"],
+        ["svs_4", "zero_overhead", "zero_overhead_continue"],
+        ["zero_overhead", "zero_overhead_continue", "zero_overhead"],
+        ["zero_overhead_continue", "zero_overhead", "extra_sample", "zero_overhead"],
+    ],
+)
+def test_continued_stopper_extends_the_trials_first_zero_overhead_row(tmp_path, stoppers):
+    # wherever the continued stopper stands, it replays the first
+    # zero_overhead of its trial and adds round(continue_factor * k) updates
+    p = _compare_cfg(tmp_path, d=5, trials=2, eval_samples=50, continue_factor=0.75,
+                     stoppers=stoppers)
+    assert main(["compare-stoppers", "--config", p]) == EXIT_OK
+    _, rows = _read_csv(tmp_path / "cmp.csv")
+    assert [row["stopper"] for row in rows] == stoppers * 2
+    for t in range(2):
+        trial = [row for row in rows if row["trial"] == str(t)]
+        base = next(row for row in trial if row["stopper"] == "zero_overhead")
+        (cont,) = [row for row in trial if row["stopper"] == "zero_overhead_continue"]
+        k = int(base["iterations"])
+        assert base["stop_reason"] == "fired" and int(base["samples_consumed"]) == k > 0
+        total = k + int(round(0.75 * k))
+        assert (int(cont["iterations"]), int(cont["samples_consumed"])) == (total, total)
+        assert cont["stop_reason"] == "fired"
 
 
 def test_compare_stoppers_rejects_nonpositive_eval_samples(tmp_path):
@@ -1053,10 +1082,15 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command, make_cfg):
     # a directory that does not exist is rejected with the config, before any trial
     err = _assert_rejected(capsys, command, make_cfg(tmp_path, out=str(tmp_path / "no" / "x")))
     assert "'out'" in err
-    # a path that cannot be opened for writing (here a directory) is rejected too
-    assert main([command, "--config", make_cfg(tmp_path, out=str(tmp_path))]) == EXIT_CONFIG
+    # so are an empty path and an existing directory, which no file can be written to
+    for out in ("", str(tmp_path)):
+        assert main([command, "--config", make_cfg(tmp_path, out=out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'out' must be") and err.count("\n") == 1, err
+    # a path that passes the table but cannot be written is one error line too
+    assert main([command, "--config", make_cfg(tmp_path, out="/dev/full")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write output {tmp_path}") and err.count("\n") == 1, err
+    assert err.startswith("error: cannot write output /dev/full") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("contents", [b"x0,label\n\xff\xfe,0\n", None])
@@ -1167,6 +1201,18 @@ def _assert_config_error(proc):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_diverged_runs_print_nothing_on_stderr(tmp_path):
+    # alpha_tilde 1e308 overflows the iterate: the continued rows read
+    # diverged, and numpy's overflow warnings would only repeat that
+    p = _compare_cfg(tmp_path, d=50, sigma=5, loss="hinge", alpha_tilde=1e308, trials=2,
+                     eval_samples=50, stoppers=["svs_20", "zero_overhead_continue"],
+                     continue_factor=1000)
+    proc = _run_process("compare-stoppers", "--config", p)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    _, rows = _read_csv(tmp_path / "cmp.csv")
+    assert [row["stop_reason"] for row in rows[1::2]] == ["diverged", "diverged"]
 
 
 def test_console_script_runs(tmp_path):

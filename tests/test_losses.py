@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from oracles import loss_value, ray_derivative, ray_objective, softplus
-from sgdstop.losses import LossKind, gradient_factor
+from sgdstop.losses import LossKind, factor_function
 
 BOTH = [LossKind.LOGISTIC, LossKind.HINGE]
 
@@ -45,15 +45,15 @@ def test_loss_convex_and_nonincreasing(kind, m1, m2, lam):
 
 def test_gradient_factor_range_and_hinge_kink():
     for m in (-10.0, -1.0, 0.0, 0.5, 3.0, 50.0):
-        s = gradient_factor(LossKind.LOGISTIC, m)
+        s = factor_function(LossKind.LOGISTIC)(m)
         assert 0.0 < s < 1.0
-    assert gradient_factor(LossKind.LOGISTIC, 0.0) == 0.5
-    assert gradient_factor(LossKind.LOGISTIC, 800.0) == pytest.approx(0.0, abs=1e-300)
-    assert gradient_factor(LossKind.LOGISTIC, -800.0) == 1.0
+    assert factor_function(LossKind.LOGISTIC)(0.0) == 0.5
+    assert factor_function(LossKind.LOGISTIC)(800.0) == pytest.approx(0.0, abs=1e-300)
+    assert factor_function(LossKind.LOGISTIC)(-800.0) == 1.0
     # boundary margin 1 is inclusive for the hinge
-    assert gradient_factor(LossKind.HINGE, 1.0) == 1.0
-    assert gradient_factor(LossKind.HINGE, 1.0 + 1e-12) == 0.0
-    assert gradient_factor(LossKind.HINGE, 0.0) == 1.0
+    assert factor_function(LossKind.HINGE)(1.0) == 1.0
+    assert factor_function(LossKind.HINGE)(1.0 + 1e-12) == 0.0
+    assert factor_function(LossKind.HINGE)(0.0) == 1.0
 
 
 def test_gradient_factor_matches_finite_difference():
@@ -68,7 +68,7 @@ def test_gradient_factor_matches_finite_difference():
             h = 1e-6
             num = -(loss_value(kind, float(xi @ (theta + h * xi))) -
                     loss_value(kind, float(xi @ (theta - h * xi)))) / (2.0 * h)
-            got = gradient_factor(kind, m) * xi
+            got = factor_function(kind)(m) * xi
             # gradient is along xi; compare the scalar coefficient
             want = num / float(xi @ xi)
             assert got == pytest.approx(want * xi, rel=2e-5, abs=2e-7)
