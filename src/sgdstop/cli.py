@@ -131,6 +131,8 @@ def _load(path: str) -> dict[str, Any]:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    except ValueError as e:  # bytes that are not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return raw
@@ -213,12 +215,12 @@ def _finite_numbers(v: list, test: Callable[[float], bool] = lambda x: True) -> 
 
 
 _LOSSES = tuple(k.value for k in LossKind)
-# svs_<p> is small validation on p samples, p written in ASCII digits with no
-# leading zero, so each stopper has one spelling in the table's stopper column
-_STOPPER_NAME = re.compile(r"zero_overhead|zero_overhead_continue|extra_sample|svs_[1-9][0-9]*")
+# svs_<p>: small validation on p samples, p in 1 to 18 ASCII digits (inside
+# Python's int digit limit) with no leading 0, so each stopper has one spelling
+_STOPPER_NAME = re.compile(r"zero_overhead|zero_overhead_continue|extra_sample|svs_[1-9][0-9]{,17}")
 _STOPPERS = _Key(
-    list, ["zero_overhead"], "a nonempty list of stopper names: zero_overhead, "
-    "extra_sample, svs_p (p >= 1 in digits, no leading 0), zero_overhead_continue",
+    list, ["zero_overhead"], "a nonempty list of stopper names: zero_overhead, extra_sample, "
+    "svs_p (p >= 1 in at most 18 digits, no leading 0), zero_overhead_continue",
     lambda v: bool(v) and all(isinstance(n, str) and _STOPPER_NAME.fullmatch(n) for n in v),
 )
 _NONNEGATIVE = _Key(float, REQUIRED, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)

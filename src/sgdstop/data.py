@@ -25,8 +25,7 @@ their midpoint, and estimate the per-sample noise scale as
 whose expectation is sigma^2 d for isotropic class noise.  The remaining
 rows are folded in place once per block and handed to the engine, which
 owns them, one at a time: itertools.chain hands out the rows of the folded
-blocks in C, so no Python frame is resumed per row.  Blocks are drawn as
-they always were, so draw accounting does not change.  The step size
+blocks in C, so no Python frame is resumed per row.  The step size
 actually run is then effective_step(alpha_tilde, sigma2_tilde) =
 alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
 across noise scales and datasets.  Held-out sets are folded with fold, the
@@ -50,20 +49,21 @@ string either parses or raises a typed ParseError subclass, never anything
 else.
 
 Samplers and streams here are iterators.  Synthetic ones are infinite and
-draw through a numpy Generator in documented block sizes, so a fixed
-(seed, stream) pair reproduces the exact sequence; a split's stream
+take an RngState, whose (seed, stream) pair fixes every uniform of the
+sequence by its position in a documented block layout; a split's stream
 shuffles once per epoch with the run's own generator, drawing each
 permutation when the last epoch runs out, and simply ends when its epoch
 budget does.
 
-Both Gaussian samplers share one source.  A 256-row block's uniforms (after
-its label coins, for the mixture) are drawn when its first row is
-requested; they are turned into Box-Muller radii and angles, and those into
-normals, chunk by chunk (128 rows for the mixture, 32 for the folded
-stream) only when the consumer reaches the chunk, so rows a run never
-reads are never transformed.  A block holds exactly the bytes of
-mean + sigma * standard_normals(gen, 256 d), and draw accounting is that
-of whole blocks.
+Both Gaussian samplers share one source.  Its uniforms are laid out in
+256-row blocks: the label coins (for the mixture), then the first and then
+the second uniforms of the block's Box-Muller pairs.  Philox is
+counter-based, so a chunk (128 rows for the mixture, 32 for the folded
+stream) reads its own uniforms at their positions (numerics.uniforms_at)
+when the consumer reaches it, and only then turns them into radii, angles
+and normals; rows a run never reaches are never drawn.  A block holds
+exactly the bytes of mean + sigma * standard_normals(gen, 256 d) that
+drawing it whole from the stream's generator would give.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, box_muller, box_muller_polar, sample_student_t2
+from .numerics import RngState, box_muller, box_muller_polar, sample_student_t2, uniforms_at
 
 __all__ = [
     "BLOCK_ROWS",
@@ -154,17 +154,11 @@ def _fold_rows(y: np.ndarray, zeta: np.ndarray, offset: np.ndarray, out: np.ndar
     return out
 
 
-def _materialize(rng: RngState | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngState):
-        return rng.generator()
-    return rng
-
-
 def gaussian_mixture_sampler(
     mu0: np.ndarray,
     mu1: np.ndarray,
     sigma: float,
-    rng: RngState | np.random.Generator,
+    rng: RngState,
 ) -> Iterator[Block]:
     """Fair two-component Gaussian mixture: y ~ Bernoulli(1/2), zeta ~
     N(mu_y, sigma^2 I_d).
@@ -173,7 +167,7 @@ def gaussian_mixture_sampler(
     each, y = 1 iff u < 1/2), then the uniforms of its 256 d feature normals;
     a block's rows are mu_y + sigma * standard_normals(gen, 256 d), bit for
     bit.  Hands out each block in 128-row chunks, views of the block's one
-    array, transformed only when reached.
+    array, drawn and transformed only when reached.
     """
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -182,15 +176,13 @@ def gaussian_mixture_sampler(
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     means = np.stack([mu0, mu1])
-    chunks = _gaussian_chunks(_materialize(rng), mu0.shape[0], sigma, MIXTURE_CHUNK_ROWS, True)
+    chunks = _gaussian_chunks(rng, mu0.shape[0], sigma, MIXTURE_CHUNK_ROWS, True)
     for ys, rows in chunks:
         rows += means[ys]
         yield Block(ys, rows)
 
 
-def student_t2_mixture_sampler(
-    beta: float, d: int, rng: RngState | np.random.Generator
-) -> Iterator[Block]:
+def student_t2_mixture_sampler(beta: float, d: int, rng: RngState) -> Iterator[Block]:
     """Heavy-tailed mixture: entries are beta * (Student-t, 2 dof); class 1
     additionally has 1 added to its first coordinate.
 
@@ -202,7 +194,7 @@ def student_t2_mixture_sampler(
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    gen = _materialize(rng)
+    gen = rng.generator()
     while True:
         ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
         block = beta * sample_student_t2(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
@@ -210,51 +202,50 @@ def student_t2_mixture_sampler(
         yield Block(ys, block)
 
 
-def folded_gaussian_stream(
-    mu: np.ndarray, sigma: float, rng: RngState | np.random.Generator
-) -> Iterator[np.ndarray]:
+def folded_gaussian_stream(mu: np.ndarray, sigma: float, rng: RngState) -> Iterator[np.ndarray]:
     """Infinite stream of xi ~ N(mu, sigma^2 I_d), already folded.
 
     Each 256-row block is mu + sigma * standard_normals(gen, 256 d), bit for
-    bit, with its uniforms drawn when its first row is requested but only
-    transformed 32 rows at a time as they are reached, so short runs skip
-    the rest.
+    bit, drawn and transformed 32 rows at a time as they are reached, so
+    short runs skip the rest; itertools.chain hands the rows out in C.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ValueError("mu must be a nonempty 1-D vector")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    for _, rows in _gaussian_chunks(_materialize(rng), mu.shape[0], sigma, CHUNK_ROWS, False):
-        rows += mu
-        yield from rows
+    chunks = _gaussian_chunks(rng, mu.shape[0], sigma, CHUNK_ROWS, False)
+    return itertools.chain.from_iterable(np.add(rows, mu, out=rows) for _, rows in chunks)
 
 
 def _gaussian_chunks(
-    gen: np.random.Generator, d: int, sigma: float, chunk_rows: int, coins: bool
+    rng: RngState, d: int, sigma: float, chunk_rows: int, coins: bool
 ) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
     """The shared source of both Gaussian samplers: (ys, sigma * noise) chunks.
 
-    Per 256-row block, when its first chunk is requested: the 256 label
-    coins if ``coins`` (ys is None otherwise), then the uniforms of its
-    128 d Box-Muller pairs, and one (256, d) output array.  Each chunk of
-    ``chunk_rows`` rows (even, so it starts on a pair) has its uniforms
-    turned into radii and angles, its normals written and scaled by sigma,
-    all in place and only when it is requested; it is a view of that array,
-    which the caller finishes (adds the mean to) and owns.
+    A 256-row block's uniforms are its 256 label coins if ``coins`` (ys is
+    None otherwise), then the first uniforms of its 128 d Box-Muller pairs,
+    then their second ones.  A chunk of ``chunk_rows`` rows (even, so it
+    starts on a pair) reads only its own uniforms (and its block's coins,
+    if first), when it is requested, and writes its normals times sigma
+    into a view of the block's one array, which the caller finishes (adds
+    the mean to) and owns.
     """
+    gen = rng.generator()
     pairs, step = BLOCK_ROWS * d // 2, chunk_rows * d // 2
-    uniforms = np.empty((2, pairs))  # reused: a block is drawn after the last is read
-    while True:
+    lead = BLOCK_ROWS if coins else 0
+    for base in itertools.count(lead, lead + 2 * pairs):  # where a block's pairs start
         if coins:
-            ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
-        gen.random(out=uniforms)
+            ys = (uniforms_at(rng, gen, base - lead, np.empty(BLOCK_ROWS)) < 0.5).astype(int)
         block = np.empty((BLOCK_ROWS, d))
         flat = block.reshape(-1)
         for row in range(0, BLOCK_ROWS, chunk_rows):
-            a = row * d // 2
-            r, t = box_muller_polar(uniforms[:, a : a + step])
-            box_muller(r, t, flat[2 * a : 2 * (a + step)])
+            a = base + row * d // 2
+            u = np.empty((2, step))
+            uniforms_at(rng, gen, a, u[0])
+            uniforms_at(rng, gen, a + pairs, u[1])
+            r, t = box_muller_polar(u)
+            box_muller(r, t, flat[row * d : (row + chunk_rows) * d])
             rows = block[row : row + chunk_rows]
             rows *= sigma
             yield (ys[row : row + chunk_rows] if coins else None), rows

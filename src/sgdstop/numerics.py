@@ -9,6 +9,11 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 * distinct streams derived from one seed are non-overlapping by the Philox
   keying contract (distinct keys select statistically independent sequences).
 
+RngState.generator hands Philox its key as a seed sequence, so no OS entropy
+is gathered for a SeedSequence that Philox(key=...) would never use.  Philox
+is counter-based, so uniforms_at reads a stream's uniforms from any position
+(a multiple of 4) without computing those before it.
+
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
 documented number of uniforms.  That makes draw accounting exact and keeps
@@ -58,9 +63,11 @@ import numpy as np
 # numpy loads numpy.random on first use; loading it with this module keeps
 # that cost in start-up instead of inside the first command that draws
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngState",
+    "uniforms_at",
     "std_normal_cdf",
     "std_normal_ccdf",
     "box_muller_polar",
@@ -112,9 +119,39 @@ class RngState:
         return RngState(self.seed, child)
 
     def generator(self) -> np.random.Generator:
-        """Materialize the mutable draw source for this stream."""
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        """Materialize the mutable draw source for this stream: the state of
+        ``Generator(Philox(key=[seed, stream]))``, bit for bit."""
+        return Generator(Philox(_Key(np.array([self.seed, self.stream], dtype=np.uint64))))
+
+
+class _Key(ISeedSequence):
+    """A Philox key handed over as a seed sequence.  Philox(key=...) also
+    builds a SeedSequence from OS entropy, which it never uses; Philox takes
+    an ISeedSequence as it is and asks it for its two 64-bit key words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        assert n_words == 2 and dtype == np.uint64, "only a Philox key is asked for"
+        return self.words
+
+
+def uniforms_at(rng: RngState, gen: Generator, position: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms ``position``, ``position + 1``, ... of ``rng``'s stream, as
+    ``rng.generator().random`` hands them out, written into ``out`` through
+    ``gen``, a Philox generator whose state this sets.  Uniform p is output
+    p % 4 of the block that the key encrypts from counter p // 4 + 1 (the
+    counter steps before each block), so a counter of p // 4 and an empty
+    buffer read on from p, a multiple of 4.
+    """
+    assert position % 4 == 0, f"uniform {position} does not start a Philox block"
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [position // 4, 0, 0, 0], "key": [rng.seed, rng.stream]},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen.random(out=out)
 
 
 def box_muller_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

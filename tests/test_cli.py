@@ -345,6 +345,31 @@ def test_compare_stoppers_unknown_stopper(tmp_path, capsys):
         assert err.startswith("error: config key 'stoppers' must be"), err
 
 
+def test_configs_past_pythons_int_digit_limit_are_one_error_line(tmp_path, capsys):
+    # Python converts at most sys.get_int_max_str_digits() (4,300 by
+    # default) decimal digits to an int: svs_<p> names p in at most 18
+    # digits, and a config file holding a longer integer (or bytes that are
+    # not UTF-8) is named in the error
+    for name in ["svs_" + "1" * 19, "svs_" + "1" * 4400]:
+        p = _compare_cfg(tmp_path, stoppers=["zero_overhead", name])
+        err = _assert_rejected(capsys, "compare-stoppers", p)
+        assert err.startswith("error: config key 'stoppers' must be"), err[:200]
+    cases = [('{"d": 6, "loss": "\xff"}'.encode("latin-1"), "utf-8")]
+    if sys.get_int_max_str_digits():  # 0: no limit
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        config = Path(_compare_cfg(tmp_path)).read_text()
+        long = config.replace('"eval_samples": 500', f'"eval_samples": {digits}')
+        cases.append((long.encode(), "integer string conversion"))
+    for text, problem in cases:
+        path = tmp_path / "read.json"
+        path.write_bytes(text)
+        assert main(["compare-stoppers", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1, err
+        assert problem in err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
 @pytest.mark.parametrize(
     "stoppers",
     [

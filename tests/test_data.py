@@ -37,7 +37,7 @@ from sgdstop.data import (
     student_t2_mixture_sampler,
 )
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState, box_muller, box_muller_polar, standard_normals
+from sgdstop.numerics import RngState, box_muller, box_muller_polar, standard_normals, uniforms_at
 from sgdstop.sgd import SgdConfig, StopReason, run
 
 
@@ -174,29 +174,40 @@ def _mixture_reference_block(gen, means, sigma):
 @example(d=7, sigma=0.3, reads=[256, 256, 1], seed=1)
 @example(d=40, sigma=0.0, reads=[128, 128, 129, 255], seed=2)
 def test_gaussian_mixture_sampler_matches_whole_block_reference(d, sigma, reads, seed):
-    # rows handed out chunk by chunk equal, bit for bit, whole blocks drawn
-    # as 256 coins then standard_normals; a shared generator is left exactly
-    # where drawing each block at its first row leaves it
+    # rows whose uniforms are read chunk by chunk at their positions equal,
+    # bit for bit, whole blocks drawn in turn from one generator of the same
+    # state as 256 coins then standard_normals
     means = np.stack([np.linspace(-1.0, 2.0, d), np.linspace(0.5, -0.5, d)])
     means[1, 0] = -0.0  # a signed zero must survive sigma = 0
-    gen = RngState(seed).generator()
     ref_gen = RngState(seed).generator()
-    stream = gaussian_mixture_sampler(means[0], means[1], sigma, gen)
+    stream = gaussian_mixture_sampler(means[0], means[1], sigma, RngState(seed))
     pending = np.empty((0, d)), np.empty(0, dtype=int)
     ref_z, ref_y = np.empty((0, d)), np.empty(0, dtype=int)
     for n in reads:
         while pending[0].shape[0] < n:
             chunk = next(stream)
             pending = np.concatenate([pending[0], chunk.zeta]), np.concatenate([pending[1], chunk.y])
-            while ref_z.shape[0] < pending[0].shape[0]:
-                ys, z = _mixture_reference_block(ref_gen, means, sigma)
-                ref_z, ref_y = np.concatenate([ref_z, z]), np.concatenate([ref_y, ys])
-            assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
+        while ref_z.shape[0] < n:
+            ys, z = _mixture_reference_block(ref_gen, means, sigma)
+            ref_z, ref_y = np.concatenate([ref_z, z]), np.concatenate([ref_y, ys])
         got_z, got_y = pending[0][:n], pending[1][:n]
         assert np.array_equal(got_y, ref_y[:n])
         assert np.array_equal(got_z.view(np.uint64), ref_z[:n].view(np.uint64))
         pending = pending[0][n:], pending[1][n:]
         ref_z, ref_y = ref_z[n:], ref_y[n:]
+
+
+def test_gaussian_mixture_sampler_draws_a_chunk_and_its_blocks_coins(monkeypatch):
+    # d = 3: a block is 256 coins, then 384 first and 384 second uniforms of
+    # its pairs; a chunk of 128 rows reads 192 of each, its block's coins once
+    draws = _record_draws(monkeypatch)
+    stream = gaussian_mixture_sampler(np.zeros(3), np.ones(3), 1.0, RngState(4))
+    next(stream)
+    assert draws == [(0, 256), (256, 192), (640, 192)]
+    next(stream)
+    assert draws[3:] == [(448, 192), (832, 192)]
+    next(stream)
+    assert draws[5:] == [(1024, 256), (1280, 192), (1664, 192)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,14 +280,15 @@ def test_student_t2_mixture_sampler_shape_and_split():
         next(student_t2_mixture_sampler(0.1, 0, RngState(1)))
 
 
-def test_student_t2_zero_uniform_is_infinite_and_diverges():
+def test_student_t2_zero_uniform_is_infinite_and_diverges(monkeypatch):
     # a uniform of exactly 0 is the t2 inverse CDF at 1: an infinite entry,
     # which must stop a run as diverged rather than poison it silently
     class ZeroUniforms:
         def random(self, n):
             return np.zeros(n)
 
-    block = next(student_t2_mixture_sampler(0.1, 2, ZeroUniforms()))
+    monkeypatch.setattr(RngState, "generator", lambda self: ZeroUniforms())
+    block = next(student_t2_mixture_sampler(0.1, 2, RngState(0)))
     assert np.all(np.isinf(block.zeta))
     rows = iter(fold(block, np.zeros(2)))
     with np.errstate(invalid="ignore"):  # inf * 0 in the first margin
@@ -285,18 +297,54 @@ def test_student_t2_zero_uniform_is_infinite_and_diverges():
     assert res.iterations == 0
 
 
+def _folded_reference(mu, sigma, rng, n):
+    """The first n rows of a folded stream as whole blocks of mu + sigma *
+    standard_normals(gen, 256 d), drawn in turn from one generator."""
+    gen, d = rng.generator(), mu.shape[0]
+    blocks = -(-n // BLOCK_ROWS)
+    noise = [standard_normals(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d) for _ in range(blocks)]
+    return mu + sigma * np.concatenate(noise)[:n]
+
+
+def _record_draws(monkeypatch):
+    """The positioned draws of the data layer's Gaussian source from now on,
+    each recorded as (position, count)."""
+    draws = []
+
+    def counted(rng, gen, position, out):
+        draws.append((position, out.size))
+        return uniforms_at(rng, gen, position, out)
+
+    monkeypatch.setattr(data, "uniforms_at", counted)
+    return draws
+
+
 def test_folded_gaussian_stream_zero_sigma_and_alignment():
     mu = np.array([1.0, -2.0])
-    xs = list(itertools.islice(folded_gaussian_stream(mu, 0.0, RngState(5)), 5))
-    for x in xs:
-        assert np.array_equal(x, mu)
-    # zero-sigma still consumes draws so the next block matches a fresh
-    # sigma > 0 stream after the same number of points
-    g_zero = RngState(5).generator()
-    list(itertools.islice(folded_gaussian_stream(mu, 0.0, g_zero), 256))
-    g_one = RngState(5).generator()
-    list(itertools.islice(folded_gaussian_stream(mu, 1.0, g_one), 256))
-    assert np.array_equal(g_zero.random(4), g_one.random(4))
+    xs = np.stack(list(itertools.islice(folded_gaussian_stream(mu, 0.0, RngState(5)), 300)))
+    assert np.array_equal(xs, np.broadcast_to(mu, xs.shape))
+    # each block's uniforms sit where the whole-block layout puts them,
+    # whatever sigma, so rows past a block boundary match it at every sigma
+    for sigma in (0.0, 0.5, 1.0):
+        got = np.stack(list(itertools.islice(folded_gaussian_stream(mu, sigma, RngState(5)), 300)))
+        ref = _folded_reference(mu, sigma, RngState(5), 300)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_folded_gaussian_stream_draws_only_the_chunks_it_reaches(monkeypatch):
+    # d = 10: a 32-row chunk is 160 pairs, whose first uniforms start at the
+    # chunk's first pair and whose second uniforms 1,280 (128 d) later
+    mu = np.linspace(-1.0, 1.0, 10)
+    draws = _record_draws(monkeypatch)
+    stream = folded_gaussian_stream(mu, 0.3, RngState(8))
+    first = next(stream)
+    assert draws == [(0, 160), (1280, 160)]
+    assert sum(n for _, n in draws) == 320
+    assert np.array_equal(first, _folded_reference(mu, 0.3, RngState(8), 1)[0])
+    assert len(list(itertools.islice(stream, 31))) == 31
+    assert len(draws) == 2  # the chunk's other 31 rows draw nothing more
+    next(stream)
+    assert draws[2:] == [(160, 160), (1440, 160)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,23 +359,17 @@ def test_folded_gaussian_stream_zero_sigma_and_alignment():
 @example(d=40, sigma=0.0, reads=[32, 224, 1, 255, 1], seed=2)
 @example(d=2, sigma=0.3, reads=[33, 300, 179], seed=3)
 def test_folded_gaussian_stream_matches_whole_block_reference(d, sigma, reads, seed):
-    # rows transformed chunk by chunk on demand equal, bit for bit, whole
-    # blocks of standard_normals; a shared generator is left exactly where
-    # drawing each block when its first row is requested leaves it
+    # rows whose uniforms are read chunk by chunk at their positions equal,
+    # bit for bit, whole blocks of standard_normals drawn in turn from one
+    # generator of the same state
     mu = np.linspace(-1.0, 2.0, d)
-    gen = RngState(seed).generator()
-    ref_gen = RngState(seed).generator()
-    stream = folded_gaussian_stream(mu, sigma, gen)
-    ref = np.empty((0, d))
+    stream = folded_gaussian_stream(mu, sigma, RngState(seed))
+    ref = _folded_reference(mu, sigma, RngState(seed), sum(reads))
     consumed = 0
     for n in reads:
         got = np.stack([next(stream) for _ in range(n)])
-        while ref.shape[0] < consumed + n:
-            noise = standard_normals(ref_gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
-            ref = np.concatenate([ref, mu + sigma * noise])
         assert np.array_equal(got.view(np.uint64), ref[consumed : consumed + n].view(np.uint64))
         consumed += n
-        assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
 
 
 def test_folded_gaussian_stream_moments():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import sys
 import threading
 import time
@@ -30,6 +31,7 @@ from sgdstop.numerics import (
     standard_normals,
     std_normal_cdf,
     std_normal_ccdf,
+    uniforms_at,
 )
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.
@@ -96,6 +98,52 @@ def test_rng_state_validation():
         RngState(2**64)
     with pytest.raises(ValueError):
         RngState(0).substream(-2)
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (2**64 - 1, 2**64 - 1), (7, 2**63), (2**64 - 1, 0)])
+def test_rng_state_generator_is_philox_keyed_by_the_pair(seed, stream, monkeypatch):
+    # the state and draws of Generator(Philox(key=[seed, stream])), and no
+    # entropy gathered for them: SystemRandom reads os.urandom through random._urandom
+    expected = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+    def no_entropy(n):
+        raise OSError("no entropy here")
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    gen = RngState(seed, stream).generator()
+    assert repr(gen.bit_generator.state) == repr(expected.bit_generator.state)
+    assert gen.random(100).tobytes() == expected.random(100).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    counter=st.one_of(st.integers(0, 600), st.integers(0, 2**64 - 1)),
+    n=st.integers(0, 13),
+    before=st.integers(0, 9),
+)
+def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, n, before):
+    # uniform 4c of a stream is the first draw of its Philox started at
+    # counter c, whatever the generator it is read through drew before
+    rng = RngState(seed, seed // 3)
+    expected = np.random.Generator(
+        np.random.Philox(counter=counter, key=np.array([rng.seed, rng.stream], dtype=np.uint64))
+    ).random(n + 3)
+    gen = RngState(1, 2).generator()
+    gen.random(before)
+    out = np.full(n, np.nan)
+    assert uniforms_at(rng, gen, 4 * counter, out) is out
+    assert out.tobytes() == expected[:n].tobytes()
+    assert gen.random(3).tobytes() == expected[n:].tobytes()  # gen is left after them
+
+
+def test_uniforms_at_starts_on_a_philox_block():
+    stream = RngState(3).generator().random(12)
+    gen = RngState(4).generator()
+    assert uniforms_at(RngState(3), gen, 8, np.empty(4)).tobytes() == stream[8:].tobytes()
+    with pytest.raises(AssertionError, match="Philox block"):
+        uniforms_at(RngState(3), gen, 6, np.empty(4))
 
 
 def test_standard_normals_consumes_even_uniform_count():
