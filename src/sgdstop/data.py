@@ -59,11 +59,11 @@ Both Gaussian samplers share one source.  Its uniforms are laid out in
 256-row blocks: the label coins (for the mixture), then the first and then
 the second uniforms of the block's Box-Muller pairs.  Philox is
 counter-based, so a chunk (128 rows for the mixture, 32 for the folded
-stream) reads its own uniforms at their positions (numerics.uniforms_at)
-when the consumer reaches it, and only then turns them into radii, angles
-and normals; rows a run never reaches are never drawn.  A block holds
-exactly the bytes of mean + sigma * standard_normals(gen, 256 d) that
-drawing it whole from the stream's generator would give.
+stream) reads its own uniforms at their positions and turns them into
+normals (numerics.normals_at) when the consumer reaches it; rows a run
+never reaches are never drawn.  A block holds exactly the bytes of mean +
+sigma * standard_normals(gen, 256 d) that drawing it whole from the
+stream's generator would give.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, box_muller, box_muller_polar, sample_student_t2, uniforms_at
+from .numerics import RngState, normals_at, sample_student_t2, uniforms_at
 
 __all__ = [
     "BLOCK_ROWS",
@@ -231,21 +231,17 @@ def _gaussian_chunks(
     into a view of the block's one array, which the caller finishes (adds
     the mean to) and owns.
     """
-    gen = rng.generator()
-    pairs, step = BLOCK_ROWS * d // 2, chunk_rows * d // 2
+    gen, state = rng.generator(), rng.philox_state()
+    pairs = BLOCK_ROWS * d // 2
     lead = BLOCK_ROWS if coins else 0
     for base in itertools.count(lead, lead + 2 * pairs):  # where a block's pairs start
         if coins:
-            ys = (uniforms_at(rng, gen, base - lead, np.empty(BLOCK_ROWS)) < 0.5).astype(int)
+            ys = (uniforms_at(state, gen, base - lead, np.empty(BLOCK_ROWS)) < 0.5).astype(int)
         block = np.empty((BLOCK_ROWS, d))
         flat = block.reshape(-1)
         for row in range(0, BLOCK_ROWS, chunk_rows):
             a = base + row * d // 2
-            u = np.empty((2, step))
-            uniforms_at(rng, gen, a, u[0])
-            uniforms_at(rng, gen, a + pairs, u[1])
-            r, t = box_muller_polar(u)
-            box_muller(r, t, flat[row * d : (row + chunk_rows) * d])
+            normals_at(state, gen, a, a + pairs, flat[row * d : (row + chunk_rows) * d])
             rows = block[row : row + chunk_rows]
             rows *= sigma
             yield (ys[row : row + chunk_rows] if coins else None), rows

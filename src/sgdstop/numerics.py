@@ -12,33 +12,40 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 RngState.generator hands Philox its key as a seed sequence, so no OS entropy
 is gathered for a SeedSequence that Philox(key=...) would never use.  Philox
 is counter-based, so uniforms_at reads a stream's uniforms from any position
-(a multiple of 4) without computing those before it.
+(a multiple of 4) without computing those before it; a reader builds the
+stream's state dict once (RngState.philox_state) and uniforms_at sets only
+its counter.
 
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
 documented number of uniforms.  That makes draw accounting exact and keeps
-parallel streams aligned regardless of the values drawn.  The transform has
-two steps, each defined once: box_muller_polar turns a buffer of uniforms
-into radii and angles in place, and box_muller writes the normals of any
-run of pairs into a given array.  Both are elementwise, so uniforms drawn
-up front may be transformed in pieces later, only as they are needed.
+parallel streams aligned regardless of the values drawn.  The transform is
+defined once, in _pairs: it reads a run's uniforms at their positions (or
+takes them drawn), turns them into radii and angles in place and writes the
+normals of its pairs into a given array.  Every step is elementwise, so
+uniforms may be read and transformed in pieces, only as they are needed,
+and a piece gives the bytes of the whole.  normals_at turns a run of pair
+positions into normals; standard_normals draws its uniforms first.
 
-The cosines and sines are the largest cost of sampling (20-30 ns per pair
-through libm), so box_muller hands the sines of a run of at least
-``SPLIT_PAIRS`` = 8,192 pairs to one helper thread, started on first use and
-only where at least two CPUs are usable, while the caller takes the
-cosines and then waits for the sines.  Waking the helper and waiting for it
-cost 100-200 us over half the inline time on a 2-CPU x86-64 VM (Python
-3.11, numpy 2.4).  The crossover was measured there as the median time of
-the split over that of the inline code, over 300-500 calls per size and
-three rounds, with 0.3 ms or 1 ms of SGD-like updates before each call, as
-a sampler calls it between chunks: the split loses or breaks even up to
-4,096 pairs (0.80-1.66 and 1.01-1.66), breaks even at 5,120 (0.84-0.91 and
-0.98-1.30), mostly wins at 6,400 (0.78-0.81 and 0.82-0.98) and wins from
-8,192 on (0.73-0.75 and 0.74-0.90; 0.60-0.63 at 32,000).  So the 128-row
-mixture chunks at d = 500 (32,000 pairs) and the drift check's draws
-split, while those at d = 100 (6,400 pairs) and the folded stream's 32-row
-chunks below d = 512 stay inline.
+For one 128-row mixture chunk at d = 500 (32,000 pairs) on a 2-CPU x86-64
+VM (Python 3.11, numpy 2.4), the medians over 200 calls were: reading both
+uniform runs 0.51 ms, the radii and angles 0.15 ms, the cosines 0.73 ms
+and the sines 0.70 ms (numpy takes float64 cos and sin through scalar
+libm, about 25 ns per element); 2.2 ms inline.  So a run of at least
+``SPLIT_PAIRS`` = 8,192 pairs is computed in halves: one helper thread,
+started on first use and only where at least two CPUs are usable, computes
+the front half (its uniforms, read through a Philox generator of its own,
+and every later step) while the caller computes the back half and then
+waits, 1.5-1.7 ms for that chunk.  The crossover was measured there as
+the median time of the split over that of the inline code, 150 calls each
+per size and round, in three rounds, with 0.3 ms or 1 ms of SGD-like
+updates before each call, as a sampler calls it between chunks: the split
+loses at 2,048 and 4,096 pairs (0.93-2.46), breaks even from 5,120 to
+8,192 (0.69-1.35), mostly wins at 10,240 and 12,800 (0.62-1.08) and wins
+from 16,000 on (0.56-0.70).  So the 128-row mixture chunks at d = 500
+(32,000 pairs) and the drift check's draws split, while those at d = 100
+(6,400 pairs) and the folded stream's 32-row chunks below d = 512 stay
+inline.
 
 The normal CDF is computed from ``erfc``:
 
@@ -68,15 +75,14 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = [
     "RngState",
     "uniforms_at",
+    "normals_at",
     "std_normal_cdf",
     "std_normal_ccdf",
-    "box_muller_polar",
-    "box_muller",
     "sample_student_t2",
 ]
 
 _MASK64 = (1 << 64) - 1
-# box_muller takes the sines of a run of at least this many pairs on a helper
+# a run of at least this many pairs is computed in halves, one on a helper
 # thread; the module docstring gives the measurement behind it
 SPLIT_PAIRS = 8192
 _SQRT2 = math.sqrt(2.0)
@@ -123,6 +129,15 @@ class RngState:
         ``Generator(Philox(key=[seed, stream]))``, bit for bit."""
         return Generator(Philox(_Key(np.array([self.seed, self.stream], dtype=np.uint64))))
 
+    def philox_state(self) -> dict:
+        """The state of this stream's Philox, as ``bit_generator.state``
+        takes it, at uniform 0; uniforms_at sets only its counter."""
+        return {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [self.seed, self.stream]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+
 
 class _Key(ISeedSequence):
     """A Philox key handed over as a seed sequence.  Philox(key=...) also
@@ -137,62 +152,60 @@ class _Key(ISeedSequence):
         return self.words
 
 
-def uniforms_at(rng: RngState, gen: Generator, position: int, out: np.ndarray) -> np.ndarray:
-    """Uniforms ``position``, ``position + 1``, ... of ``rng``'s stream, as
-    ``rng.generator().random`` hands them out, written into ``out`` through
-    ``gen``, a Philox generator whose state this sets.  Uniform p is output
-    p % 4 of the block that the key encrypts from counter p // 4 + 1 (the
-    counter steps before each block), so a counter of p // 4 and an empty
-    buffer read on from p, a multiple of 4.
+def uniforms_at(state: dict, gen: Generator, position: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms ``position``, ``position + 1``, ... of a stream, as its
+    ``RngState.generator().random`` hands them out, written into ``out``
+    through ``gen``, a Philox generator set to ``state``, the stream's
+    ``RngState.philox_state()``, of which this changes only the counter.
+    Uniform p is output p % 4 of the block that the key encrypts from
+    counter p // 4 + 1 (the counter steps before each block), so a counter
+    of p // 4 and an empty buffer read on from p, a multiple of 4.
     """
     assert position % 4 == 0, f"uniform {position} does not start a Philox block"
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [position // 4, 0, 0, 0], "key": [rng.seed, rng.stream]},
-        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    state["state"]["counter"][0] = position >> 2
+    gen.bit_generator.state = state
     return gen.random(out=out)
 
 
-def box_muller_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and angles of m Box-Muller pairs, in place in a (2, m) array of
-    uniforms on [0, 1): row 0 becomes r = sqrt(-2 log(1 - u)) (1 - u lies in
-    (0, 1], so the log is finite) and row 1 becomes t = 2 pi u.
+def normals_at(state: dict, gen: Generator, first: int, second: int, out: np.ndarray) -> np.ndarray:
+    """The normals of m = out.size // 2 Box-Muller pairs, written into ``out``:
+    pair i takes uniform ``first + i`` and uniform ``second + i`` of the
+    stream of ``state`` (read as uniforms_at reads them, through ``gen``),
+    and gives out[2i] = r cos t and out[2i + 1] = r sin t (see _pairs).
+    ``gen`` is left where uniforms_at leaves it after the second uniforms.
 
-    Returns the rows (r, t), views of ``u``.  Each step is the formula's own
-    IEEE operation in the formula's order, so the results are bit-equal to it.
+    A run of at least ``SPLIT_PAIRS`` pairs is computed in two halves where
+    the helper thread is free (see _split); the bytes do not depend on it.
+    """
+    u, read = np.empty((2, out.size >> 1)), (state, gen, first, second)
+    if u.shape[1] < SPLIT_PAIRS or not _split(u, out, read):
+        _pairs(u, out, read)
+    return out
+
+
+def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
+    """Box-Muller on the k pairs of a (2, k) buffer ``u`` of uniforms on
+    [0, 1), in place, into the 2k normals of ``out``: row 0 becomes the
+    radii r = sqrt(-2 log(1 - u)) (1 - u lies in (0, 1], so the log is
+    finite), row 1 the angles t = 2 pi u, then out[2i] = r cos t and
+    out[2i + 1] = r sin t.  ``read`` is None if ``u`` holds its uniforms,
+    else (state, gen, first, second): row 0 is read from uniform ``first``
+    on and row 1 from ``second`` on.
+
+    Each step is the formula's own IEEE operation in the formula's order,
+    elementwise, so any piece of a run gives the bytes of the whole.
     """
     r, t = u
+    if read is not None:
+        state, gen, first, second = read
+        uniforms_at(state, gen, first, r)
+        uniforms_at(state, gen, second, t)
     np.subtract(1.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     t *= 2.0 * np.pi
-    return r, t
-
-
-def box_muller(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2m normals from the radii and angles of m pairs, written into ``out``:
-
-        out[2i] = r cos t,  out[2i+1] = r sin t
-
-    cos and sin go straight into ``out``, which is returned.
-
-    A run of at least ``SPLIT_PAIRS`` (8,192) pairs, where at least two CPUs
-    are usable, the helper is not busy with another caller's run and ``out``
-    shares no memory with ``r`` or ``t``, has its sines taken on one helper
-    thread while the caller takes the cosines; numpy releases the GIL inside
-    both ufuncs.  Below that, handing the run over costs more than half the
-    run saves (see the module docstring).  Each half is the same ufunc on
-    the same arrays as the inline code, under the caller's floating-point
-    error modes, so the bytes of ``out`` do not depend on which path ran,
-    and an exception of the helper's half is raised here.
-    """
     even, odd = out[0::2], out[1::2]
-    helper = _sine_helper() if t.size >= SPLIT_PAIRS else None
-    if helper is not None and not (np.may_share_memory(out, t) or np.may_share_memory(out, r)):
-        if helper.split(r, t, even, odd):
-            return out
     np.cos(t, out=even)
     even *= r
     np.sin(t, out=odd)
@@ -200,54 +213,73 @@ def box_muller(r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SineHelper:
-    """One daemon thread that writes odd = r sin t for ``box_muller``.
+def _split(u: np.ndarray, out: np.ndarray, read: tuple | None) -> bool:
+    """_pairs(u, out, read) in two halves: pairs [0, h) on the helper thread,
+    pairs [h, m) here, with h = m // 2 rounded down to a multiple of 4, so
+    both halves start on a Philox block.  The caller takes the back half, so
+    its generator ends where the inline read ends.  False (nothing written)
+    where no helper is usable or another caller holds it.
+    """
+    helper = _box_muller_helper()
+    return helper is not None and helper.split(u, out, read)
+
+
+class _BoxMullerHelper:
+    """One daemon thread that computes the front half of a run for _split.
 
     A caller claims the helper by taking ``_free`` without blocking (if it
-    is taken, the caller computes inline), posts the run, releases ``_go``,
-    takes the cosines and waits for ``_done``.  The helper computes the
-    sines of every run it is handed, under the caller's error modes, and
-    lets go of the run's arrays before it releases ``_done``, so it keeps no
-    block alive while it waits.  A wait cut short by an exception leaves
-    ``_free`` held, since the helper may still be writing: later calls
-    compute inline.
+    is taken, the caller computes inline), posts the front half, releases
+    ``_go``, computes the back half and waits for ``_done``.  The helper
+    reads its half's uniforms through a Philox generator of its own and
+    computes every half it is handed with _pairs, under the caller's error
+    modes; it lets go of the run's arrays before it releases ``_done``, so
+    it keeps no run alive while it waits.  A wait cut short by an exception
+    leaves ``_free`` held, since the helper may still be writing: later
+    calls compute inline.  The helper runs only this module's code, called
+    through this module's own names.
     """
 
     def __init__(self) -> None:
         self._free, self._go, self._done = (threading.Lock() for _ in range(3))
         self._go.acquire()
         self._done.acquire()
-        self._run: tuple | None = None  # r, t, odd, the caller's error modes
+        self._gen = Generator(Philox(_Key(np.zeros(2, dtype=np.uint64))))
+        self._state = RngState(0).philox_state()  # its key is set per half
+        self._job: tuple | None = None  # u, out, read, the caller's error modes
         self._error: BaseException | None = None
-        threading.Thread(target=self._serve, name="sgdstop-sines", daemon=True).start()
+        threading.Thread(target=self._serve, name="sgdstop-box-muller", daemon=True).start()
 
     def _serve(self) -> None:
         errmodes = np.geterr()
         while True:
             self._go.acquire()
-            r, t, odd, caller_errmodes = self._run
-            self._run = None
+            u, out, read, caller_errmodes = self._job
+            self._job = None
             try:
                 if caller_errmodes != errmodes:
                     errmodes = caller_errmodes
                     np.seterr(**errmodes)
-                np.sin(t, out=odd)
-                odd *= r
+                _pairs(u, out, read)
             except BaseException as exc:  # raised again by the caller
                 self._error = exc
-            del r, t, odd
+            del u, out, read
             self._done.release()
 
-    def split(self, r: np.ndarray, t: np.ndarray, even: np.ndarray, odd: np.ndarray) -> bool:
-        """even = r cos t here and odd = r sin t on the helper; False
-        (nothing written) if the helper is taken."""
+    def split(self, u: np.ndarray, out: np.ndarray, read: tuple | None) -> bool:
+        """_split's halves; False (nothing written) if the helper is taken."""
         if not self._free.acquire(blocking=False):
             return False
-        self._run = (r, t, odd, np.geterr())
+        h = u.shape[1] // 2 & -4
+        front = back = None
+        if read is not None:
+            state, gen, first, second = read
+            self._state["state"]["key"] = state["state"]["key"]
+            front = (self._state, self._gen, first, second)
+            back = (state, gen, first + h, second + h)
+        self._job = (u[:, :h], out[: 2 * h], front, np.geterr())
         self._go.release()
         try:
-            np.cos(t, out=even)
-            even *= r
+            _pairs(u[:, h:], out[2 * h :], back)
         finally:
             self._done.acquire()
             error, self._error = self._error, None
@@ -257,12 +289,12 @@ class _SineHelper:
         return True
 
 
-_helper: _SineHelper | None = None
+_helper: _BoxMullerHelper | None = None
 _helper_usable = True  # False once fewer than two usable CPUs were seen
 _helper_start = threading.Lock()
 
 
-def _sine_helper() -> _SineHelper | None:
+def _box_muller_helper() -> _BoxMullerHelper | None:
     """The process's one helper, started on first use; None on one CPU."""
     global _helper, _helper_usable
     if _helper is None and _helper_usable:
@@ -271,7 +303,7 @@ def _sine_helper() -> _SineHelper | None:
                 affinity = getattr(os, "sched_getaffinity", None)
                 _helper_usable = (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
                 if _helper_usable:
-                    _helper = _SineHelper()
+                    _helper = _BoxMullerHelper()
     return _helper
 
 
@@ -288,14 +320,18 @@ if hasattr(os, "register_at_fork"):
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n iid N(0,1) doubles via Box-Muller; consumes 2*ceil(n/2) uniforms,
-    the m first uniforms of the m pairs, then their m second uniforms."""
+    the m first uniforms of the m pairs, then their m second uniforms, all
+    drawn here; a transform of at least ``SPLIT_PAIRS`` pairs is split as
+    normals_at's is."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return np.empty(0)
     m = (n + 1) // 2
-    r, t = box_muller_polar(gen.random((2, m)))
-    return box_muller(r, t, np.empty(2 * m))[:n]
+    u, out = gen.random((2, m)), np.empty(2 * m)
+    if m < SPLIT_PAIRS or not _split(u, out, None):
+        _pairs(u, out, None)
+    return out[:n]
 
 
 def sample_student_t2(gen: np.random.Generator, n: int = 1) -> np.ndarray:

@@ -1261,13 +1261,13 @@ print(code, [m for m in ("scipy", "numpy.polynomial") if m in sys.modules], late
 
 
 # runs main in a fresh interpreter and prints its exit code, the thread count
-# before and after it, and how many runs reached box_muller's helper
+# before and after it, and how many runs reached the Box-Muller helper
 _MAIN_THEN_THREADS = """
 import sys, threading
 from sgdstop import numerics
 from sgdstop.cli import main
-reached, sine_helper = [], numerics._sine_helper
-numerics._sine_helper = lambda: reached.append(1) or sine_helper()
+reached, box_muller_helper = [], numerics._box_muller_helper
+numerics._box_muller_helper = lambda: reached.append(1) or box_muller_helper()
 before = threading.active_count()
 code = main(sys.argv[1:])
 print(code, before, threading.active_count(), len(reached))

@@ -37,7 +37,7 @@ from sgdstop.data import (
     student_t2_mixture_sampler,
 )
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState, box_muller, box_muller_polar, standard_normals, uniforms_at
+from sgdstop.numerics import RngState, normals_at, standard_normals, uniforms_at
 from sgdstop.sgd import SgdConfig, StopReason, run
 
 
@@ -218,18 +218,21 @@ def test_gaussian_mixture_sampler_draws_a_chunk_and_its_blocks_coins(monkeypatch
     )
 )
 @example(u=[(0.0, 0.0), (0.0, 0.25), (0.5, 0.75)])  # 1 - u = 1: a radius of -0.0
-def test_box_muller_in_place_matches_reference_formula(u):
+def test_box_muller_matches_reference_formula(u):
     pairs = np.array(u).T.copy()
     u1, u2 = 1.0 - pairs[0], pairs[1]
     r_ref = np.sqrt(-2.0 * np.log(u1))
     expected = np.empty(2 * pairs.shape[1])
     expected[0::2] = r_ref * np.cos(2.0 * np.pi * u2)
     expected[1::2] = r_ref * np.sin(2.0 * np.pi * u2)
-    r, t = box_muller_polar(pairs)
-    assert np.shares_memory(r, pairs) and np.shares_memory(t, pairs)
-    out = np.full(expected.shape, np.nan)
-    assert box_muller(r, t, out) is out
-    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    class Pairs:  # hands out the pairs' first uniforms, then their second ones
+        def random(self, shape):
+            assert shape == pairs.shape
+            return pairs.copy()
+
+    got = standard_normals(Pairs(), expected.size)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_gaussian_mixture_sampler_statistics():
@@ -311,11 +314,16 @@ def _record_draws(monkeypatch):
     each recorded as (position, count)."""
     draws = []
 
-    def counted(rng, gen, position, out):
+    def counted(state, gen, position, out):
         draws.append((position, out.size))
-        return uniforms_at(rng, gen, position, out)
+        return uniforms_at(state, gen, position, out)
+
+    def counted_pairs(state, gen, first, second, out):
+        draws.extend([(first, out.size // 2), (second, out.size // 2)])
+        return normals_at(state, gen, first, second, out)
 
     monkeypatch.setattr(data, "uniforms_at", counted)
+    monkeypatch.setattr(data, "normals_at", counted_pairs)
     return draws
 
 

@@ -137,6 +137,11 @@ CASES = {
         "sweep-sigma",
         lambda: {**_SWEEP, "source": "t2", "beta": 0.3, "sigma_grid": [0.5]},
     ),
+    # 128-row mixture chunks at d 128 are numerics.SPLIT_PAIRS pairs each
+    "sweep_gaussian_split": (
+        "sweep-sigma",
+        lambda: {**_SWEEP, "d": 128, "sigma_grid": [0.5], "trials": 1},
+    ),
     "compare_gaussian": ("compare-stoppers", lambda: _COMPARE),
     # centering reads more rows than one 256-row sampler block holds
     "compare_t2_centering_300": (
@@ -150,6 +155,11 @@ CASES = {
     ),
     "verify": ("verify-bounds", lambda: _VERIFY),
     "verify_hinge": ("verify-bounds", lambda: _VERIFY_HINGE),
+    # the drift draws 9,000 pairs per probe, over numerics.SPLIT_PAIRS
+    "verify_drift_split": (
+        "verify-bounds",
+        lambda: {"seed": 3, "drift": {**_VERIFY["drift"], "n_mc": 3000}},
+    ),
     "real_mnist_fixture": ("run-real", _mnist_config),
     "real_mnist_unscaled": ("run-real", lambda: {**_mnist_config(), "scale_pixels": False}),
     "real_cifar10": ("run-real", _cifar_config),
@@ -171,8 +181,10 @@ DIGESTS = {
     "real_mnist_fixture": "5705996ff2a38d72d8b2f9f6fc392ca6914937cd1079189fd09ae0e2d1d37b74",
     "real_mnist_unscaled": "ef1f4476a3019b77f9c039405d02d81079e5f16bf018738da93ed02b179261dd",
     "sweep_gaussian": "3938bff6460a4b4e094eaf0646538551983da6e9f798d596dee858bbb5e71619",
+    "sweep_gaussian_split": "ce5be8e34fa8fe9bcaca9a97abd7a2293cb42bb4fadc4ec79c2a598fe65a1c22",
     "sweep_t2": "fbba1958688088b0f8168ee6941b1c934c1e799fff18adc2fc3d010659a2efb5",
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
+    "verify_drift_split": "ce55172d99dd90fd7a5ea0f36fd957d211abc808abac475b33dec4191d5010a0",
     "verify_hinge": "b3bebf3f96ee2aa51d69f3744177bd140a77f4a74fbeb8127471ae4e18ffa2f8",
 }
 

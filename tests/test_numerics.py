@@ -1,4 +1,4 @@
-"""Tests for RNG plumbing, the two Box-Muller paths, normal-CDF helpers, and quadrature."""
+"""Tests for RNG plumbing, Box-Muller inline and in halves, normal-CDF helpers, and quadrature."""
 
 import math
 import os
@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     QuadratureRule,
@@ -25,8 +25,7 @@ from sgdstop import numerics
 from sgdstop.numerics import (
     SPLIT_PAIRS,
     RngState,
-    box_muller,
-    box_muller_polar,
+    normals_at,
     sample_student_t2,
     standard_normals,
     std_normal_cdf,
@@ -133,7 +132,7 @@ def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, n, before):
     gen = RngState(1, 2).generator()
     gen.random(before)
     out = np.full(n, np.nan)
-    assert uniforms_at(rng, gen, 4 * counter, out) is out
+    assert uniforms_at(rng.philox_state(), gen, 4 * counter, out) is out
     assert out.tobytes() == expected[:n].tobytes()
     assert gen.random(3).tobytes() == expected[n:].tobytes()  # gen is left after them
 
@@ -141,9 +140,20 @@ def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, n, before):
 def test_uniforms_at_starts_on_a_philox_block():
     stream = RngState(3).generator().random(12)
     gen = RngState(4).generator()
-    assert uniforms_at(RngState(3), gen, 8, np.empty(4)).tobytes() == stream[8:].tobytes()
+    state = RngState(3).philox_state()
+    assert uniforms_at(state, gen, 8, np.empty(4)).tobytes() == stream[8:].tobytes()
     with pytest.raises(AssertionError, match="Philox block"):
-        uniforms_at(RngState(3), gen, 6, np.empty(4))
+        uniforms_at(state, gen, 6, np.empty(4))
+
+
+def test_uniforms_at_moves_one_state_by_its_counter_only():
+    # one state dict serves every read of its stream, in any order
+    stream = RngState(5, 9).generator().random(40)
+    state, gen = RngState(5, 9).philox_state(), RngState(0).generator()
+    for position, n in [(20, 13), (0, 7), (36, 4), (20, 3), (4, 1)]:
+        got = uniforms_at(state, gen, position, np.empty(n))
+        assert got.tobytes() == stream[position : position + n].tobytes()
+    assert state == {**RngState(5, 9).philox_state(), "state": {"counter": [1, 0, 0, 0], "key": [5, 9]}}
 
 
 def test_standard_normals_consumes_even_uniform_count():
@@ -165,7 +175,7 @@ def test_standard_normals_moments():
 
 
 # ---------------------------------------------------------------------------
-# box_muller: the sines of a large run on a helper thread
+# normals_at and standard_normals: a large run in halves, one on a helper thread
 
 
 def _two_cpus() -> bool:
@@ -175,25 +185,48 @@ def _two_cpus() -> bool:
 
 @contextmanager
 def _helper_handoffs():
-    """Counts the runs box_muller hands to its helper inside the block."""
+    """Counts the pairs of each run handed to the helper inside the block."""
     calls = []
-    split = numerics._SineHelper.split
+    split = numerics._BoxMullerHelper.split
 
-    def spy(self, *args):
-        calls.append(args[1].size)
-        return split(self, *args)
+    def spy(self, u, out, read):
+        calls.append(u.shape[1])
+        return split(self, u, out, read)
 
-    with mock.patch.object(numerics._SineHelper, "split", spy):
+    with mock.patch.object(numerics._BoxMullerHelper, "split", spy):
         yield calls
 
 
-def _inline_box_muller(r, t, out):
-    even, odd = out[0::2], out[1::2]
-    np.cos(t, out=even)
-    even *= r
-    np.sin(t, out=odd)
-    odd *= r
+def _handed_off(m: int) -> list[int]:
+    """The handoffs of one call on m pairs: one where two CPUs are usable."""
+    return [m] if m >= SPLIT_PAIRS and _two_cpus() else []
+
+
+def _formula(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Box-Muller as its formula, on whole arrays: r cos t, r sin t interleaved."""
+    r, t = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2
+    out = np.empty(2 * r.size)
+    out[0::2], out[1::2] = r * np.cos(t), r * np.sin(t)
     return out
+
+
+def _inline_normals(rng: RngState, first: int, second: int, m: int) -> np.ndarray:
+    """normals_at's pairs from two Philox generators started at their counters."""
+    key = np.array([rng.seed, rng.stream], dtype=np.uint64)
+    u1 = np.random.Generator(np.random.Philox(counter=first // 4, key=key)).random(m)
+    u2 = np.random.Generator(np.random.Philox(counter=second // 4, key=key)).random(m)
+    return _formula(u1, u2)
+
+
+class _Uniforms:
+    """A generator whose random((2, m)) hands out the given pairs of uniforms."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def random(self, shape):
+        assert shape == self.pairs.shape
+        return self.pairs
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,80 +238,102 @@ def _inline_box_muller(r, t, out):
     ),
     a=st.integers(0, 7),
     tail=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 2**40),
+    gap=st.integers(-(2**20), 2**20),
+    seed=st.integers(0, 2**64 - 1),
 )
-def test_box_muller_helper_path_gives_the_inline_bytes(m, a, tail, seed):
-    # the layout of data._gaussian_chunks: the m pairs from pair a of a
-    # uniforms buffer, their normals written into flat[2a : 2(a + m)]
-    uniforms = np.random.default_rng(seed).random((2, a + m + tail))
-    uniforms[:, a] = 0.0  # 1 - u = 1: a radius of -0.0
-    r, t = box_muller_polar(uniforms[:, a : a + m])
+@example(m=SPLIT_PAIRS + 2, a=1, tail=1, first=0, gap=0, seed=0)  # h = 4,096 < m // 2
+@example(m=5 * SPLIT_PAIRS + 3, a=0, tail=0, first=2**40, gap=-1, seed=2**64 - 1)  # odd m
+def test_normals_at_in_halves_gives_the_inline_bytes(m, a, tail, first, gap, seed):
+    # the layout of data._gaussian_chunks: the normals of m pairs written into
+    # flat[2a : 2(a + m)], their first and second uniforms read at positions
+    # (multiples of 4) before, after or overlapping one another
+    rng = RngState(seed, seed // 5)
+    first, second = 4 * first, 4 * max(0, first + gap)
     flat = np.full(2 * (a + m + tail), np.nan)
-    expected = _inline_box_muller(r, t, flat.copy()[2 * a : 2 * (a + m)])
+    gen, inline_gen, state = RngState(1).generator(), RngState(2).generator(), rng.philox_state()
     with _helper_handoffs() as handoffs:
-        got = box_muller(r, t, flat[2 * a : 2 * (a + m)])
-    assert got.tobytes() == expected.tobytes()
+        got = normals_at(state, gen, first, second, flat[2 * a : 2 * (a + m)])
+    assert got.tobytes() == _inline_normals(rng, first, second, m).tobytes()
     assert np.isnan(flat[: 2 * a]).all() and np.isnan(flat[2 * (a + m) :]).all()
-    assert handoffs == ([m] if m >= SPLIT_PAIRS and _two_cpus() else [])
+    assert handoffs == _handed_off(m)
+    # the caller's generator is left where reading both runs inline leaves it
+    uniforms_at(state, inline_gen, first, np.empty(m))
+    uniforms_at(state, inline_gen, second, np.empty(m))
+    assert repr(gen.bit_generator.state) == repr(inline_gen.bit_generator.state)
 
 
-def test_box_muller_helper_error_is_the_inline_error_and_the_next_call_works():
+@pytest.mark.parametrize("n", [1, 2 * SPLIT_PAIRS - 1, 2 * SPLIT_PAIRS + 6, 10 * SPLIT_PAIRS + 5])
+def test_standard_normals_in_halves_gives_the_inline_bytes(n):
+    m = (n + 1) // 2
+    pairs = RngState(n).generator().random((2, m))
+    with _helper_handoffs() as handoffs:
+        got = standard_normals(RngState(n).generator(), n)
+    assert got.tobytes() == _formula(*pairs)[:n].tobytes()
+    assert handoffs == _handed_off(m)
+
+
+def test_an_error_in_the_helpers_half_is_raised_by_the_caller_and_the_next_call_works():
+    # a first uniform of 1 is a log of 0: pair 5 lies in the helper's front half
     m = 4 * SPLIT_PAIRS + 1
-    r, t = box_muller_polar(np.random.default_rng(3).random((2, m)))
-    inline_out, out = np.full(2 * m - 1, np.nan), np.full(2 * m - 1, np.nan)  # one sine short
-    with pytest.raises(ValueError) as inline:
-        _inline_box_muller(r, t, inline_out)
-    with _helper_handoffs() as handoffs, pytest.raises(ValueError) as error:
-        box_muller(r, t, out)
+    pairs = np.random.default_rng(3).random((2, m))
+    bad = pairs.copy()
+    bad[0, 5] = 1.0
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError) as inline:
+            _formula(*bad)
+        with _helper_handoffs() as handoffs, pytest.raises(FloatingPointError) as error:
+            standard_normals(_Uniforms(bad), 2 * m)
     assert str(error.value) == str(inline.value)
-    assert out.tobytes() == inline_out.tobytes()  # the cosines were written, as inline
     with _helper_handoffs() as more:
-        out = box_muller(r, t, np.empty(2 * m))
-    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
-    assert handoffs == more == ([m] if _two_cpus() else [])
+        got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
+    assert got.tobytes() == _formula(*pairs).tobytes()
+    assert handoffs == more == _handed_off(m)
 
 
-def test_box_muller_helper_keeps_the_callers_floating_point_error_modes():
-    # r = inf at t = 0: the cosine half is inf * 1 (no flag), the sine half
-    # inf * 0, an invalid operation, which must raise as the inline code does
+def test_the_callers_floating_point_error_modes_apply_in_the_helper():
+    # pair 5, in the helper's half, has r = inf (a log of 0, a divide flag)
+    # and t = 0: r cos t = inf, and r sin t = inf * 0, an invalid operation
     m = 4 * SPLIT_PAIRS
-    r, t = np.ones(m), np.zeros(m)
-    r[5] = np.inf
-    with np.errstate(invalid="raise"), _helper_handoffs() as handoffs:
-        with pytest.raises(FloatingPointError):
-            _inline_box_muller(r, t, np.empty(2 * m))
-        with pytest.raises(FloatingPointError):
-            box_muller(r, t, np.empty(2 * m))
-    with np.errstate(invalid="ignore"), warnings.catch_warnings(), _helper_handoffs() as more:
+    pairs = np.random.default_rng(4).random((2, m))
+    pairs[:, 5] = 1.0, 0.0
+    with np.errstate(divide="ignore", invalid="raise"), _helper_handoffs() as handoffs:
+        with pytest.raises(FloatingPointError, match="invalid"):
+            standard_normals(_Uniforms(pairs.copy()), 2 * m)
+    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings(), _helper_handoffs() as more:
         warnings.simplefilter("error")  # a warning on the helper would be raised here
-        out = box_muller(r, t, np.empty(2 * m))
+        out = standard_normals(_Uniforms(pairs.copy()), 2 * m)
     assert out[10] == np.inf and np.isnan(out[11])
-    assert handoffs == more == ([m] if _two_cpus() else [])
+    assert handoffs == more == _handed_off(m)
 
 
-def test_box_muller_keeps_no_run_alive():
+def test_normals_at_keeps_no_run_alive():
     # neither the caller nor the helper holds a run's arrays once it returns
     m = SPLIT_PAIRS
-    u = np.random.default_rng(8).random((2, m))
-    r, t = box_muller_polar(u)
-    out = np.empty(2 * m)
+    pairs = np.random.default_rng(8).random((2, m))
+    flat = np.empty(2 * m)
     with _helper_handoffs() as handoffs:
-        box_muller(r, t, out)
-    runs = [weakref.ref(a) for a in (u, r, t, out)]
-    del u, r, t, out
-    assert [run() is None for run in runs] == [True] * 4  # u, r, t, out
-    assert handoffs == ([m] if _two_cpus() else [])
+        got = standard_normals(_Uniforms(pairs), 2 * m)
+        normals_at(RngState(8).philox_state(), RngState(8).generator(), 0, 4 * m, flat)
+    runs = [weakref.ref(a) for a in (pairs, got, got.base, flat)]
+    del pairs, got, flat
+    assert [run() is None for run in runs] == [True] * 4  # pairs, got, its out, flat
+    assert handoffs == _handed_off(m) * 2
 
 
-def test_box_muller_computes_inline_while_another_thread_holds_the_helper():
+def _normals_at(seed: int, m: int) -> np.ndarray:
+    return normals_at(RngState(seed).philox_state(), RngState(seed).generator(), 64, 4 * m, np.empty(2 * m))
+
+
+def test_normals_at_computes_inline_while_another_thread_holds_the_helper():
     m = SPLIT_PAIRS
-    r, t = box_muller_polar(np.random.default_rng(4).random((2, m)))
-    helper = numerics._sine_helper()
+    helper = numerics._box_muller_helper()
     if helper is None:
-        pytest.skip("one usable CPU: box_muller never starts its helper")
-    with helper._free:
-        out = box_muller(r, t, np.empty(2 * m))
-    assert out.tobytes() == _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
+        pytest.skip("one usable CPU: normals_at never starts its helper")
+    with helper._free, _helper_handoffs() as handoffs:
+        got = _normals_at(4, m)
+    assert got.tobytes() == _inline_normals(RngState(4), 64, 4 * m, m).tobytes()
+    assert handoffs == [m]  # offered, and refused without a wait
 
 
 class _CutShort:
@@ -295,37 +350,36 @@ class _CutShort:
         self._lock.release()
 
 
-def test_box_muller_computes_inline_after_a_wait_cut_short():
+def test_normals_at_computes_inline_after_a_wait_cut_short():
     m = SPLIT_PAIRS
-    r, t = box_muller_polar(np.random.default_rng(5).random((2, m)))
-    expected = _inline_box_muller(r, t, np.empty(2 * m)).tobytes()
-    helper = numerics._sine_helper()
+    expected = _inline_normals(RngState(5), 64, 4 * m, m).tobytes()
+    helper = numerics._box_muller_helper()
     if helper is None:
-        pytest.skip("one usable CPU: box_muller never starts its helper")
+        pytest.skip("one usable CPU: normals_at never starts its helper")
     done = helper._done
     helper._done = _CutShort(done)
     try:
         with pytest.raises(KeyboardInterrupt):
-            box_muller(r, t, np.empty(2 * m))
+            _normals_at(5, m)
     finally:
         helper._done = done
     try:
         assert helper._free.locked()  # the helper may still be writing: left claimed
-        assert box_muller(r, t, np.empty(2 * m)).tobytes() == expected
+        assert _normals_at(5, m).tobytes() == expected
     finally:
         assert done.acquire(timeout=10)  # the helper finished the cut-short run
         helper._free.release()
     with _helper_handoffs() as handoffs:
-        assert box_muller(r, t, np.empty(2 * m)).tobytes() == expected
+        assert _normals_at(5, m).tobytes() == expected
     assert handoffs == [m]
 
 
-def _forked_box_muller_is_inline(r, t) -> bool:
-    """box_muller in a forked child returns and gives the inline bytes."""
-    expected = _inline_box_muller(r, t, np.empty(2 * r.size)).tobytes()
+def _forked_normals_at_is_inline(m: int) -> bool:
+    """normals_at in a forked child returns and gives the inline bytes."""
+    expected = _inline_normals(RngState(6), 64, 4 * m, m).tobytes()
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if box_muller(r, t, np.empty(2 * r.size)).tobytes() == expected else 1)
+        os._exit(0 if _normals_at(6, m).tobytes() == expected else 1)
     for _ in range(600):
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
@@ -333,19 +387,18 @@ def _forked_box_muller_is_inline(r, t) -> bool:
         time.sleep(0.05)
     os.kill(pid, 9)
     os.waitpid(pid, 0)
-    pytest.fail("box_muller in a forked child did not return")
+    pytest.fail("normals_at in a forked child did not return")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_box_muller_in_a_forked_child_gives_the_inline_bytes():
+def test_normals_at_in_a_forked_child_gives_the_inline_bytes():
     # the helper thread is not copied into a child, which must start its own
     # or compute inline rather than wait for a thread it does not have
     m = SPLIT_PAIRS
-    r, t = box_muller_polar(np.random.default_rng(6).random((2, m)))
-    box_muller(r, t, np.empty(2 * m))  # the parent's helper, if any, has run
-    assert _forked_box_muller_is_inline(r, t)
-    helper = numerics._sine_helper()
+    _normals_at(6, m)  # the parent's helper, if any, has run
+    assert _forked_normals_at_is_inline(m)
+    helper = numerics._box_muller_helper()
     if helper is None:
         return
     holder_has_it, release = threading.Event(), threading.Event()
@@ -359,27 +412,29 @@ def test_box_muller_in_a_forked_child_gives_the_inline_bytes():
     holder.start()
     try:
         assert holder_has_it.wait(60)
-        assert _forked_box_muller_is_inline(r, t)
+        assert _forked_normals_at_is_inline(m)
     finally:
         release.set()
         holder.join(60)
+    assert not holder.is_alive()
 
 
-def test_box_muller_from_more_threads_than_cpus_gives_the_inline_bytes():
-    # the callers contend for the one helper; a caller that finds it taken
-    # computes inline, and every output must still be exact
+def test_normals_at_from_more_threads_than_cpus_gives_the_inline_bytes():
+    # the callers contend for the one helper, whose generator reads each
+    # caller's stream in turn; a caller that finds it taken computes inline,
+    # and every output must still be exact
     m = SPLIT_PAIRS + 7
-    runs = [box_muller_polar(np.random.default_rng(seed).random((2, m))) for seed in range(4)]
-    expected = [_inline_box_muller(r, t, np.empty(2 * m)).tobytes() for r, t in runs]
+    expected = [_inline_normals(RngState(seed), 64, 4 * m, m).tobytes() for seed in range(4)]
     wrong = []
 
-    def work(i):
-        r, t = runs[i]
+    def work(seed):
+        state, gen = RngState(seed).philox_state(), RngState(seed).generator()
         for _ in range(25):
-            if box_muller(r, t, np.empty(2 * m)).tobytes() != expected[i]:
-                wrong.append(i)
+            got = normals_at(state, gen, 64, 4 * m, np.empty(2 * m))
+            if got.tobytes() != expected[seed]:
+                wrong.append(seed)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(len(expected))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -391,7 +446,7 @@ def test_box_muller_from_more_threads_than_cpus_gives_the_inline_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    helpers = [th for th in threading.enumerate() if th.name == "sgdstop-sines"]
+    helpers = [th for th in threading.enumerate() if th.name == "sgdstop-box-muller"]
     assert len(helpers) == int(_two_cpus())
 
 
