@@ -32,8 +32,12 @@ import numpy as np
 
 __all__ = [
     "LossKind",
+    "MARGIN_THRESHOLD",
     "factor_function",
 ]
+
+# The unit margin: the hinge's kink, and the level the stop tests check against.
+MARGIN_THRESHOLD = 1.0
 
 
 class LossKind(enum.Enum):
@@ -51,7 +55,7 @@ def _logistic_factor(margin: float) -> float:
 
 def _hinge_factor(margin: float) -> float:
     """1{m <= 1}."""
-    return 1.0 if margin <= 1.0 else 0.0
+    return 1.0 if margin <= MARGIN_THRESHOLD else 0.0
 
 
 _FACTORS = {LossKind.LOGISTIC: _logistic_factor, LossKind.HINGE: _hinge_factor}

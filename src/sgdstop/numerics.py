@@ -32,20 +32,21 @@ VM (Python 3.11, numpy 2.4), the medians over 200 calls were: reading both
 uniform runs 0.51 ms, the radii and angles 0.15 ms, the cosines 0.73 ms
 and the sines 0.70 ms (numpy takes float64 cos and sin through scalar
 libm, about 25 ns per element); 2.2 ms inline.  So a run of at least
-``SPLIT_PAIRS`` = 8,192 pairs is computed in halves: one helper thread,
-started on first use and only where at least two CPUs are usable, computes
-the front half (its uniforms, read through a Philox generator of its own,
-and every later step) while the caller computes the back half and then
-waits, 1.5-1.7 ms for that chunk.  The crossover was measured there as
-the median time of the split over that of the inline code, 150 calls each
-per size and round, in three rounds, with 0.3 ms or 1 ms of SGD-like
-updates before each call, as a sampler calls it between chunks: the split
-loses at 2,048 and 4,096 pairs (0.93-2.46), breaks even from 5,120 to
-8,192 (0.69-1.35), mostly wins at 10,240 and 12,800 (0.62-1.08) and wins
-from 16,000 on (0.56-0.70).  So the 128-row mixture chunks at d = 500
-(32,000 pairs) and the drift check's draws split, while those at d = 100
-(6,400 pairs) and the folded stream's 32-row chunks below d = 512 stay
-inline.
+``SPLIT_PAIRS`` = 8,192 pairs is computed in halves: one helper thread per
+process (a forked child starts its own), started by the first such run
+where at least two CPUs are usable, computes the front half (its uniforms,
+read through a Philox generator of its own, and every later step, under
+numpy's default error modes, as no uniform raises a flag) while the caller
+computes the back half and then waits, 1.5-1.7 ms for that chunk.  The
+crossover was measured there as the median time of the split over that of
+the inline code, 150 calls each per size and round, in three rounds, with
+0.3 ms or 1 ms of SGD-like updates before each call, as a sampler calls it
+between chunks: the split loses at 2,048 and 4,096 pairs (0.93-2.46),
+breaks even from 5,120 to 8,192 (0.69-1.35), mostly wins at 10,240 and
+12,800 (0.62-1.08) and wins from 16,000 on (0.56-0.70).  So the 128-row
+mixture chunks at d = 500 (32,000 pairs) and the drift check's draws
+split, while those at d = 100 (6,400 pairs) and the folded stream's 32-row
+chunks below d = 512 stay inline.
 
 The normal CDF is computed from ``erfc``:
 
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -175,11 +177,9 @@ def normals_at(state: dict, gen: Generator, first: int, second: int, out: np.nda
     ``gen`` is left where uniforms_at leaves it after the second uniforms.
 
     A run of at least ``SPLIT_PAIRS`` pairs is computed in two halves where
-    the helper thread is free (see _split); the bytes do not depend on it.
+    the helper thread is free (see _transform); the bytes do not depend on it.
     """
-    u, read = np.empty((2, out.size >> 1)), (state, gen, first, second)
-    if u.shape[1] < SPLIT_PAIRS or not _split(u, out, read):
-        _pairs(u, out, read)
+    _transform(np.empty((2, out.size >> 1)), out, (state, gen, first, second))
     return out
 
 
@@ -193,7 +193,9 @@ def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
     on and row 1 from ``second`` on.
 
     Each step is the formula's own IEEE operation in the formula's order,
-    elementwise, so any piece of a run gives the bytes of the whole.
+    elementwise, so any piece of a run gives the bytes of the whole.  On
+    uniforms in [0, 1 - 2**-53], as Philox's are, no step raises a
+    floating-point flag: r <= 8.58 and no product is subnormal.
     """
     r, t = u
     if read is not None:
@@ -213,60 +215,53 @@ def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
     return out
 
 
-def _split(u: np.ndarray, out: np.ndarray, read: tuple | None) -> bool:
-    """_pairs(u, out, read) in two halves: pairs [0, h) on the helper thread,
-    pairs [h, m) here, with h = m // 2 rounded down to a multiple of 4, so
-    both halves start on a Philox block.  The caller takes the back half, so
-    its generator ends where the inline read ends.  False (nothing written)
-    where no helper is usable or another caller holds it.
-    """
-    helper = _box_muller_helper()
-    return helper is not None and helper.split(u, out, read)
+def _transform(u: np.ndarray, out: np.ndarray, read: tuple | None) -> None:
+    """_pairs(u, out, read), in two halves for a run of at least ``SPLIT_PAIRS``
+    pairs where the helper is usable and free: pairs [0, h) on the helper
+    thread, pairs [h, m) here, with h = m // 2 rounded down to a multiple of
+    4, so both halves start on a Philox block.  The caller takes the back
+    half, so its generator ends where the inline read ends."""
+    helper = _box_muller_helper() if u.shape[1] >= SPLIT_PAIRS else None
+    if helper is None or not helper.split(u, out, read):
+        _pairs(u, out, read)
 
 
 class _BoxMullerHelper:
-    """One daemon thread that computes the front half of a run for _split.
+    """One daemon thread that computes the front half of a run for _transform.
 
     A caller claims the helper by taking ``_free`` without blocking (if it
-    is taken, the caller computes inline), posts the front half, releases
-    ``_go``, computes the back half and waits for ``_done``.  The helper
-    reads its half's uniforms through a Philox generator of its own and
-    computes every half it is handed with _pairs, under the caller's error
-    modes; it lets go of the run's arrays before it releases ``_done``, so
-    it keeps no run alive while it waits.  A wait cut short by an exception
+    is taken, the caller computes inline), puts the front half on ``_jobs``,
+    computes the back half and waits on ``_results`` for the helper's
+    exception or None.  The helper reads its half's uniforms through a
+    Philox generator of its own and computes every half it is handed with
+    _pairs, under numpy's default error modes (no caller's are relayed: see
+    _pairs); it lets go of the run's arrays before it answers, so it keeps
+    no run alive while it waits.  A wait cut short by an exception
     leaves ``_free`` held, since the helper may still be writing: later
     calls compute inline.  The helper runs only this module's code, called
     through this module's own names.
     """
 
     def __init__(self) -> None:
-        self._free, self._go, self._done = (threading.Lock() for _ in range(3))
-        self._go.acquire()
-        self._done.acquire()
+        self._free, self._jobs, self._results = threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue()
         self._gen = Generator(Philox(_Key(np.zeros(2, dtype=np.uint64))))
         self._state = RngState(0).philox_state()  # its key is set per half
-        self._job: tuple | None = None  # u, out, read, the caller's error modes
-        self._error: BaseException | None = None
         threading.Thread(target=self._serve, name="sgdstop-box-muller", daemon=True).start()
 
     def _serve(self) -> None:
-        errmodes = np.geterr()
         while True:
-            self._go.acquire()
-            u, out, read, caller_errmodes = self._job
-            self._job = None
+            u, out, read = self._jobs.get()
+            error = None
             try:
-                if caller_errmodes != errmodes:
-                    errmodes = caller_errmodes
-                    np.seterr(**errmodes)
                 _pairs(u, out, read)
             except BaseException as exc:  # raised again by the caller
-                self._error = exc
+                error = exc
             del u, out, read
-            self._done.release()
+            self._results.put(error)
+            del error  # its traceback holds the run
 
     def split(self, u: np.ndarray, out: np.ndarray, read: tuple | None) -> bool:
-        """_split's halves; False (nothing written) if the helper is taken."""
+        """_transform's halves; False (nothing written) if the helper is taken."""
         if not self._free.acquire(blocking=False):
             return False
         h = u.shape[1] // 2 & -4
@@ -276,42 +271,38 @@ class _BoxMullerHelper:
             self._state["state"]["key"] = state["state"]["key"]
             front = (self._state, self._gen, first, second)
             back = (state, gen, first + h, second + h)
-        self._job = (u[:, :h], out[: 2 * h], front, np.geterr())
-        self._go.release()
+        self._jobs.put((u[:, :h], out[: 2 * h], front))
         try:
             _pairs(u[:, h:], out[2 * h :], back)
         finally:
-            self._done.acquire()
-            error, self._error = self._error, None
+            error = self._results.get()
             self._free.release()
         if error is not None:
             raise error
         return True
 
 
-_helper: _BoxMullerHelper | None = None
-_helper_usable = True  # False once fewer than two usable CPUs were seen
+_UNDECIDED = object()  # no split has asked for the helper in this process yet
+_helper: _BoxMullerHelper | None | object = _UNDECIDED
 _helper_start = threading.Lock()
 
 
 def _box_muller_helper() -> _BoxMullerHelper | None:
-    """The process's one helper, started on first use; None on one CPU."""
-    global _helper, _helper_usable
-    if _helper is None and _helper_usable:
-        with _helper_start:
-            if _helper is None and _helper_usable:
-                affinity = getattr(os, "sched_getaffinity", None)
-                _helper_usable = (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
-                if _helper_usable:
-                    _helper = _BoxMullerHelper()
-    return _helper
+    """The process's one helper, started by its first split; None on one CPU."""
+    global _helper
+    with _helper_start:
+        if _helper is _UNDECIDED:
+            affinity = getattr(os, "sched_getaffinity", None)
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            _helper = _BoxMullerHelper() if cpus >= 2 else None
+        return _helper
 
 
 def _forget_helper() -> None:
     """A forked child has no helper thread, and its copy of the start lock
-    may be held: it starts afresh."""
+    may be held: it decides afresh."""
     global _helper, _helper_start
-    _helper, _helper_start = None, threading.Lock()
+    _helper, _helper_start = _UNDECIDED, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -329,8 +320,7 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
         return np.empty(0)
     m = (n + 1) // 2
     u, out = gen.random((2, m)), np.empty(2 * m)
-    if m < SPLIT_PAIRS or not _split(u, out, None):
-        _pairs(u, out, None)
+    _transform(u, out, None)
     return out[:n]
 
 

@@ -70,7 +70,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .losses import LossKind, factor_function
+from .losses import MARGIN_THRESHOLD, LossKind, factor_function
 
 __all__ = [
     "StopKind",
@@ -80,9 +80,6 @@ __all__ = [
     "RunResult",
     "run",
 ]
-
-# Margin level the stopping test checks against.
-MARGIN_THRESHOLD = 1.0
 
 Sampler = Iterator[np.ndarray]
 

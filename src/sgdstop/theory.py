@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossKind
+from .losses import MARGIN_THRESHOLD, LossKind
 from .numerics import std_normal_cdf, std_normal_ccdf
-from .sgd import MARGIN_THRESHOLD
 
 __all__ = [
     "GaussianFoldedModel",

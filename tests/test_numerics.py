@@ -1,12 +1,15 @@
 """Tests for RNG plumbing, Box-Muller inline and in halves, normal-CDF helpers, and quadrature."""
 
+import gc
+import hashlib
+import json
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
-import warnings
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -273,38 +276,58 @@ def test_standard_normals_in_halves_gives_the_inline_bytes(n):
     assert handoffs == _handed_off(m)
 
 
+def test_the_transform_raises_no_floating_point_flag_on_stream_uniforms():
+    # every pair of edge uniforms, 128 times over, so both halves hold all of
+    # them: no flag is raised inline or on the helper, which is why the
+    # helper needs none of its callers' error modes
+    edges = [0.0, 2.0**-53, np.nextafter(0.25, 0), 0.25, 0.5, 0.75, np.nextafter(0.75, 1), 1 - 2.0**-53]
+    pairs = np.array(np.meshgrid(edges, edges)).reshape(2, -1)
+    pairs = np.tile(pairs, SPLIT_PAIRS // pairs.shape[1])
+    m, threads, real = pairs.shape[1], [], numerics._pairs
+
+    def raising(u, out, read):
+        threads.append(threading.current_thread().name)
+        with np.errstate(all="raise"):
+            return real(u, out, read)
+
+    with np.errstate(all="raise"):
+        inline = numerics._pairs(pairs.copy(), np.empty(2 * m), None)
+    with mock.patch.object(numerics, "_pairs", raising), _helper_handoffs() as handoffs:
+        got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
+    assert got.tobytes() == inline.tobytes() == _formula(*pairs).tobytes()
+    assert np.finfo(float).tiny < np.abs(got[got != 0]).min() and np.abs(got).max() < 8.58
+    assert handoffs == _handed_off(m)
+    assert threads.count("sgdstop-box-muller") == len(handoffs)
+
+
+class _HelperFault(Exception):
+    pass
+
+
 def test_an_error_in_the_helpers_half_is_raised_by_the_caller_and_the_next_call_works():
-    # a first uniform of 1 is a log of 0: pair 5 lies in the helper's front half
     m = 4 * SPLIT_PAIRS + 1
-    pairs = np.random.default_rng(3).random((2, m))
+    if numerics._box_muller_helper() is None:
+        pytest.skip("one usable CPU: no helper computes a half")
+    pairs, real = np.random.default_rng(3).random((2, m)), numerics._pairs
+
+    def faulty(u, out, read):
+        if threading.current_thread().name == "sgdstop-box-muller":
+            raise _HelperFault(u.shape[1])
+        return real(u, out, read)
+
     bad = pairs.copy()
-    bad[0, 5] = 1.0
-    with np.errstate(divide="raise"):
-        with pytest.raises(FloatingPointError) as inline:
-            _formula(*bad)
-        with _helper_handoffs() as handoffs, pytest.raises(FloatingPointError) as error:
+    with mock.patch.object(numerics, "_pairs", faulty), _helper_handoffs() as handoffs:
+        with pytest.raises(_HelperFault) as error:
             standard_normals(_Uniforms(bad), 2 * m)
-    assert str(error.value) == str(inline.value)
+    assert error.value.args == (m // 2 & -4,)  # the front half's pairs
+    run = weakref.ref(bad)
+    del bad, error
+    gc.collect()
+    assert run() is None  # the helper keeps no failed run alive either
     with _helper_handoffs() as more:
         got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
     assert got.tobytes() == _formula(*pairs).tobytes()
-    assert handoffs == more == _handed_off(m)
-
-
-def test_the_callers_floating_point_error_modes_apply_in_the_helper():
-    # pair 5, in the helper's half, has r = inf (a log of 0, a divide flag)
-    # and t = 0: r cos t = inf, and r sin t = inf * 0, an invalid operation
-    m = 4 * SPLIT_PAIRS
-    pairs = np.random.default_rng(4).random((2, m))
-    pairs[:, 5] = 1.0, 0.0
-    with np.errstate(divide="ignore", invalid="raise"), _helper_handoffs() as handoffs:
-        with pytest.raises(FloatingPointError, match="invalid"):
-            standard_normals(_Uniforms(pairs.copy()), 2 * m)
-    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings(), _helper_handoffs() as more:
-        warnings.simplefilter("error")  # a warning on the helper would be raised here
-        out = standard_normals(_Uniforms(pairs.copy()), 2 * m)
-    assert out[10] == np.inf and np.isnan(out[11])
-    assert handoffs == more == _handed_off(m)
+    assert handoffs == more == [m]
 
 
 def test_normals_at_keeps_no_run_alive():
@@ -337,17 +360,17 @@ def test_normals_at_computes_inline_while_another_thread_holds_the_helper():
 
 
 class _CutShort:
-    """Stands for the helper's ``_done`` lock: a wait on it is cut short by
-    KeyboardInterrupt, and the helper's release reaches the real lock."""
+    """Stands for the helper's ``_results`` queue: a wait on it is cut short
+    by KeyboardInterrupt, and the helper's answer reaches the real queue."""
 
-    def __init__(self, lock):
-        self._lock = lock
+    def __init__(self, results):
+        self._results = results
 
-    def acquire(self):
+    def get(self):
         raise KeyboardInterrupt
 
-    def release(self):
-        self._lock.release()
+    def put(self, error):
+        self._results.put(error)
 
 
 def test_normals_at_computes_inline_after_a_wait_cut_short():
@@ -356,18 +379,18 @@ def test_normals_at_computes_inline_after_a_wait_cut_short():
     helper = numerics._box_muller_helper()
     if helper is None:
         pytest.skip("one usable CPU: normals_at never starts its helper")
-    done = helper._done
-    helper._done = _CutShort(done)
+    results = helper._results
+    helper._results = _CutShort(results)
     try:
         with pytest.raises(KeyboardInterrupt):
             _normals_at(5, m)
     finally:
-        helper._done = done
+        helper._results = results
     try:
         assert helper._free.locked()  # the helper may still be writing: left claimed
         assert _normals_at(5, m).tobytes() == expected
     finally:
-        assert done.acquire(timeout=10)  # the helper finished the cut-short run
+        assert results.get(timeout=10) is None  # the helper finished the cut-short run
         helper._free.release()
     with _helper_handoffs() as handoffs:
         assert _normals_at(5, m).tobytes() == expected
@@ -448,6 +471,49 @@ def test_normals_at_from_more_threads_than_cpus_gives_the_inline_bytes():
     assert wrong == []
     helpers = [th for th in threading.enumerate() if th.name == "sgdstop-box-muller"]
     assert len(helpers) == int(_two_cpus())
+
+
+_FIRST_SPLITS = """
+import hashlib, json, sys, threading
+import numpy as np
+import sgdstop
+from sgdstop.numerics import RngState, normals_at
+
+def helpers():
+    return sum(th.name == "sgdstop-box-muller" for th in threading.enumerate())
+
+m, outs = int(sys.argv[1]), {}
+after_import, ready = helpers(), threading.Barrier(8)
+
+def work(seed):
+    state, gen, out = RngState(seed).philox_state(), RngState(seed).generator(), np.empty(2 * m)
+    ready.wait(60)
+    outs[seed] = hashlib.sha256(normals_at(state, gen, 64, 4 * m, out).tobytes()).hexdigest()
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(seed,), daemon=True) for seed in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(json.dumps([after_import, helpers(), [outs.get(seed) for seed in range(8)]]))
+"""
+
+
+def test_first_splits_racing_in_a_fresh_process_start_one_helper():
+    # eight threads make a fresh process's first splits at once: one helper
+    # starts on two CPUs and none on one, and none at import
+    m = SPLIT_PAIRS
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _FIRST_SPLITS, str(m)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    after_import, helpers, digests = json.loads(child.stdout)
+    expected = [_inline_normals(RngState(seed), 64, 4 * m, m).tobytes() for seed in range(8)]
+    assert (after_import, helpers) == (0, int(_two_cpus()))
+    assert digests == [hashlib.sha256(normals).hexdigest() for normals in expected]
 
 
 class _FixedUniforms:
