@@ -218,9 +218,11 @@ _LOSSES = tuple(k.value for k in LossKind)
 # svs_<p>: small validation on p samples, p in 1 to 18 ASCII digits (inside
 # Python's int digit limit) with no leading 0, so each stopper has one spelling
 _STOPPER_NAME = re.compile(r"zero_overhead|zero_overhead_continue|extra_sample|svs_[1-9][0-9]{,17}")
+# svs_<p> stacks its p validation rows of d doubles before its first update
+_SVS_DOUBLES = 1 << 27  # 1 GiB
 _STOPPERS = _Key(
     list, ["zero_overhead"], "a nonempty list of stopper names: zero_overhead, extra_sample, "
-    "svs_p (p >= 1 in at most 18 digits, no leading 0), zero_overhead_continue",
+    "svs_p (p >= 1 in at most 18 digits, no leading 0, p * d <= 2**27), zero_overhead_continue",
     lambda v: bool(v) and all(isinstance(n, str) and _STOPPER_NAME.fullmatch(n) for n in v),
 )
 _NONNEGATIVE = _Key(float, REQUIRED, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
@@ -383,6 +385,16 @@ def _rule(name: str) -> StopRule:
     return StopRule.zero_overhead()
 
 
+def _check_svs_memory(names: list[str], d: int) -> None:
+    """Reject, before any trial, a svs_<p> whose p validation rows of d
+    doubles would take more than _SVS_DOUBLES."""
+    for name in names:
+        p = int(name[4:]) if name.startswith("svs_") else 0
+        if p * d > _SVS_DOUBLES:
+            raise ConfigError(f"config key 'stoppers': {name} at d = {d} stacks {p * d} "
+                              "doubles of validation rows; p * d must be <= 2**27 (1 GiB)")
+
+
 def _stream_index(names: list[str], j: int) -> int:
     """Sub-stream index for stopper j within a trial: its list position j, so
     reordering or inserting stoppers changes what each trains on (and the
@@ -509,6 +521,7 @@ def cmd_sweep_sigma(values: dict[str, Any], c: dict[str, Any]) -> int:
 
 def cmd_compare_stoppers(values: dict[str, Any], c: dict[str, Any]) -> int:
     sigma, eval_stream = c["sigma"], len(c["stoppers"])
+    _check_svs_memory(c["stoppers"], c["d"])
     return _stopper_table(
         values, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
         lambda cell: first_rows(
@@ -740,6 +753,7 @@ def cmd_run_real(values: dict[str, Any], c: dict[str, Any]) -> int:
         _write_csv(values, c, _stopper_header("baseline"), [])
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
+    _check_svs_memory(c["stoppers"], train.zeta.shape[1])
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
     test = Block(test.y, np.divide(test.zeta, divisor, dtype=float))
     folded = np.empty(train.zeta.shape)  # every run folds into this one buffer

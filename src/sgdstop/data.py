@@ -10,11 +10,11 @@ class-0 rows in place (no integer multiply; bit-equal to the formula).
 
 Labeled data moves in blocks, Block(y, zeta) with y (rows,) and zeta
 (rows, d), the one labeled type from the parsers' binary task to the fold:
-the Gaussian mixture hands out 128-row chunks of its 256-row blocks (views
-of one array per block), the Student-t2 mixture 256-row blocks, and
-make_binary_task one block holding a whole dataset split in its parsed
-dtype.  Whoever receives a block owns it, except a dataset split, which is
-only read.
+the Gaussian mixture hands out chunks of its 256-row blocks (views of one
+array per block; 128 rows, or the whole block at 64 <= d < 128), the
+Student-t2 mixture 256-row blocks, and make_binary_task one block holding
+a whole dataset split in its parsed dtype.  Whoever receives a block owns
+it, except a dataset split, which is only read.
 
 Centering follows a fixed protocol (center_and_fold): from the first n rows
 of a labeled block stream, estimate the per-class means, set the offset to
@@ -58,12 +58,12 @@ budget does.
 Both Gaussian samplers share one source.  Its uniforms are laid out in
 256-row blocks: the label coins (for the mixture), then the first and then
 the second uniforms of the block's Box-Muller pairs.  Philox is
-counter-based, so a chunk (128 rows for the mixture, 32 for the folded
-stream) reads its own uniforms at their positions and turns them into
-normals (numerics.normals_at) when the consumer reaches it; rows a run
-never reaches are never drawn.  A block holds exactly the bytes of mean +
-sigma * standard_normals(gen, 256 d) that drawing it whole from the
-stream's generator would give.
+counter-based, so a chunk (128 or 256 rows for the mixture, see
+_mixture_chunk_rows; 32 for the folded stream) reads its own uniforms at
+their positions and turns them into normals (numerics.normals_at) when the
+consumer reaches it; rows a run never reaches are never drawn.  A block
+holds exactly the bytes of mean + sigma * standard_normals(gen, 256 d)
+that drawing it whole from the stream's generator would give.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import RngState, normals_at, sample_student_t2, uniforms_at
+from .numerics import SPLIT_PAIRS, RngState, normals_at, sample_student_t2, uniforms_at
 
 __all__ = [
     "BLOCK_ROWS",
@@ -114,6 +114,16 @@ MIXTURE_CHUNK_ROWS = 128
 # doubles per chunk of a split's fold (512 KB), small enough to stay in cache
 # between its gather, divide, subtract and negate passes
 FOLD_ELEMENTS = 1 << 16
+
+
+def _mixture_chunk_rows(d: int) -> int:
+    """Rows per mixture chunk at dimension d: a whole block where its
+    Box-Muller pairs reach SPLIT_PAIRS but those of MIXTURE_CHUNK_ROWS rows
+    do not (64 <= d < 128), so that the run is computed in halves; else
+    MIXTURE_CHUNK_ROWS (at d = 500 smaller chunks only lost time)."""
+    if MIXTURE_CHUNK_ROWS * d // 2 < SPLIT_PAIRS <= BLOCK_ROWS * d // 2:
+        return BLOCK_ROWS
+    return MIXTURE_CHUNK_ROWS
 
 
 class Block(NamedTuple):
@@ -166,8 +176,8 @@ def gaussian_mixture_sampler(
     Draws blocks of 256 rows, each as the 256 label coins first (one uniform
     each, y = 1 iff u < 1/2), then the uniforms of its 256 d feature normals;
     a block's rows are mu_y + sigma * standard_normals(gen, 256 d), bit for
-    bit.  Hands out each block in 128-row chunks, views of the block's one
-    array, drawn and transformed only when reached.
+    bit.  Hands out each block in chunks of _mixture_chunk_rows(d) rows,
+    views of the block's one array, drawn and transformed only when reached.
     """
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -176,7 +186,8 @@ def gaussian_mixture_sampler(
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     means = np.stack([mu0, mu1])
-    chunks = _gaussian_chunks(rng, mu0.shape[0], sigma, MIXTURE_CHUNK_ROWS, True)
+    d = mu0.shape[0]
+    chunks = _gaussian_chunks(rng, d, sigma, _mixture_chunk_rows(d), True)
     for ys, rows in chunks:
         rows += means[ys]
         yield Block(ys, rows)

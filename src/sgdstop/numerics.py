@@ -43,10 +43,12 @@ the inline code, 150 calls each per size and round, in three rounds, with
 0.3 ms or 1 ms of SGD-like updates before each call, as a sampler calls it
 between chunks: the split loses at 2,048 and 4,096 pairs (0.93-2.46),
 breaks even from 5,120 to 8,192 (0.69-1.35), mostly wins at 10,240 and
-12,800 (0.62-1.08) and wins from 16,000 on (0.56-0.70).  So the 128-row
-mixture chunks at d = 500 (32,000 pairs) and the drift check's draws
-split, while those at d = 100 (6,400 pairs) and the folded stream's 32-row
-chunks below d = 512 stay inline.
+12,800 (0.62-1.08) and wins from 16,000 on (0.56-0.70).  So the drift
+check's draws and the mixture chunks from d = 64 on split: 128 rows at
+d >= 128 (32,000 pairs at d = 500), a whole 256-row block at 64 <= d < 128
+(12,800 pairs at d = 100), where 128 rows would stay below SPLIT_PAIRS.
+Mixture chunks below d = 64 and the folded stream's 32-row chunks below
+d = 512 stay inline.
 
 The normal CDF is computed from ``erfc``:
 

@@ -1051,6 +1051,40 @@ def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over)
     assert "centering_samples" in err and "epochs" in err, err
 
 
+# main in a process held to 2 GiB of address space
+_MAIN_IN_2_GIB = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from sgdstop.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_svs_past_its_memory_cap_is_config_error_before_any_trial(tmp_path):
+    # svs_100000000 at d 100 would stack 80 GB of validation rows before
+    # its first update; the cap rejects it at once
+    p = _compare_cfg(tmp_path, d=100, stoppers=["zero_overhead", "svs_100000000"])
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_IN_2_GIB, "compare-stoppers", "--config", p],
+        capture_output=True, text=True, timeout=60,
+    )
+    _assert_config_error(proc)
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "config key 'stoppers': svs_100000000 at d = 100" in proc.stderr, proc.stderr
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("p, message", [(171196, "raise epochs"), (171197, "2**27")])
+def test_run_real_svs_memory_cap_is_checked_once_the_data_is_read(tmp_path, capsys, p, message):
+    # d = 784: p * d <= 2**27 up to p = 171,196, which passes the cap and
+    # then finds too few training rows; one more is over the cap
+    paths = write_mnist_style_fixture(tmp_path / "data", n_train=120, n_test=30)
+    cfg = write_config(tmp_path / "real.json", {
+        "dataset": "mnist", **paths, "class_a": 1, "class_b": 8, "alpha_tilde": 0.05,
+        "stoppers": ["zero_overhead", f"svs_{p}"], "out": str(tmp_path / "real.csv"),
+    })
+    err = _assert_rejected(capsys, "run-real", cfg)
+    assert message in err, err
+
+
 def test_centering_estimate_that_overflows_is_config_error(tmp_path, capsys):
     # squared residuals of points at 1e300 overflow sigma2_tilde to inf
     p = _sweep_cfg(tmp_path, d=4, sigma_grid=[1e300], trials=1)

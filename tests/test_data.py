@@ -112,11 +112,11 @@ def test_fold_and_stream_fold_bit_equal_to_formula(data, d, n):
     offset = data.draw(
         arrays(float, d, elements=_FOLD_SPECIALS | st.floats(-1e300, 1e300))
     )
-    with np.errstate(invalid="ignore"):
-        ref = (2 * y - 1)[:, None] * (zeta - offset)
-
     before = zeta.copy()
-    _same_bits_or_nan(fold(Block(y, zeta), offset), ref)
+    # zeta - offset may overflow to an infinity, and inf * 0 is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = (2 * y - 1)[:, None] * (zeta - offset)
+        _same_bits_or_nan(fold(Block(y, zeta), offset), ref)
     assert zeta.tobytes() == before.tobytes()  # fold leaves its input alone
 
     # centering rows whose class means are both ``offset``, so the stream's
@@ -124,7 +124,7 @@ def test_fold_and_stream_fold_bit_equal_to_formula(data, d, n):
     prefix = Block(np.array([0, 1]), np.stack([offset, offset]))
     stats, rows = center_and_fold(iter([prefix, Block(y, zeta)]), n=2)
     assert np.array_equal(stats.offset, offset)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ref = (2 * y - 1)[:, None] * (zeta - stats.offset)
         _same_bits_or_nan(np.stack(list(rows)), ref)
 
@@ -173,6 +173,10 @@ def _mixture_reference_block(gen, means, sigma):
 @example(d=1, sigma=0.3, reads=[127, 1, 1, 127, 1], seed=0)
 @example(d=7, sigma=0.3, reads=[256, 256, 1], seed=1)
 @example(d=40, sigma=0.0, reads=[128, 128, 129, 255], seed=2)
+# whole-block chunks, read across blocks
+@example(d=64, sigma=0.3, reads=[255, 2, 300], seed=3)
+@example(d=100, sigma=0.0, reads=[255, 2, 300], seed=4)
+@example(d=127, sigma=0.3, reads=[1, 256, 300], seed=5)
 def test_gaussian_mixture_sampler_matches_whole_block_reference(d, sigma, reads, seed):
     # rows whose uniforms are read chunk by chunk at their positions equal,
     # bit for bit, whole blocks drawn in turn from one generator of the same
@@ -195,6 +199,16 @@ def test_gaussian_mixture_sampler_matches_whole_block_reference(d, sigma, reads,
         assert np.array_equal(got_z.view(np.uint64), ref_z[:n].view(np.uint64))
         pending = pending[0][n:], pending[1][n:]
         ref_z, ref_y = ref_z[n:], ref_y[n:]
+
+
+@pytest.mark.parametrize(
+    "d, rows", [(2, 128), (63, 128), (64, 256), (100, 256), (127, 256), (128, 128), (500, 128)]
+)
+def test_gaussian_mixture_chunk_rows_reach_the_split(d, rows):
+    # a whole block where its pairs reach numerics.SPLIT_PAIRS but 128 rows'
+    # do not, 128 rows everywhere else
+    chunk = next(gaussian_mixture_sampler(np.zeros(d), np.ones(d), 1.0, RngState(0)))
+    assert chunk.y.shape == (rows,) and chunk.zeta.shape == (rows, d)
 
 
 def test_gaussian_mixture_sampler_draws_a_chunk_and_its_blocks_coins(monkeypatch):

@@ -143,6 +143,8 @@ CASES = {
         lambda: {**_SWEEP, "d": 128, "sigma_grid": [0.5], "trials": 1},
     ),
     "compare_gaussian": ("compare-stoppers", lambda: _COMPARE),
+    # 256-row mixture chunks at d 100 are 12,800 pairs each, over numerics.SPLIT_PAIRS
+    "compare_gaussian_split": ("compare-stoppers", lambda: {**_COMPARE, "d": 100, "trials": 1}),
     # centering reads more rows than one 256-row sampler block holds
     "compare_t2_centering_300": (
         "compare-stoppers",
@@ -173,6 +175,7 @@ CASES = {
 
 DIGESTS = {
     "compare_gaussian": "c7b51f24093e9ef10fa1665422b164e96b5b32d929b4e73cc5ef6aa1c4365271",
+    "compare_gaussian_split": "0871cc4e94ee8f90e7c83d02b2f6377b73194891c639b540d1586a9b38e7211a",
     "compare_gaussian_centering_256": "c03f60b81bbd55764f6318d4fb1f075d8e81f194fffc2d71fee3867005319a2e",
     "compare_t2_centering_300": "f89fbf0105c98257559ca846aa0a176e5173c2e2f5a19a80eea8067eb50aab32",
     "real_csv": "80fe3e82f04e99fae7d776e5cf5cf371ee1e3c9b4c6662e92e01b874077d40f4",
