@@ -72,7 +72,7 @@ from .data import (
     student_t2_mixture_sampler,
 )
 from .losses import LossKind
-from .numerics import RngState, standard_normals
+from .numerics import RngState, normal_rounds
 from .sgd import RunResult, SgdConfig, StopReason, StopRule, run
 from .theory import (
     LOW_NOISE_RATIO,
@@ -645,9 +645,8 @@ def _target_delta(sec: dict[str, Any], name: str, root: RngState) -> Iterator[di
     gen = root.substream(6).generator()
     mu2 = model.mu_norm**2
     worst = 1.0
-    for _ in range(sec["n_theta"]):
-        g = standard_normals(gen, model.d)
-        lift = abs(standard_normals(gen, 1)[0])
+    for g, lift in normal_rounds(gen, (model.d, 1), sec["n_theta"]):
+        lift = abs(lift[0])
         # shift along mu so the mean margin is exactly 1 + lift >= 1; a tiny
         # |mu|^2 overflows the shift to inf and 0 * inf to NaN, reported below
         with np.errstate(over="ignore", invalid="ignore"):

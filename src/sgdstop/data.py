@@ -61,7 +61,9 @@ the second uniforms of the block's Box-Muller pairs.  Philox is
 counter-based, so a chunk (128 or 256 rows for the mixture, see
 _mixture_chunk_rows; 32 for the folded stream) reads its own uniforms at
 their positions and turns them into normals (numerics.normals_at) when the
-consumer reaches it; rows a run never reaches are never drawn.  A block
+consumer reaches it; rows a run never reaches are never drawn.  A stream
+holds no generator: each read keys the calling thread's Philox generator
+with the stream's (seed, stream) pair (numerics.uniforms_at).  A block
 holds exactly the bytes of mean + sigma * standard_normals(gen, 256 d)
 that drawing it whole from the stream's generator would give.
 """
@@ -242,17 +244,16 @@ def _gaussian_chunks(
     into a view of the block's one array, which the caller finishes (adds
     the mean to) and owns.
     """
-    gen, state = rng.generator(), rng.philox_state()
     pairs = BLOCK_ROWS * d // 2
     lead = BLOCK_ROWS if coins else 0
     for base in itertools.count(lead, lead + 2 * pairs):  # where a block's pairs start
         if coins:
-            ys = (uniforms_at(state, gen, base - lead, np.empty(BLOCK_ROWS)) < 0.5).astype(int)
+            ys = (uniforms_at(rng, base - lead, np.empty(BLOCK_ROWS)) < 0.5).astype(int)
         block = np.empty((BLOCK_ROWS, d))
         flat = block.reshape(-1)
         for row in range(0, BLOCK_ROWS, chunk_rows):
             a = base + row * d // 2
-            normals_at(state, gen, a, a + pairs, flat[row * d : (row + chunk_rows) * d])
+            normals_at(rng, a, a + pairs, flat[row * d : (row + chunk_rows) * d])
             rows = block[row : row + chunk_rows]
             rows *= sigma
             yield (ys[row : row + chunk_rows] if coins else None), rows

@@ -12,9 +12,10 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 RngState.generator hands Philox its key as a seed sequence, so no OS entropy
 is gathered for a SeedSequence that Philox(key=...) would never use.  Philox
 is counter-based, so uniforms_at reads a stream's uniforms from any position
-(a multiple of 4) without computing those before it; a reader builds the
-stream's state dict once (RngState.philox_state) and uniforms_at sets only
-its counter.
+(a multiple of 4) without computing those before it.  It reads through the
+calling thread's own Philox generator, built by the thread's first read, and
+sets that generator's key and counter before each read, so a positioned
+stream needs no generator of its own and no two threads share one.
 
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
@@ -25,7 +26,9 @@ takes them drawn), turns them into radii and angles in place and writes the
 normals of its pairs into a given array.  Every step is elementwise, so
 uniforms may be read and transformed in pieces, only as they are needed,
 and a piece gives the bytes of the whole.  normals_at turns a run of pair
-positions into normals; standard_normals draws its uniforms first.
+positions into normals; standard_normals draws its uniforms first, and
+normal_rounds draws many small standard_normals calls at once, in groups of
+at most ``GROUP_PAIRS`` pairs (or one round), with the same bytes.
 
 For one 128-row mixture chunk at d = 500 (32,000 pairs) on a 2-CPU x86-64
 VM (Python 3.11, numpy 2.4), the medians over 200 calls were: reading both
@@ -35,7 +38,7 @@ libm, about 25 ns per element); 2.2 ms inline.  So a run of at least
 ``SPLIT_PAIRS`` = 8,192 pairs is computed in halves: one helper thread per
 process (a forked child starts its own), started by the first such run
 where at least two CPUs are usable, computes the front half (its uniforms,
-read through a Philox generator of its own, and every later step, under
+read through its own thread's Philox generator, and every later step, under
 numpy's default error modes, as no uniform raises a flag) while the caller
 computes the back half and then waits, 1.5-1.7 ms for that chunk.  The
 crossover was measured there as the median time of the split over that of
@@ -68,6 +71,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +84,7 @@ __all__ = [
     "RngState",
     "uniforms_at",
     "normals_at",
+    "normal_rounds",
     "std_normal_cdf",
     "std_normal_ccdf",
     "sample_student_t2",
@@ -89,6 +94,9 @@ _MASK64 = (1 << 64) - 1
 # a run of at least this many pairs is computed in halves, one on a helper
 # thread; the module docstring gives the measurement behind it
 SPLIT_PAIRS = 8192
+# normal_rounds draws at most this many pairs at once (or one round), so a
+# group stays inline and its memory does not grow with the number of rounds
+GROUP_PAIRS = 1024
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -133,15 +141,6 @@ class RngState:
         ``Generator(Philox(key=[seed, stream]))``, bit for bit."""
         return Generator(Philox(_Key(np.array([self.seed, self.stream], dtype=np.uint64))))
 
-    def philox_state(self) -> dict:
-        """The state of this stream's Philox, as ``bit_generator.state``
-        takes it, at uniform 0; uniforms_at sets only its counter."""
-        return {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [self.seed, self.stream]},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-
 
 class _Key(ISeedSequence):
     """A Philox key handed over as a seed sequence.  Philox(key=...) also
@@ -156,32 +155,48 @@ class _Key(ISeedSequence):
         return self.words
 
 
-def uniforms_at(state: dict, gen: Generator, position: int, out: np.ndarray) -> np.ndarray:
-    """Uniforms ``position``, ``position + 1``, ... of a stream, as its
-    ``RngState.generator().random`` hands them out, written into ``out``
-    through ``gen``, a Philox generator set to ``state``, the stream's
-    ``RngState.philox_state()``, of which this changes only the counter.
-    Uniform p is output p % 4 of the block that the key encrypts from
+class _Reader(threading.local):
+    """The calling thread's Philox generator, as (its bit generator, its
+    random, the state dict that uniforms_at sets it to, that dict's Philox
+    part); a thread's first read builds them.  Built directly, not through
+    RngState.generator, so a read on any thread counts no generator."""
+
+    def __init__(self) -> None:
+        gen = Generator(Philox(_Key(np.zeros(2, dtype=np.uint64))))
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.parts = gen.bit_generator, gen.random, state, state["state"]
+
+
+_reader = _Reader()
+
+
+def uniforms_at(rng: RngState, position: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms ``position``, ``position + 1``, ... of the stream ``rng``, as
+    its ``generator().random`` hands them out, written into ``out`` through
+    the calling thread's Philox generator, keyed ``(seed, stream)`` for the
+    read.  Uniform p is output p % 4 of the block that the key encrypts from
     counter p // 4 + 1 (the counter steps before each block), so a counter
     of p // 4 and an empty buffer read on from p, a multiple of 4.
     """
     assert position % 4 == 0, f"uniform {position} does not start a Philox block"
-    state["state"]["counter"][0] = position >> 2
-    gen.bit_generator.state = state
-    return gen.random(out=out)
+    bits, random, state, philox = _reader.parts
+    philox["key"] = rng.seed, rng.stream
+    philox["counter"][0] = position >> 2
+    bits.state = state
+    return random(out=out)
 
 
-def normals_at(state: dict, gen: Generator, first: int, second: int, out: np.ndarray) -> np.ndarray:
+def normals_at(rng: RngState, first: int, second: int, out: np.ndarray) -> np.ndarray:
     """The normals of m = out.size // 2 Box-Muller pairs, written into ``out``:
     pair i takes uniform ``first + i`` and uniform ``second + i`` of the
-    stream of ``state`` (read as uniforms_at reads them, through ``gen``),
-    and gives out[2i] = r cos t and out[2i + 1] = r sin t (see _pairs).
-    ``gen`` is left where uniforms_at leaves it after the second uniforms.
+    stream ``rng`` (read as uniforms_at reads them) and gives
+    out[2i] = r cos t and out[2i + 1] = r sin t (see _pairs).
 
     A run of at least ``SPLIT_PAIRS`` pairs is computed in two halves where
     the helper thread is free (see _transform); the bytes do not depend on it.
     """
-    _transform(np.empty((2, out.size >> 1)), out, (state, gen, first, second))
+    _transform(np.empty((2, out.size >> 1)), out, (rng, first, second))
     return out
 
 
@@ -191,8 +206,8 @@ def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
     radii r = sqrt(-2 log(1 - u)) (1 - u lies in (0, 1], so the log is
     finite), row 1 the angles t = 2 pi u, then out[2i] = r cos t and
     out[2i + 1] = r sin t.  ``read`` is None if ``u`` holds its uniforms,
-    else (state, gen, first, second): row 0 is read from uniform ``first``
-    on and row 1 from ``second`` on.
+    else (rng, first, second): row 0 is read from uniform ``first`` of the
+    stream ``rng`` on and row 1 from ``second`` on, on the calling thread.
 
     Each step is the formula's own IEEE operation in the formula's order,
     elementwise, so any piece of a run gives the bytes of the whole.  On
@@ -201,9 +216,9 @@ def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
     """
     r, t = u
     if read is not None:
-        state, gen, first, second = read
-        uniforms_at(state, gen, first, r)
-        uniforms_at(state, gen, second, t)
+        rng, first, second = read
+        uniforms_at(rng, first, r)
+        uniforms_at(rng, second, t)
     np.subtract(1.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
@@ -221,8 +236,7 @@ def _transform(u: np.ndarray, out: np.ndarray, read: tuple | None) -> None:
     """_pairs(u, out, read), in two halves for a run of at least ``SPLIT_PAIRS``
     pairs where the helper is usable and free: pairs [0, h) on the helper
     thread, pairs [h, m) here, with h = m // 2 rounded down to a multiple of
-    4, so both halves start on a Philox block.  The caller takes the back
-    half, so its generator ends where the inline read ends."""
+    4, so both halves start on a Philox block."""
     helper = _box_muller_helper() if u.shape[1] >= SPLIT_PAIRS else None
     if helper is None or not helper.split(u, out, read):
         _pairs(u, out, read)
@@ -234,9 +248,9 @@ class _BoxMullerHelper:
     A caller claims the helper by taking ``_free`` without blocking (if it
     is taken, the caller computes inline), puts the front half on ``_jobs``,
     computes the back half and waits on ``_results`` for the helper's
-    exception or None.  The helper reads its half's uniforms through a
-    Philox generator of its own and computes every half it is handed with
-    _pairs, under numpy's default error modes (no caller's are relayed: see
+    exception or None.  The helper computes every half it is handed with
+    _pairs, reading its uniforms through its own thread's Philox generator,
+    under numpy's default error modes (no caller's are relayed: see
     _pairs); it lets go of the run's arrays before it answers, so it keeps
     no run alive while it waits.  A wait cut short by an exception
     leaves ``_free`` held, since the helper may still be writing: later
@@ -246,11 +260,12 @@ class _BoxMullerHelper:
 
     def __init__(self) -> None:
         self._free, self._jobs, self._results = threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue()
-        self._gen = Generator(Philox(_Key(np.zeros(2, dtype=np.uint64))))
-        self._state = RngState(0).philox_state()  # its key is set per half
         threading.Thread(target=self._serve, name="sgdstop-box-muller", daemon=True).start()
 
     def _serve(self) -> None:
+        # this thread's reader is built before its first job: built inside
+        # one, it raised peak RSS by 0.2 MB on the d = 500 sweep
+        _reader.parts
         while True:
             u, out, read = self._jobs.get()
             error = None
@@ -267,13 +282,8 @@ class _BoxMullerHelper:
         if not self._free.acquire(blocking=False):
             return False
         h = u.shape[1] // 2 & -4
-        front = back = None
-        if read is not None:
-            state, gen, first, second = read
-            self._state["state"]["key"] = state["state"]["key"]
-            front = (self._state, self._gen, first, second)
-            back = (state, gen, first + h, second + h)
-        self._jobs.put((u[:, :h], out[: 2 * h], front))
+        back = None if read is None else (read[0], read[1] + h, read[2] + h)
+        self._jobs.put((u[:, :h], out[: 2 * h], read))
         try:
             _pairs(u[:, h:], out[2 * h :], back)
         finally:
@@ -324,6 +334,32 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     u, out = gen.random((2, m)), np.empty(2 * m)
     _transform(u, out, None)
     return out[:n]
+
+
+def normal_rounds(gen: np.random.Generator, sizes: Sequence[int], count: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """What ``count`` rounds of ``tuple(standard_normals(gen, s) for s in
+    sizes)`` return, bit for bit, round by round, leaving ``gen`` where they
+    leave it once every round is read; each normals vector is a contiguous
+    row.
+
+    Rounds are drawn in groups of at most ``GROUP_PAIRS`` pairs (at least one
+    round), each with one gen.random and one _transform: a round's uniforms
+    are the uniforms of its sizes' calls in turn, and each size's pairs are
+    gathered into the group's run, whose transform is elementwise.
+    """
+    halves = [(s + 1) // 2 for s in sizes]
+    width = sum(halves)  # pairs per round
+    starts = np.cumsum([0, *halves])
+    group = max(1, GROUP_PAIRS // max(width, 1))
+    for done in range(0, count, group):
+        k = min(group, count - done)
+        drawn = gen.random((k, 2 * width))
+        u = np.empty((2, k, width))
+        for a, m in zip(starts, halves):
+            u[:, :, a : a + m] = drawn[:, 2 * a : 2 * (a + m)].reshape(k, 2, m).transpose(1, 0, 2)
+        out = np.empty((k, 2 * width))
+        _transform(u.reshape(2, -1), out.reshape(-1), None)
+        yield from zip(*(out[:, 2 * a : 2 * a + s] for a, s in zip(starts, sizes)))
 
 
 def sample_student_t2(gen: np.random.Generator, n: int = 1) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -328,13 +332,13 @@ def _record_draws(monkeypatch):
     each recorded as (position, count)."""
     draws = []
 
-    def counted(state, gen, position, out):
+    def counted(rng, position, out):
         draws.append((position, out.size))
-        return uniforms_at(state, gen, position, out)
+        return uniforms_at(rng, position, out)
 
-    def counted_pairs(state, gen, first, second, out):
+    def counted_pairs(rng, first, second, out):
         draws.extend([(first, out.size // 2), (second, out.size // 2)])
-        return normals_at(state, gen, first, second, out)
+        return normals_at(rng, first, second, out)
 
     monkeypatch.setattr(data, "uniforms_at", counted)
     monkeypatch.setattr(data, "normals_at", counted_pairs)
@@ -400,6 +404,84 @@ def test_folded_gaussian_stream_moments():
     se = 0.7 / math.sqrt(20_000)
     assert np.all(np.abs(xs.mean(axis=0) - mu) < 4.0 * se)
     assert np.all(np.abs(xs.std(axis=0) - 0.7) < 4.0 * se)
+
+
+# ---------------------------------------------------------------------------
+# streams read side by side: each thread reads every stream through its own
+# Philox reader, keyed per read
+
+
+def _folded(seed: int, d: int = 3):
+    return folded_gaussian_stream(np.linspace(-1.0, 1.0, d), 0.3, RngState(seed))
+
+
+def _folded_bytes(seed: int, n: int) -> bytes:
+    return np.stack(list(itertools.islice(_folded(seed), n))).tobytes()
+
+
+def _mixture_bytes(stream, n: int) -> bytes:
+    chunks = list(itertools.islice(stream, n))
+    return b"".join(c.y.tobytes() + c.zeta.tobytes() for c in chunks)
+
+
+def test_folded_streams_interleaved_row_by_row_give_their_own_bytes():
+    # 300 rows cross 32-row chunks and a 256-row block of each stream
+    n = 300
+    a, b = _folded(1), _folded(2)
+    rows = [(next(a), next(b)) for _ in range(n)]
+    assert np.stack([x for x, _ in rows]).tobytes() == _folded_bytes(1, n)
+    assert np.stack([y for _, y in rows]).tobytes() == _folded_bytes(2, n)
+
+
+@pytest.mark.parametrize("d, n", [(3, 40), (100, 6)])  # inline chunks; whole blocks in halves
+def test_mixture_streams_read_from_two_threads_give_their_own_bytes(d, n):
+    def mixture(seed):
+        return gaussian_mixture_sampler(np.zeros(d), np.ones(d), 0.5, RngState(seed))
+
+    alone = {seed: _mixture_bytes(mixture(seed), n) for seed in (1, 2)}
+    got, start = {}, threading.Barrier(2)
+
+    def work(seed):
+        stream = mixture(seed)
+        start.wait(60)
+        got[seed] = _mixture_bytes(stream, n)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in alone]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_stream_read_in_a_forked_child_gives_its_own_bytes():
+    # the child inherits this thread's reader as the parent left it, mid-stream
+    n = 300
+    expected = _folded_bytes(7, n), _folded_bytes(8, n)
+    parent = _folded(8)
+    first = next(parent)
+    pid = os.fork()
+    if pid == 0:
+        rows = [(x, next(parent)) for x in itertools.islice(_folded(7), n - 1)]
+        mine = np.stack([x for x, _ in rows]).tobytes() == expected[0][: (n - 1) * 3 * 8]
+        inherited = np.stack([first] + [y for _, y in rows]).tobytes() == expected[1]
+        os._exit(0 if mine and inherited else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child did not return")
 
 
 class _Recording:

@@ -162,6 +162,12 @@ CASES = {
         "verify-bounds",
         lambda: {"seed": 3, "drift": {**_VERIFY["drift"], "n_mc": 3000}},
     ),
+    # at odd d the probe and its lift are 3 + 1 Box-Muller pairs, so 600
+    # probes are draw groups of 256, 256 and 88 (numerics.GROUP_PAIRS = 1,024)
+    "verify_target_delta_odd": (
+        "verify-bounds",
+        lambda: {"seed": 13, "target_delta": {"d": 5, "sigma": 0.8, "alpha": 0.1, "n_theta": 600}},
+    ),
     "real_mnist_fixture": ("run-real", _mnist_config),
     "real_mnist_unscaled": ("run-real", lambda: {**_mnist_config(), "scale_pixels": False}),
     "real_cifar10": ("run-real", _cifar_config),
@@ -189,6 +195,7 @@ DIGESTS = {
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
     "verify_drift_split": "ce55172d99dd90fd7a5ea0f36fd957d211abc808abac475b33dec4191d5010a0",
     "verify_hinge": "b3bebf3f96ee2aa51d69f3744177bd140a77f4a74fbeb8127471ae4e18ffa2f8",
+    "verify_target_delta_odd": "ee0cf10ca08b006b06d5a9d173316c50ef19fc436570f2825ce74d00bf12b409",
 }
 
 

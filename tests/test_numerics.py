@@ -26,8 +26,10 @@ from oracles import (
 )
 from sgdstop import numerics
 from sgdstop.numerics import (
+    GROUP_PAIRS,
     SPLIT_PAIRS,
     RngState,
+    normal_rounds,
     normals_at,
     sample_student_t2,
     standard_normals,
@@ -127,36 +129,44 @@ def test_rng_state_generator_is_philox_keyed_by_the_pair(seed, stream, monkeypat
 )
 def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, n, before):
     # uniform 4c of a stream is the first draw of its Philox started at
-    # counter c, whatever the generator it is read through drew before
+    # counter c, whatever this thread read of another stream before
     rng = RngState(seed, seed // 3)
     expected = np.random.Generator(
         np.random.Philox(counter=counter, key=np.array([rng.seed, rng.stream], dtype=np.uint64))
-    ).random(n + 3)
-    gen = RngState(1, 2).generator()
-    gen.random(before)
+    ).random(n)
+    uniforms_at(RngState(1, 2), 4 * before, np.empty(before))
     out = np.full(n, np.nan)
-    assert uniforms_at(rng.philox_state(), gen, 4 * counter, out) is out
-    assert out.tobytes() == expected[:n].tobytes()
-    assert gen.random(3).tobytes() == expected[n:].tobytes()  # gen is left after them
+    assert uniforms_at(rng, 4 * counter, out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_uniforms_at_starts_on_a_philox_block():
     stream = RngState(3).generator().random(12)
-    gen = RngState(4).generator()
-    state = RngState(3).philox_state()
-    assert uniforms_at(state, gen, 8, np.empty(4)).tobytes() == stream[8:].tobytes()
+    assert uniforms_at(RngState(3), 8, np.empty(4)).tobytes() == stream[8:].tobytes()
     with pytest.raises(AssertionError, match="Philox block"):
-        uniforms_at(state, gen, 6, np.empty(4))
+        uniforms_at(RngState(3), 6, np.empty(4))
 
 
-def test_uniforms_at_moves_one_state_by_its_counter_only():
-    # one state dict serves every read of its stream, in any order
-    stream = RngState(5, 9).generator().random(40)
-    state, gen = RngState(5, 9).philox_state(), RngState(0).generator()
+def test_uniforms_at_reads_streams_in_any_order():
+    # one thread's reader serves every stream, at any position, in turn
+    streams = {rng: rng.generator().random(40) for rng in (RngState(5, 9), RngState(9, 5), RngState(5, 10))}
     for position, n in [(20, 13), (0, 7), (36, 4), (20, 3), (4, 1)]:
-        got = uniforms_at(state, gen, position, np.empty(n))
-        assert got.tobytes() == stream[position : position + n].tobytes()
-    assert state == {**RngState(5, 9).philox_state(), "state": {"counter": [1, 0, 0, 0], "key": [5, 9]}}
+        for rng, stream in streams.items():
+            got = uniforms_at(rng, position, np.empty(n))
+            assert got.tobytes() == stream[position : position + n].tobytes()
+
+
+def test_positioned_reads_build_no_stream_generator():
+    # neither the caller's reader nor the helper's is built by RngState.generator
+    # (which a tracer may rebind), on a thread that has not read before either
+    m = SPLIT_PAIRS
+    expected = _inline_normals(RngState(12), 64, 4 * m, m).tobytes()
+    got = []
+    with mock.patch.object(RngState, "generator", side_effect=AssertionError("a stream generator")):
+        reader = threading.Thread(target=lambda: got.append(_normals_at(12, m).tobytes()))
+        reader.start()
+        reader.join(60)
+    assert got == [expected]
 
 
 def test_standard_normals_consumes_even_uniform_count():
@@ -175,6 +185,34 @@ def test_standard_normals_moments():
     assert abs(z.mean()) < 4.0 / math.sqrt(100_000)
     assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / 100_000)
     assert np.all(np.isfinite(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.one_of(st.integers(0, 9), st.integers(1, 2 * GROUP_PAIRS + 9)), min_size=1, max_size=4),
+    groups=st.integers(0, 2),
+    shift=st.integers(-2, 2),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(sizes=[5, 1], groups=2, shift=88, seed=13)  # the target_delta_odd golden's probes
+@example(sizes=[1], groups=1, shift=1, seed=0)  # one round past a group of 1,024
+@example(sizes=[2 * GROUP_PAIRS, 1], groups=2, shift=1, seed=1)  # a round over GROUP_PAIRS
+@example(sizes=[0, 3, 0], groups=0, shift=2, seed=2)
+@example(sizes=[0], groups=1, shift=0, seed=3)
+def test_normal_rounds_give_the_bytes_of_repeated_standard_normals(sizes, groups, shift, seed):
+    # counts around whole groups: the rounds, their order and the generator's
+    # end state are those of calling standard_normals size by size
+    group = max(1, GROUP_PAIRS // max(sum((s + 1) // 2 for s in sizes), 1))
+    count = max(0, groups * group + shift)
+    gen, ref_gen = RngState(seed, 1).generator(), RngState(seed, 1).generator()
+    got = list(normal_rounds(gen, sizes, count))
+    expected = [[standard_normals(ref_gen, s) for s in sizes] for _ in range(count)]
+    assert len(got) == count
+    for round_got, round_expected in zip(got, expected):
+        assert len(round_got) == len(sizes)
+        for g, e in zip(round_got, round_expected):
+            assert g.flags.c_contiguous and g.tobytes() == e.tobytes()
+    assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +292,11 @@ def test_normals_at_in_halves_gives_the_inline_bytes(m, a, tail, first, gap, see
     rng = RngState(seed, seed // 5)
     first, second = 4 * first, 4 * max(0, first + gap)
     flat = np.full(2 * (a + m + tail), np.nan)
-    gen, inline_gen, state = RngState(1).generator(), RngState(2).generator(), rng.philox_state()
     with _helper_handoffs() as handoffs:
-        got = normals_at(state, gen, first, second, flat[2 * a : 2 * (a + m)])
+        got = normals_at(rng, first, second, flat[2 * a : 2 * (a + m)])
     assert got.tobytes() == _inline_normals(rng, first, second, m).tobytes()
     assert np.isnan(flat[: 2 * a]).all() and np.isnan(flat[2 * (a + m) :]).all()
     assert handoffs == _handed_off(m)
-    # the caller's generator is left where reading both runs inline leaves it
-    uniforms_at(state, inline_gen, first, np.empty(m))
-    uniforms_at(state, inline_gen, second, np.empty(m))
-    assert repr(gen.bit_generator.state) == repr(inline_gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("n", [1, 2 * SPLIT_PAIRS - 1, 2 * SPLIT_PAIRS + 6, 10 * SPLIT_PAIRS + 5])
@@ -337,7 +370,7 @@ def test_normals_at_keeps_no_run_alive():
     flat = np.empty(2 * m)
     with _helper_handoffs() as handoffs:
         got = standard_normals(_Uniforms(pairs), 2 * m)
-        normals_at(RngState(8).philox_state(), RngState(8).generator(), 0, 4 * m, flat)
+        normals_at(RngState(8), 0, 4 * m, flat)
     runs = [weakref.ref(a) for a in (pairs, got, got.base, flat)]
     del pairs, got, flat
     assert [run() is None for run in runs] == [True] * 4  # pairs, got, its out, flat
@@ -345,7 +378,7 @@ def test_normals_at_keeps_no_run_alive():
 
 
 def _normals_at(seed: int, m: int) -> np.ndarray:
-    return normals_at(RngState(seed).philox_state(), RngState(seed).generator(), 64, 4 * m, np.empty(2 * m))
+    return normals_at(RngState(seed), 64, 4 * m, np.empty(2 * m))
 
 
 def test_normals_at_computes_inline_while_another_thread_holds_the_helper():
@@ -443,7 +476,7 @@ def test_normals_at_in_a_forked_child_gives_the_inline_bytes():
 
 
 def test_normals_at_from_more_threads_than_cpus_gives_the_inline_bytes():
-    # the callers contend for the one helper, whose generator reads each
+    # the callers contend for the one helper, whose reader reads each
     # caller's stream in turn; a caller that finds it taken computes inline,
     # and every output must still be exact
     m = SPLIT_PAIRS + 7
@@ -451,9 +484,8 @@ def test_normals_at_from_more_threads_than_cpus_gives_the_inline_bytes():
     wrong = []
 
     def work(seed):
-        state, gen = RngState(seed).philox_state(), RngState(seed).generator()
         for _ in range(25):
-            got = normals_at(state, gen, 64, 4 * m, np.empty(2 * m))
+            got = normals_at(RngState(seed), 64, 4 * m, np.empty(2 * m))
             if got.tobytes() != expected[seed]:
                 wrong.append(seed)
 
@@ -486,9 +518,9 @@ m, outs = int(sys.argv[1]), {}
 after_import, ready = helpers(), threading.Barrier(8)
 
 def work(seed):
-    state, gen, out = RngState(seed).philox_state(), RngState(seed).generator(), np.empty(2 * m)
+    out = np.empty(2 * m)
     ready.wait(60)
-    outs[seed] = hashlib.sha256(normals_at(state, gen, 64, 4 * m, out).tobytes()).hexdigest()
+    outs[seed] = hashlib.sha256(normals_at(RngState(seed), 64, 4 * m, out).tobytes()).hexdigest()
 
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=work, args=(seed,), daemon=True) for seed in range(8)]
