@@ -49,7 +49,7 @@ import os
 import re
 import sys
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,6 @@ from .data import (
     center_and_fold,
     center_and_fold_split,
     effective_step,
-    first_rows,
-    fold,
     gaussian_mixture_sampler,
     load_cifar10_batch,
     load_csv_points,
@@ -455,23 +453,26 @@ def _stopper_header(*extra: str) -> list[str]:
 
 def _stopper_table(
     values: dict[str, Any], c: dict[str, Any], source: Callable[[RngState, int], _Centered],
-    held_out: Callable[[RngState], Block], **extra: float,
+    held_out: Callable[[RngState], Iterable[Block]], divisor: float = 1.0, **extra: float,
 ) -> int:
     """Write the table of compare-stoppers or run-real: in trial t (sub-stream
     t of the seed) each stopper trains on ``source(rng, n)``, the centering
-    protocol with window n on the data of its sub-stream rng, and is scored
-    on ``held_out`` of the trial's; the ``extra`` columns, constant across
-    rows, precede the stop reason."""
+    protocol with window n on the data of its sub-stream rng, then all are
+    scored on the trial's ``held_out`` pieces, features divided by
+    ``divisor``; the ``extra`` columns, constant across rows, precede the
+    stop reason."""
     loss, names = LossKind(c["loss"]), c["stoppers"]
     root = RngState(c["seed"])
     rows: list[list] = []
     for t in range(c["trials"]):
         cell = root.substream(t)
-        test = held_out(cell)
+        runs = []
         for j, name in enumerate(names):
             centered = partial(source, cell.substream(_stream_index(names, j)))
             result, stats, _ = _run_stopper(name, centered, loss, c)
-            acc = accuracy_on_set(result.theta, fold(test, stats.offset))
+            runs.append((result, stats.offset))
+        accs = accuracy_on_set(held_out(cell), [(r.theta, offset) for r, offset in runs], divisor)
+        for name, (result, _), acc in zip(names, runs, accs):
             rows.append([
                 name, t, result.iterations, result.samples_consumed,
                 result.overhead, acc, *extra.values(), result.stop_reason.value,
@@ -519,12 +520,19 @@ def cmd_sweep_sigma(values: dict[str, Any], c: dict[str, Any]) -> int:
 # compare-stoppers
 
 
+def _first_rows(blocks: Iterator[Block], n: int) -> Iterator[Block]:
+    """The first n rows of a block stream, drawing no block past them."""
+    while n > 0 and (block := next(blocks, None)) is not None:
+        yield Block(block.y[:n], block.zeta[:n])
+        n -= block.y.shape[0]
+
+
 def cmd_compare_stoppers(values: dict[str, Any], c: dict[str, Any]) -> int:
     sigma, eval_stream = c["sigma"], len(c["stoppers"])
     _check_svs_memory(c["stoppers"], c["d"])
     return _stopper_table(
         values, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
-        lambda cell: first_rows(
+        lambda cell: _first_rows(
             _labeled_source(c, sigma, cell.substream(eval_stream)), c["eval_samples"]
         ),
     )
@@ -754,14 +762,13 @@ def cmd_run_real(values: dict[str, Any], c: dict[str, Any]) -> int:
         return EXIT_DATA_MISSING
     _check_svs_memory(c["stoppers"], train.zeta.shape[1])
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
-    test = Block(test.y, np.divide(test.zeta, divisor, dtype=float))
     folded = np.empty(train.zeta.shape)  # every run folds into this one buffer
     return _stopper_table(
         values, c,
         lambda rng, n: center_and_fold_split(
             train, rng.generator(), n, c["epochs"], folded, divisor
         ),
-        lambda cell: test, baseline=baseline,
+        lambda cell: [test], divisor, baseline=baseline,
     )
 
 

@@ -28,8 +28,9 @@ owns them, one at a time: itertools.chain hands out the rows of the folded
 blocks in C, so no Python frame is resumed per row.  The step size
 actually run is then effective_step(alpha_tilde, sigma2_tilde) =
 alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
-across noise scales and datasets.  Held-out sets are folded with fold, the
-same primitive written into a new array, once per offset.
+across noise scales and datasets.  Held-out sets are never folded:
+accuracy_on_set reads one as a stream and counts class-1 margins of zeta -
+offset above 0 and class-0 ones below 0, the folded margins above 0.
 
 A dataset split takes the same protocol through center_and_fold_split,
 which never copies its rows out as float blocks: the centering rows are
@@ -93,11 +94,9 @@ __all__ = [
     "IdxDimOverflow",
     "Cifar10Error",
     "CsvError",
-    "fold",
     "gaussian_mixture_sampler",
     "student_t2_mixture_sampler",
     "folded_gaussian_stream",
-    "first_rows",
     "center_and_fold",
     "center_and_fold_split",
     "effective_step",
@@ -113,8 +112,8 @@ BLOCK_ROWS = 256  # rows per block in the synthetic streams
 # stream's Monte-Carlo trials read a few dozen rows, sampler runs thousands
 CHUNK_ROWS = 32
 MIXTURE_CHUNK_ROWS = 128
-# doubles per chunk of a split's fold (512 KB), small enough to stay in cache
-# between its gather, divide, subtract and negate passes
+# doubles per chunk of a split's fold or of held-out scoring (512 KB), small
+# enough to stay in cache between their passes over it
 FOLD_ELEMENTS = 1 << 16
 
 
@@ -144,13 +143,6 @@ class CenteringStats:
     offset: np.ndarray
     sigma2_tilde: float
     n_used: int
-
-
-def fold(labeled: Block, offset: np.ndarray) -> np.ndarray:
-    """xi = (2y - 1)(zeta - offset) for every row, as a new (n, d) matrix."""
-    if offset.shape != labeled.zeta.shape[1:]:
-        raise ValueError(f"offset {offset.shape} does not match features {labeled.zeta.shape}")
-    return _fold_rows(labeled.y, labeled.zeta, offset, np.empty(labeled.zeta.shape))
 
 
 def _fold_rows(y: np.ndarray, zeta: np.ndarray, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -278,18 +270,6 @@ def _take(
     return parts, rest
 
 
-def first_rows(blocks: Iterable[Block], n: int) -> Block:
-    """The first n rows of a block stream (fewer if it ends), as one block."""
-    parts, _ = _take(iter(blocks), None, n)
-    return _concat(parts)  # a ValueError when the stream yields no rows
-
-
-def _concat(parts: Sequence[Block]) -> Block:
-    return Block(
-        np.concatenate([p.y for p in parts]), np.concatenate([p.zeta for p in parts])
-    )
-
-
 def center_and_fold(
     blocks: Iterable[Block], n: int = 100
 ) -> tuple[CenteringStats, Iterator[np.ndarray]]:
@@ -394,7 +374,7 @@ def _centering_stats(parts: Sequence[Block]) -> CenteringStats:
     if not _both_classes(parts):
         n_read = sum(p.y.shape[0] for p in parts)
         raise ValueError(f"one class absent among the first {n_read} centering samples")
-    y, z = _concat(parts)
+    y, z = (np.concatenate(arrays) for arrays in zip(*parts))
     # data past a double's range gives inf or NaN here, which effective_step rejects
     with np.errstate(over="ignore", invalid="ignore"):
         mean0 = z[y == 0].mean(axis=0)
@@ -587,16 +567,44 @@ def make_binary_task(
     return Block(y, features[keep])
 
 
-def accuracy_on_set(theta: np.ndarray, folded: np.ndarray) -> float:
-    """Fraction of folded samples with margin strictly above 0."""
-    theta = np.asarray(theta, dtype=float)
-    folded = np.asarray(folded, dtype=float)
-    if folded.ndim != 2 or folded.shape[0] == 0:
-        raise ValueError("folded must be a nonempty (n, d) matrix")
-    if folded.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: folded {folded.shape}, theta {theta.shape}"
-        )
-    # a diverged theta's margins overflow to inf or NaN, which compare with 0 as usual
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(folded @ theta > 0.0))
+def accuracy_on_set(
+    pieces: Iterable[Block], classifiers: Sequence[tuple[np.ndarray, np.ndarray]],
+    divisor: float = 1.0,
+) -> list[float]:
+    """Held-out accuracy of each (theta, offset), reading the set once, as
+    labeled pieces of any sizes with features zeta / divisor as doubles.
+
+    The rows are copied into runs of a multiple of 4 rows, at most
+    FOLD_ELEMENTS doubles, and the rest.  Per run and classifier, margins of
+    zeta - offset (in one reused buffer) count where a class-1 one is > 0 or
+    a class-0 one < 0: the folded margins > 0 of one gemv over the whole set,
+    bit for bit, as negation is exact and gemv rounds symmetrically in sign
+    and takes rows in fours.  numpy takes a lone row as a dot product, so a
+    run waits for the 4 rows after it, which the last run keeps.
+    """
+    d = classifiers[0][0].shape[0]
+    step = max(4, FOLD_ELEMENTS // max(1, d) // 4 * 4)
+    x, buf = np.empty((step + 4, d)), np.empty((step + 4, d))
+    neg = np.empty(step + 4, dtype=bool)  # the class-0 rows of x
+    correct, n, fill = [0] * len(classifiers), 0, 0
+
+    def score(k: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (theta, offset) in enumerate(classifiers):
+                margins = np.subtract(x[:k], offset, out=buf[:k]) @ theta
+                correct[j] += int(np.count_nonzero(np.where(neg[:k], margins < 0, margins > 0)))
+
+    for y, zeta in pieces:
+        a = 0
+        while a < y.shape[0]:
+            if fill == step + 4:  # a full run and the 4 rows after it
+                score(step)
+                x[:4], neg[:4], fill = x[step:], neg[step:], 4
+            k = min(step + 4 - fill, y.shape[0] - a)
+            np.divide(zeta[a : a + k], divisor, out=x[fill : fill + k], dtype=float)
+            np.equal(y[a : a + k], 0, out=neg[fill : fill + k])
+            a, fill, n = a + k, fill + k, n + k
+    if n == 0:
+        raise ValueError("the held-out set has no rows")
+    score(fill)
+    return [c / n for c in correct]

@@ -212,8 +212,9 @@ def check_drift_inequality(
         if target_set_contains(rset, theta):
             raise ValueError(f"probe {j} lies inside the target set")
         gen = rng.substream(j).generator()
-        noise = standard_normals(gen, n_mc * model.d).reshape(n_mc, model.d)
-        xis = model.mu + model.sigma * noise
+        xis = standard_normals(gen, n_mc * model.d).reshape(n_mc, model.d)
+        xis *= model.sigma
+        xis += model.mu  # mu + sigma * noise, in place
         margins = xis @ theta
         if rset.kind is LossKind.LOGISTIC:
             s = _sigmoid_vec(-margins)

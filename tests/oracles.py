@@ -3,7 +3,10 @@ and for the SGD engine.
 
 Nothing the package runs needs these; the tests use them to cross-check the
 package by other routes.  ``sgd_step`` applies one update on its own, the
-reference for the engine's accounting and iterates.  Loss values,
+reference for the engine's accounting and iterates.  ``fold`` writes a
+labeled block folded into a new matrix, and ``first_rows`` gathers the head
+of a block stream into one block: the whole-set references for streamed
+held-out scoring and for sampler statistics.  Loss values,
 Gauss-Hermite quadrature and truncated-normal moments give the population
 loss restricted to the ray theta = rho mu, whose minimizer
 ``theory.minimizer_rho_star`` computes in closed form.
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from sgdstop.data import Block, _fold_rows
 from sgdstop.losses import LossKind, _sigmoid_vec, factor_function
 from sgdstop.numerics import std_normal_cdf
 
@@ -244,3 +248,24 @@ def sgd_step(
         raise ValueError(f"shape mismatch: theta {theta.shape}, xi {xi.shape}")
     s = factor_function(kind)(float(xi @ theta))
     return theta + (alpha * s) * xi
+
+
+# ---------------------------------------------------------------------------
+# labeled blocks as whole matrices
+
+
+def fold(labeled: Block, offset: np.ndarray) -> np.ndarray:
+    """xi = (2y - 1)(zeta - offset) for every row, as a new (n, d) matrix."""
+    return _fold_rows(labeled.y, labeled.zeta, offset, np.empty(labeled.zeta.shape))
+
+
+def first_rows(blocks, n: int) -> Block:
+    """The first n rows of a block stream (fewer if it ends), as one block."""
+    ys, zetas, k = [], [], 0
+    for y, zeta in blocks:
+        ys.append(y)
+        zetas.append(zeta)
+        k += y.shape[0]
+        if k >= n:
+            break
+    return Block(np.concatenate(ys)[:n], np.concatenate(zetas)[:n])

@@ -26,13 +26,12 @@ from sgdstop.data import (
     CsvError,
     IdxError,
     ParseError,
-    fold,
     load_cifar10_batch,
     load_csv_points,
     load_idx,
     student_t2_mixture_sampler,
 )
-from oracles import gauss_hermite_rule, ray_derivative, ray_objective
+from oracles import fold, gauss_hermite_rule, ray_derivative, ray_objective
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState, standard_normals
 from sgdstop.sgd import SgdConfig, StopReason, StopRule, run

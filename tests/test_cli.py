@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_config, write_mnist_style_fixture
+from oracles import first_rows
 from sgdstop import cli, numerics
-from sgdstop.data import center_and_fold, first_rows, gaussian_mixture_sampler
+from sgdstop.data import center_and_fold, gaussian_mixture_sampler
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
 from sgdstop.sgd import StopReason

@@ -7,12 +7,14 @@ import struct
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import first_rows, fold
 from sgdstop import data
 from sgdstop.data import (
     BLOCK_ROWS,
@@ -30,8 +32,6 @@ from sgdstop.data import (
     center_and_fold,
     center_and_fold_split,
     effective_step,
-    first_rows,
-    fold,
     folded_gaussian_stream,
     gaussian_mixture_sampler,
     load_cifar10_batch,
@@ -70,10 +70,6 @@ def test_fold_hand_case():
     out = fold(block, off)
     assert np.array_equal(out[0], np.array([2.0, 1.0]))
     assert np.array_equal(out[1], np.array([-2.0, -1.0]))
-    with pytest.raises(ValueError):
-        fold(block, np.zeros(3))
-    with pytest.raises(ValueError):
-        fold(block, np.zeros(1))  # would broadcast, but is not one offset per feature
 
 
 @given(
@@ -967,11 +963,75 @@ def test_make_binary_task_validation():
 
 
 def test_accuracy_on_set():
-    folded = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    theta = np.array([1.0, 0.0])
-    # margins 1, -1, 0: the zero margin counts incorrect
-    assert accuracy_on_set(theta, folded) == pytest.approx(1.0 / 3.0)
+    # margins of zeta - offset: 1, -1, 0, -2; class 1 is correct above 0 and
+    # class 0 below, so a margin of 0 counts incorrect
+    block = _block([1, 0, 1, 0], [[2.0, 0.0], [0.0, 3.0], [1.0, 5.0], [-1.0, 0.0]])
+    offset, theta = np.array([1.0, 0.0]), np.array([1.0, 0.0])
+    classifiers = [(theta, offset), (-theta, offset)]
+    assert accuracy_on_set([block], classifiers) == [0.75, 0.0]
+    pieces = [Block(block.y[:1], 4.0 * block.zeta[:1]), Block(block.y[1:], 4.0 * block.zeta[1:])]
+    assert accuracy_on_set(pieces, classifiers, divisor=4.0) == [0.75, 0.0]
     with pytest.raises(ValueError):
-        accuracy_on_set(theta, np.zeros((0, 2)))
+        accuracy_on_set([], classifiers)
     with pytest.raises(ValueError):
-        accuracy_on_set(theta, np.zeros((2, 3)))
+        accuracy_on_set([_block([1], [[1.0, 2.0, 3.0]])], classifiers)
+
+
+# values whose sums cancel, so that a margin's sign follows its summation order
+_SCORE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16, 2e16])
+_THETA_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e16])
+
+
+@st.composite
+def _scored_sets(draw):
+    """Piece sizes (multiples of 4, then any last size), labels, features and
+    (theta, offset) classifiers of a held-out set of at least one row."""
+    d = draw(st.integers(1, 24))
+    sizes = [4 * q for q in draw(st.lists(st.integers(0, 4), max_size=4))]
+    sizes.append(draw(st.integers(0 if sum(sizes) else 1, 7)))
+    n = sum(sizes)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    zeta = draw(arrays(float, (n, d), elements=_SCORE_VALUES, fill=st.nothing()))
+    classifiers = [
+        (draw(arrays(float, d, elements=_THETA_VALUES, fill=st.nothing())),
+         draw(arrays(float, d, elements=_SCORE_VALUES, fill=st.nothing())))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return sizes, y, zeta, classifiers
+
+
+@given(case=_scored_sets(), run_rows=st.sampled_from([0, 8, 12, 1 << 16]))
+# runs of 4 rows, then a last row whose margin's sign follows the summation
+# order (OpenBLAS's Haswell gemv gives 0, its dot product -1), so it must be
+# scored in one gemv with the 4 rows before it
+@example(
+    case=(
+        [8, 1],
+        np.array([1, 0, 1, 0, 1, 0, 1, 0, 0]),
+        np.vstack([np.ones((8, 4)), [[-1e16, 1.0, 1e16, -1.0]]]),
+        [(np.ones(4), np.zeros(4))],
+    ),
+    run_rows=0,
+)
+@settings(max_examples=200, deadline=None)
+def test_accuracy_on_set_bit_equal_to_the_folded_set(case, run_rows):
+    # the set in pieces, scored in runs of 4 (run_rows 0) or more rows,
+    # against the whole set folded and put through one gemv
+    sizes, y, zeta, classifiers = case
+    theta, offset = classifiers[0]
+    first = np.arange(theta.size) == 0
+    classifiers = [
+        *classifiers,
+        (np.zeros(theta.size), offset),  # every margin 0
+        (np.where(first, np.inf, theta), offset),  # margins infinite or NaN
+        (np.where(first, np.nan, theta), offset),  # every margin NaN
+    ]
+    cuts = np.cumsum([0, *sizes])
+    pieces = [Block(y[a:b], zeta[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    with mock.patch.object(data, "FOLD_ELEMENTS", run_rows * zeta.shape[1]):
+        got = accuracy_on_set(iter(pieces), classifiers)
+    # a non-finite theta or a large difference gives inf or NaN margins
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float(np.mean(fold(Block(y, zeta), o) @ theta > 0.0)) for theta, o in classifiers]
+    assert got == want
+    assert got[-3] == got[-1] == 0.0

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_config, write_mnist_style_fixture
+from conftest import idx_bytes, write_config, write_mnist_style_fixture
 from sgdstop.cli import EXIT_OK, main
 from sgdstop.numerics import RngState
 
@@ -103,6 +103,27 @@ def _cifar_config() -> dict:
     }
 
 
+def _write_overlapping_idx(dirpath: Path) -> dict:
+    """MNIST-shaped IDX files whose classes 1 and 8 overlap: each adds 8 to
+    its own 128-pixel band over noise in [0, 160); class 3 is filtered out
+    by the binary task.  The test split keeps 230 rows of classes 1 and 8."""
+    dirpath.mkdir()
+    gen = RngState(19).generator()
+    paths = {}
+    for split, n in (("train", 300), ("test", 250)):
+        labels = gen.choice([1, 8, 3], size=n, p=[0.45, 0.45, 0.1]).astype(np.uint8)
+        pixels = gen.integers(0, 160, size=(n, 784), dtype=np.uint8)
+        pixels[labels == 1, :128] += 8
+        pixels[labels == 8, 128:256] += 8
+        for kind, magic, dims, payload in (
+            ("images", 0x803, (n, 28, 28), pixels), ("labels", 0x801, (n,), labels)
+        ):
+            path = dirpath / f"{split}-{kind}"
+            path.write_bytes(idx_bytes(magic, dims, payload.tobytes()))
+            paths[f"{split}_{kind}"] = str(path)
+    return paths
+
+
 def _mnist_config() -> dict:
     return {
         "dataset": "mnist",
@@ -143,6 +164,12 @@ CASES = {
         lambda: {**_SWEEP, "d": 128, "sigma_grid": [0.5], "trials": 1},
     ),
     "compare_gaussian": ("compare-stoppers", lambda: _COMPARE),
+    # the eval set is read as 128-row mixture chunks (d 128), and 1,031 rows
+    # end on a partial chunk of 7 rows, 3 past a multiple of 4
+    "compare_eval_pieces": (
+        "compare-stoppers",
+        lambda: {**_COMPARE, "d": 128, "eval_samples": 1031, "trials": 1},
+    ),
     # 256-row mixture chunks at d 100 are 12,800 pairs each, over numerics.SPLIT_PAIRS
     "compare_gaussian_split": ("compare-stoppers", lambda: {**_COMPARE, "d": 100, "trials": 1}),
     # centering reads more rows than one 256-row sampler block holds
@@ -170,6 +197,12 @@ CASES = {
     ),
     "real_mnist_fixture": ("run-real", _mnist_config),
     "real_mnist_unscaled": ("run-real", lambda: {**_mnist_config(), "scale_pixels": False}),
+    # 230 test rows of 784 pixels, scored in runs of 80, 80 and 70 rows; the
+    # last ends 2 rows past a multiple of 4
+    "real_test_pieces": (
+        "run-real",
+        lambda: {**_mnist_config(), **_write_overlapping_idx(Path("overlap")), "epochs": 4},
+    ),
     "real_cifar10": ("run-real", _cifar_config),
     "real_csv": ("run-real", _csv_config),
     # centering reads the whole 225-row training set, one epoch's only chunk
@@ -180,6 +213,7 @@ CASES = {
 }
 
 DIGESTS = {
+    "compare_eval_pieces": "d27a514b3947aa0811808292de168e6431b2fc5fa85e62998f892cedd6f4876f",
     "compare_gaussian": "c7b51f24093e9ef10fa1665422b164e96b5b32d929b4e73cc5ef6aa1c4365271",
     "compare_gaussian_split": "0871cc4e94ee8f90e7c83d02b2f6377b73194891c639b540d1586a9b38e7211a",
     "compare_gaussian_centering_256": "c03f60b81bbd55764f6318d4fb1f075d8e81f194fffc2d71fee3867005319a2e",
@@ -188,6 +222,7 @@ DIGESTS = {
     "real_cifar10": "fdf7abed8b37ca2f3215ae840083e511b3d471dcab451431fc8dfd346e3788a7",
     "real_csv_centering_epoch": "c754343413f48b1bb156fa598dda9be4784e6cdb50ca470d22bc3c84abeecc49",
     "real_mnist_fixture": "5705996ff2a38d72d8b2f9f6fc392ca6914937cd1079189fd09ae0e2d1d37b74",
+    "real_test_pieces": "807ce7a7998e54f5092503b928656782c02a8096193cee351a022ec7df19798a",
     "real_mnist_unscaled": "ef1f4476a3019b77f9c039405d02d81079e5f16bf018738da93ed02b179261dd",
     "sweep_gaussian": "3938bff6460a4b4e094eaf0646538551983da6e9f798d596dee858bbb5e71619",
     "sweep_gaussian_split": "ce5be8e34fa8fe9bcaca9a97abd7a2293cb42bb4fadc4ec79c2a598fe65a1c22",
