@@ -279,6 +279,9 @@ def _section(min_d: int, **own: _Key) -> _Key:
     return _Key({**model, **own}, None, "an object of the section's keys")
 
 
+# target_delta reads neither loss nor alpha, which it still accepts
+_UNREAD = {"loss": _one_of(_LOSSES, "logistic")._replace(limit="'logistic' or 'hinge' (unread)"),
+           "alpha": _NONNEGATIVE._replace(default=None, limit="a finite number >= 0 (unread)")}
 _TRIAL_RUNS = {key: _TRAINING[key] for key in ("max_iter", "trials")}
 # one trial has no standard error, so a check with a stderr slack needs two
 _SLACK_RUNS = {**_TRIAL_RUNS, "trials": _int(2)}
@@ -290,7 +293,7 @@ _VERIFY = {
     "drift": _section(2, mu_dots=_Key(list, [-5.0, 0.0, 0.9], "a nonempty list of finite "
                                       "numbers", _finite_numbers), n_mc=_int(2, 20000)),
     "angle": _section(2, **_SLACK_RUNS),  # v is the second axis
-    "target_delta": _section(1, n_theta=_int(1, 1000)),
+    "target_delta": _section(1, n_theta=_int(1, 1000), **_UNREAD),
 }
 _PATH = _Key(str, None, "a path (needed when dataset is 'mnist')")
 _REAL = {
@@ -593,8 +596,8 @@ def _before_trials(name: str, quantity: Callable, *args):
     except FloatingPointError:  # alpha |mu|^2 below the smallest double
         raise ConfigError(f"config key '{name}.alpha' is too small: alpha * mu_scale**2 "
                           f"underflows to 0 in the {name} bound") from None
-    except ArithmeticError as e:  # the hinge minimizer's bracket check
-        raise ConfigError(f"config section '{name}': {e}; |mu_scale|/sigma is too large") from None
+    except ArithmeticError as e:  # the hinge minimizer's bracket check, high noise only
+        raise ConfigError(f"config section '{name}': {e}; sigma/|mu_scale| is too large") from None
 
 
 def _expected_T(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:

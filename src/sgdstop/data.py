@@ -285,10 +285,7 @@ def center_and_fold(
     """
     _check_window(n)
     it = iter(blocks)
-    parts, rest = _take(it, None, n)
-    if not _both_classes(parts):
-        more, rest = _take(it, rest, n)
-        parts += more
+    parts, rest = _centering_window(it, n)
     stats = _centering_stats(parts)
     later = it if rest is None else itertools.chain([rest], it)
     # one block is held at a time, so a finished block is freed as the next arrives
@@ -326,23 +323,21 @@ def center_and_fold_split(
     size = split.y.shape[0]
     each_epoch = itertools.count() if epochs is None else range(epochs)
     orders = (gen.permutation(size) for _ in each_epoch)
-    drawn: list[np.ndarray] = []
+    drawn: list[np.ndarray] = []  # the orders of the epochs the centering reached
+    step = max(1, FOLD_ELEMENTS // max(1, split.zeta.shape[1]))
 
-    def window(k: int) -> list[Block]:
-        """The first k rows of the stream (fewer if it ends), gathered."""
-        while sum(map(len, drawn)) < k and (order := next(orders, None)) is not None:
+    def gathered() -> Iterator[Block]:
+        """The stream's rows as float blocks of ``step`` rows, gathered as reached."""
+        for order in orders:
             drawn.append(order)
-        head = np.concatenate(drawn)[:k]
-        return [Block(split.y[head], np.divide(split.zeta[head], divisor, dtype=float))]
+            for a in range(0, size, step):
+                at = order[a : a + step]
+                yield Block(split.y[at], np.divide(split.zeta[at], divisor, dtype=float))
 
-    parts = window(n)
-    if not _both_classes(parts):
-        parts = window(2 * n)
-    stats = _centering_stats(parts)
+    stats = _centering_stats(_centering_window(gathered(), n)[0])
     first = drawn[0]
     place = np.empty(size, dtype=np.intp)
     place[first] = np.arange(size)
-    step = max(1, FOLD_ELEMENTS // max(1, split.zeta.shape[1]))
     raw = np.empty((step, *split.zeta.shape[1:]), split.zeta.dtype)  # reused by every chunk
     rows = out.view()
     rows.flags.writeable = False
@@ -362,6 +357,16 @@ def center_and_fold_split(
 
     views = itertools.chain.from_iterable(epochs_of_views())
     return stats, itertools.islice(views, stats.n_used, None)
+
+
+def _centering_window(blocks: Iterator[Block], n: int) -> tuple[list[Block], Block | None]:
+    """The centering rows of a stream, as _take returns them: the first n
+    rows, or 2n when a class is absent among the first n."""
+    parts, rest = _take(blocks, None, n)
+    if not _both_classes(parts):
+        more, rest = _take(blocks, rest, n)
+        parts += more
+    return parts, rest
 
 
 def _check_window(n: int) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "LossKind",
     "MARGIN_THRESHOLD",
     "factor_function",
+    "factor_array",
 ]
 
 # The unit margin: the hinge's kink, and the level the stop tests check against.
@@ -70,11 +71,13 @@ def factor_function(kind: LossKind) -> Callable[[float], float]:
         raise TypeError(f"unknown loss kind: {kind!r}") from None
 
 
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)) evaluated on the non-overflowing side of each entry.
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+def factor_array(kind: LossKind, margins: np.ndarray) -> np.ndarray:
+    """factor_function(kind) on each entry of an array of margins, as floats;
+    the logistic factor is taken on the non-overflowing side of each entry."""
+    if factor_function(kind) is _hinge_factor:  # which also rejects an unknown kind
+        return (margins <= MARGIN_THRESHOLD).astype(float)
+    out, low = np.empty_like(margins, dtype=float), margins <= 0
+    out[low] = 1.0 / (1.0 + np.exp(margins[low]))
+    e = np.exp(-margins[~low])
+    out[~low] = e / (1.0 + e)
     return out

@@ -21,12 +21,12 @@ Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
 documented number of uniforms.  That makes draw accounting exact and keeps
 parallel streams aligned regardless of the values drawn.  The transform is
-defined once, in _pairs: it reads a run's uniforms at their positions (or
-takes them drawn), turns them into radii and angles in place and writes the
-normals of its pairs into a given array.  Every step is elementwise, so
-uniforms may be read and transformed in pieces, only as they are needed,
-and a piece gives the bytes of the whole.  normals_at turns a run of pair
-positions into normals; standard_normals draws its uniforms first, and
+defined once, in _pairs: it turns a run's uniforms into radii and angles in
+place and writes the normals of its pairs into a given array.  Every step
+is elementwise, so uniforms may be read and transformed in pieces, only as
+they are needed, and a piece gives the bytes of the whole.  normals_at
+reads the uniforms of a run of pair positions with uniforms_at and
+transforms them; standard_normals draws its uniforms first, and
 normal_rounds draws many small standard_normals calls at once, in groups of
 at most ``GROUP_PAIRS`` pairs (or one round), with the same bytes.
 
@@ -35,12 +35,14 @@ VM (Python 3.11, numpy 2.4), the medians over 200 calls were: reading both
 uniform runs 0.51 ms, the radii and angles 0.15 ms, the cosines 0.73 ms
 and the sines 0.70 ms (numpy takes float64 cos and sin through scalar
 libm, about 25 ns per element); 2.2 ms inline.  So a run of at least
-``SPLIT_PAIRS`` = 8,192 pairs is computed in halves: one helper thread per
-process (a forked child starts its own), started by the first such run
-where at least two CPUs are usable, computes the front half (its uniforms,
-read through its own thread's Philox generator, and every later step, under
-numpy's default error modes, as no uniform raises a flag) while the caller
-computes the back half and then waits, 1.5-1.7 ms for that chunk.  The
+``SPLIT_PAIRS`` = 8,192 pairs is computed in halves (_in_halves): one
+helper thread per process (a forked child starts its own), started by the
+first such run where at least two CPUs are usable, takes the front half
+from its job queue and computes it (its uniforms, read through its own
+thread's Philox generator, and every later step, under numpy's default
+error modes, as no uniform raises a flag) while the caller computes the
+back half and then waits for its own reply, 1.5-1.7 ms for that chunk.
+Callers that split at once take the one helper in turn.  The
 crossover was measured there as the median time of the split over that of
 the inline code, 150 calls each per size and round, in three rounds, with
 0.3 ms or 1 ms of SGD-like updates before each call, as a sampler calls it
@@ -71,7 +73,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,31 +196,33 @@ def normals_at(rng: RngState, first: int, second: int, out: np.ndarray) -> np.nd
     out[2i] = r cos t and out[2i + 1] = r sin t (see _pairs).
 
     A run of at least ``SPLIT_PAIRS`` pairs is computed in two halves where
-    the helper thread is free (see _transform); the bytes do not depend on it.
+    a helper thread runs (see _in_halves); the bytes do not depend on it.
     """
-    _transform(np.empty((2, out.size >> 1)), out, (rng, first, second))
+    u = np.empty((2, out.size >> 1))
+
+    def half(a: int, b: int) -> None:
+        v = u[:, a:b]
+        uniforms_at(rng, first + a, v[0])
+        uniforms_at(rng, second + a, v[1])
+        _pairs(v, out[2 * a : 2 * b])
+
+    _in_halves(u.shape[1], half)
     return out
 
 
-def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
+def _pairs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Box-Muller on the k pairs of a (2, k) buffer ``u`` of uniforms on
     [0, 1), in place, into the 2k normals of ``out``: row 0 becomes the
     radii r = sqrt(-2 log(1 - u)) (1 - u lies in (0, 1], so the log is
     finite), row 1 the angles t = 2 pi u, then out[2i] = r cos t and
-    out[2i + 1] = r sin t.  ``read`` is None if ``u`` holds its uniforms,
-    else (rng, first, second): row 0 is read from uniform ``first`` of the
-    stream ``rng`` on and row 1 from ``second`` on, on the calling thread.
+    out[2i + 1] = r sin t.
 
     Each step is the formula's own IEEE operation in the formula's order,
     elementwise, so any piece of a run gives the bytes of the whole.  On
     uniforms in [0, 1 - 2**-53], as Philox's are, no step raises a
     floating-point flag: r <= 8.58 and no product is subnormal.
     """
-    r, t = u
-    if read is not None:
-        rng, first, second = read
-        uniforms_at(rng, first, r)
-        uniforms_at(rng, second, t)
+    r, t = u[0], u[1]  # indexed: unpacking iterates the array, about 0.8 us more per call
     np.subtract(1.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
@@ -232,81 +236,72 @@ def _pairs(u: np.ndarray, out: np.ndarray, read: tuple | None) -> np.ndarray:
     return out
 
 
-def _transform(u: np.ndarray, out: np.ndarray, read: tuple | None) -> None:
-    """_pairs(u, out, read), in two halves for a run of at least ``SPLIT_PAIRS``
-    pairs where the helper is usable and free: pairs [0, h) on the helper
-    thread, pairs [h, m) here, with h = m // 2 rounded down to a multiple of
-    4, so both halves start on a Philox block."""
-    helper = _box_muller_helper() if u.shape[1] >= SPLIT_PAIRS else None
-    if helper is None or not helper.split(u, out, read):
-        _pairs(u, out, read)
+def _drawn(u: np.ndarray, out: np.ndarray) -> Callable[[int, int], None]:
+    """_in_halves' half(a, b) over uniforms ``u`` already drawn, into ``out``."""
+    return lambda a, b: _pairs(u[:, a:b], out[2 * a : 2 * b])
 
 
-class _BoxMullerHelper:
-    """One daemon thread that computes the front half of a run for _transform.
+def _in_halves(m: int, half: Callable[[int, int], None]) -> None:
+    """half(0, m), where half(a, b) computes pairs [a, b) of a run of m pairs.
 
-    A caller claims the helper by taking ``_free`` without blocking (if it
-    is taken, the caller computes inline), puts the front half on ``_jobs``,
-    computes the back half and waits on ``_results`` for the helper's
-    exception or None.  The helper computes every half it is handed with
-    _pairs, reading its uniforms through its own thread's Philox generator,
-    under numpy's default error modes (no caller's are relayed: see
-    _pairs); it lets go of the run's arrays before it answers, so it keeps
-    no run alive while it waits.  A wait cut short by an exception
-    leaves ``_free`` held, since the helper may still be writing: later
-    calls compute inline.  The helper runs only this module's code, called
-    through this module's own names.
+    From ``SPLIT_PAIRS`` pairs on, where the helper runs, the front half
+    half(0, h), with h = m // 2 rounded down to a multiple of 4 so both
+    halves start on a Philox block, is put on the helper's job queue with
+    a reply queue of this call's own; this thread computes half(h, m) and
+    then waits for the helper's exception or None.  A caller whose wait is
+    cut short leaves nothing behind: the helper's late answer goes to that
+    call's reply, and calls from several threads queue their front halves.
     """
+    jobs = _box_muller_helper() if m >= SPLIT_PAIRS else None
+    if jobs is None:
+        half(0, m)
+        return
+    h, reply = m // 2 & -4, queue.SimpleQueue()
+    jobs.put((half, h, reply))
+    try:
+        half(h, m)
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
 
-    def __init__(self) -> None:
-        self._free, self._jobs, self._results = threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="sgdstop-box-muller", daemon=True).start()
 
-    def _serve(self) -> None:
-        # this thread's reader is built before its first job: built inside
-        # one, it raised peak RSS by 0.2 MB on the d = 500 sweep
-        _reader.parts
-        while True:
-            u, out, read = self._jobs.get()
-            error = None
-            try:
-                _pairs(u, out, read)
-            except BaseException as exc:  # raised again by the caller
-                error = exc
-            del u, out, read
-            self._results.put(error)
-            del error  # its traceback holds the run
-
-    def split(self, u: np.ndarray, out: np.ndarray, read: tuple | None) -> bool:
-        """_transform's halves; False (nothing written) if the helper is taken."""
-        if not self._free.acquire(blocking=False):
-            return False
-        h = u.shape[1] // 2 & -4
-        back = None if read is None else (read[0], read[1] + h, read[2] + h)
-        self._jobs.put((u[:, :h], out[: 2 * h], read))
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: computes the front half of each job on ``jobs``,
+    reading through its own Philox generator, under numpy's default error
+    modes (no caller's are relayed: see _pairs), and lets go of the run
+    before it answers, so it keeps no run alive while it waits."""
+    # this thread's reader is built before its first job: built inside
+    # one, it raised peak RSS by 0.2 MB on the d = 500 sweep
+    _reader.parts
+    while True:
+        half, h, reply = jobs.get()
+        error = None
         try:
-            _pairs(u[:, h:], out[2 * h :], back)
-        finally:
-            error = self._results.get()
-            self._free.release()
-        if error is not None:
-            raise error
-        return True
+            half(0, h)
+        except BaseException as exc:  # raised again by the caller
+            error = exc
+        del half
+        reply.put(error)
+        del error, reply  # the error's traceback holds the run
 
 
 _UNDECIDED = object()  # no split has asked for the helper in this process yet
-_helper: _BoxMullerHelper | None | object = _UNDECIDED
+_helper: queue.SimpleQueue | None | object = _UNDECIDED
 _helper_start = threading.Lock()
 
 
-def _box_muller_helper() -> _BoxMullerHelper | None:
-    """The process's one helper, started by its first split; None on one CPU."""
+def _box_muller_helper() -> queue.SimpleQueue | None:
+    """The job queue of the process's one helper thread, started by its first
+    split; None on one CPU."""
     global _helper
     with _helper_start:
         if _helper is _UNDECIDED:
             affinity = getattr(os, "sched_getaffinity", None)
             cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-            _helper = _BoxMullerHelper() if cpus >= 2 else None
+            _helper = queue.SimpleQueue() if cpus >= 2 else None
+            if _helper is not None:
+                threading.Thread(target=_serve, args=(_helper,), name="sgdstop-box-muller", daemon=True).start()
         return _helper
 
 
@@ -332,7 +327,7 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
         return np.empty(0)
     m = (n + 1) // 2
     u, out = gen.random((2, m)), np.empty(2 * m)
-    _transform(u, out, None)
+    _in_halves(m, _drawn(u, out))
     return out[:n]
 
 
@@ -343,7 +338,7 @@ def normal_rounds(gen: np.random.Generator, sizes: Sequence[int], count: int) ->
     row.
 
     Rounds are drawn in groups of at most ``GROUP_PAIRS`` pairs (at least one
-    round), each with one gen.random and one _transform: a round's uniforms
+    round), each with one gen.random and one _in_halves: a round's uniforms
     are the uniforms of its sizes' calls in turn, and each size's pairs are
     gathered into the group's run, whose transform is elementwise.
     """
@@ -358,7 +353,7 @@ def normal_rounds(gen: np.random.Generator, sizes: Sequence[int], count: int) ->
         for a, m in zip(starts, halves):
             u[:, :, a : a + m] = drawn[:, 2 * a : 2 * (a + m)].reshape(k, 2, m).transpose(1, 0, 2)
         out = np.empty((k, 2 * width))
-        _transform(u.reshape(2, -1), out.reshape(-1), None)
+        _in_halves(k * width, _drawn(u.reshape(2, -1), out.reshape(-1)))
         yield from zip(*(out[:, 2 * a : 2 * a + s] for a, s in zip(starts, sizes)))
 
 

@@ -119,10 +119,11 @@ class RegimeSet:
     """The regime of one (loss, model, step) with the constants of its bounds.
 
     b is the guaranteed one-step expected decrease of the drift witness
-    outside the target set; M sets the low-regime witness scale; c_prime
-    bounds the orthogonal component of the high-noise target set; delta
-    lower-bounds the firing probability on the target set (exactly 1/2 in
-    the low regime).
+    outside the target set; M sets the low-regime witness scale; rho_star
+    centres and c_prime bounds the orthogonal component of the high-noise
+    target set (both None in the low regime, whose target set, witness and
+    bound read only M and b); delta lower-bounds the firing probability on
+    the target set (exactly 1/2 in the low regime).
     """
 
     regime: Regime
@@ -131,8 +132,8 @@ class RegimeSet:
     alpha: float
     b: float
     M: float
-    rho_star: float
-    c_prime: float
+    rho_star: float | None
+    c_prime: float | None
     delta: float
 
 
@@ -276,19 +277,13 @@ def regime_set(
     else:
         raise TypeError(f"unknown loss kind: {kind!r}")
     regime = regime_of(kind, model)
-    if regime is Regime.LOW and not math.isfinite(M * M):
-        raise OverflowError(f"the drift witness scale M^2 overflows at alpha |mu|^2 = {b!r}")
-    rho_star = minimizer_rho_star(kind, model.mu_norm, model.sigma)
-    if kind is LossKind.LOGISTIC:
-        c_prime = 436.0
-    else:
-        c_prime = 8.0 + 10.0 * rho_star * model.sigma**2
     if regime is Regime.LOW:
-        delta = 0.5
-    else:
-        delta = 0.5 * std_normal_ccdf(
-            (2.0 / rho_star - mu2) / (model.sigma * model.mu_norm)
-        )
+        if not math.isfinite(M * M):
+            raise OverflowError(f"the drift witness scale M^2 overflows at alpha |mu|^2 = {b!r}")
+        return RegimeSet(regime, model, kind, alpha, b, M, None, None, 0.5)
+    rho_star = minimizer_rho_star(kind, model.mu_norm, model.sigma)
+    c_prime = 436.0 if kind is LossKind.LOGISTIC else 8.0 + 10.0 * rho_star * model.sigma**2
+    delta = 0.5 * std_normal_ccdf((2.0 / rho_star - mu2) / (model.sigma * model.mu_norm))
     return RegimeSet(regime, model, kind, alpha, b, M, rho_star, c_prime, delta)
 
 

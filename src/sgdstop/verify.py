@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossKind, _sigmoid_vec
+from .losses import factor_array
 from .numerics import RngState, standard_normals
 from .data import folded_gaussian_stream
 from .sgd import RunResult, SgdConfig, StopRule, run
@@ -216,10 +216,7 @@ def check_drift_inequality(
         xis *= model.sigma
         xis += model.mu  # mu + sigma * noise, in place
         margins = xis @ theta
-        if rset.kind is LossKind.LOGISTIC:
-            s = _sigmoid_vec(-margins)
-        else:
-            s = (margins <= 1.0).astype(float)
+        s = factor_array(rset.kind, margins)
         # V(theta_1) depends on theta_1 only through mu . theta_1, so the
         # rowwise V uses mu . theta + alpha s (mu . xi) directly.
         mu_dot = float(model.mu @ theta)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from sgdstop.data import Block, _fold_rows
-from sgdstop.losses import LossKind, _sigmoid_vec, factor_function
+from sgdstop.losses import LossKind, factor_array, factor_function
 from sgdstop.numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -187,7 +187,7 @@ def ray_derivative(
     sd = sigma * mu_norm
     if kind is LossKind.LOGISTIC:
         return gauss_hermite_expectation(
-            lambda z: -z * _sigmoid_vec(-rho * z), mean, sd, rule
+            lambda z: -z * factor_array(LossKind.LOGISTIC, rho * z), mean, sd, rule
         )
     if kind is LossKind.HINGE:
         if rho <= 0:

@@ -611,29 +611,36 @@ def test_verify_bounds_inputs_outside_the_theory_exit_2_before_any_trial(
     )
     err = _assert_rejected(capsys, "verify-bounds", p)
     assert f"config key '{key}'" in err, err
-    assert "|mu_scale|/sigma" not in err, err
+    assert "sigma/|mu_scale|" not in err, err
 
 
-def test_verify_bounds_hinge_bracket_failure_exits_2_before_any_trial(
+def test_verify_bounds_low_noise_hinge_sections_run_without_the_ray_minimizer(tmp_path):
+    # the low regime's target set, witness and bound read only M and b, so
+    # |mu_scale|/sigma far past the hinge bisection's bracket still runs
+    report = tmp_path / "r.json"
+    p = write_config(tmp_path / "v.json", {
+        "seed": 1,
+        "expected_T": {"loss": "hinge", "d": 3, "sigma": 1e-5, "alpha": 0.1, "trials": 3},
+        "hitting_time": {"loss": "hinge", "d": 4, "sigma": 1e-160, "alpha": 0.1, "trials": 3},
+        "drift": {"loss": "hinge", "d": 4, "sigma": 5e-324, "alpha": 0.1, "n_mc": 100},
+        "out": str(report),
+    })
+    assert main(["verify-bounds", "--config", p]) == EXIT_OK
+    rows = json.loads(report.read_text())["checks"]
+    assert len(rows) == 5 and all(row["pass"] for row in rows), rows
+
+
+def test_verify_bounds_high_noise_hinge_sigma_that_overflows_the_bracket_exits_2(
     tmp_path, capsys, monkeypatch
 ):
+    # sigma / (|mu| sqrt(2 pi)) overflows, whose log the bracket cannot hold
     monkeypatch.setattr(cli, "estimate_hitting_time", _no_trials)
-    sec = {"loss": "hinge", "d": 4, "sigma": 1e-160, "alpha": 0.1, "trials": 3}
+    sec = {"loss": "hinge", "d": 4, "mu_scale": 1e-150, "sigma": 1e300, "alpha": 0.1, "trials": 3}
     p = write_config(
         tmp_path / "v.json", {"seed": 1, "hitting_time": sec, "out": str(tmp_path / "r.json")}
     )
     err = _assert_rejected(capsys, "verify-bounds", p)
-    assert "config section 'hitting_time'" in err and "|mu_scale|/sigma" in err, err
-
-
-def test_verify_bounds_hinge_sigma_that_underflows_the_bracket_exits_2(tmp_path, capsys):
-    # sigma / (|mu| sqrt(2 pi)) underflows to 0, whose log the bracket cannot hold
-    sec = {"loss": "hinge", "d": 4, "sigma": 5e-324, "alpha": 0.1, "n_mc": 100}
-    p = write_config(
-        tmp_path / "v.json", {"seed": 1, "drift": sec, "out": str(tmp_path / "r.json")}
-    )
-    err = _assert_rejected(capsys, "verify-bounds", p)
-    assert "config section 'drift'" in err and "|mu_scale|/sigma" in err, err
+    assert "config section 'hitting_time'" in err and "sigma/|mu_scale| is too large" in err, err
 
 
 def test_verify_bounds_checks_every_section_before_any_trial(tmp_path, capsys, monkeypatch):
@@ -675,6 +682,19 @@ def test_target_delta_overflowing_shift_warns_nothing(tmp_path, capsys):
     (row,) = json.loads((tmp_path / "r.json").read_text())["checks"]
     assert (row["value"], row["pass"]) == (None, False)
     assert capsys.readouterr().err == ""
+
+
+def test_target_delta_reads_neither_loss_nor_alpha(tmp_path):
+    # no alpha, a hinge section with alpha 123 and a logistic one with alpha 0
+    # give the same rows
+    model = {"d": 3, "sigma": 0.8, "n_theta": 40}
+    rows = []
+    for i, own in enumerate([{}, {"loss": "hinge", "alpha": 123}, {"loss": "logistic", "alpha": 0}]):
+        out = tmp_path / f"r{i}.json"
+        p = write_config(tmp_path / f"v{i}.json", {"target_delta": {**model, **own}, "out": str(out)})
+        assert main(["verify-bounds", "--config", p]) == EXIT_OK
+        rows.append(json.loads(out.read_text())["checks"])
+    assert rows[0] == rows[1] == rows[2] and len(rows[0]) == 1
 
 
 def test_verify_bounds_deterministic(tmp_path):
@@ -1354,7 +1374,7 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def _verify_hinge_cfg(tmp):
-    # the hinge sections solve for the ray minimizer rho_star
+    # the high-noise hinge hitting_time section solves for the ray minimizer rho_star
     return write_config(tmp / "verify.json", {
         "seed": 0,
         "hitting_time": {"loss": "hinge", "d": 6, "sigma": 2.0, "alpha": 0.05, "trials": 3},

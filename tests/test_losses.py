@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from oracles import loss_value, ray_derivative, ray_objective, softplus
-from sgdstop.losses import LossKind, factor_function
+from sgdstop.losses import LossKind, factor_array, factor_function
 
 BOTH = [LossKind.LOGISTIC, LossKind.HINGE]
 
@@ -54,6 +54,17 @@ def test_gradient_factor_range_and_hinge_kink():
     assert factor_function(LossKind.HINGE)(1.0) == 1.0
     assert factor_function(LossKind.HINGE)(1.0 + 1e-12) == 0.0
     assert factor_function(LossKind.HINGE)(0.0) == 1.0
+
+
+def test_factor_array_is_factor_function_on_each_margin():
+    margins = np.array([-800.0, -10.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 3.0, 50.0, 800.0])
+    for kind in BOTH:
+        scalar = factor_function(kind)
+        got = factor_array(kind, margins)
+        assert got.dtype == np.float64 and got.shape == margins.shape
+        np.testing.assert_allclose(got, [scalar(float(m)) for m in margins], rtol=1e-15, atol=0)
+    with pytest.raises(TypeError, match="unknown loss kind"):
+        factor_array("hinge", margins)
 
 
 def test_gradient_factor_matches_finite_difference():

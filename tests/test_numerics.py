@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import queue
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -224,23 +226,28 @@ def _two_cpus() -> bool:
     return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
 
 
+class _JobSpy:
+    """Stands for the helper's job queue: records the pairs of each front half."""
+
+    def __init__(self, jobs, calls):
+        self.jobs, self.calls = jobs, calls
+
+    def put(self, job):
+        self.calls.append(job[1])
+        self.jobs.put(job)
+
+
 @contextmanager
 def _helper_handoffs():
-    """Counts the pairs of each run handed to the helper inside the block."""
-    calls = []
-    split = numerics._BoxMullerHelper.split
-
-    def spy(self, u, out, read):
-        calls.append(u.shape[1])
-        return split(self, u, out, read)
-
-    with mock.patch.object(numerics._BoxMullerHelper, "split", spy):
+    """The pairs of each front half put on the helper's job queue inside the block."""
+    calls, jobs = [], numerics._box_muller_helper()
+    with mock.patch.object(numerics, "_helper", None if jobs is None else _JobSpy(jobs, calls)):
         yield calls
 
 
 def _handed_off(m: int) -> list[int]:
-    """The handoffs of one call on m pairs: one where two CPUs are usable."""
-    return [m] if m >= SPLIT_PAIRS and _two_cpus() else []
+    """The handoffs of one call on m pairs: its front half where two CPUs are usable."""
+    return [m // 2 & -4] if m >= SPLIT_PAIRS and _two_cpus() else []
 
 
 def _formula(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -318,13 +325,13 @@ def test_the_transform_raises_no_floating_point_flag_on_stream_uniforms():
     pairs = np.tile(pairs, SPLIT_PAIRS // pairs.shape[1])
     m, threads, real = pairs.shape[1], [], numerics._pairs
 
-    def raising(u, out, read):
+    def raising(u, out):
         threads.append(threading.current_thread().name)
         with np.errstate(all="raise"):
-            return real(u, out, read)
+            return real(u, out)
 
     with np.errstate(all="raise"):
-        inline = numerics._pairs(pairs.copy(), np.empty(2 * m), None)
+        inline = numerics._pairs(pairs.copy(), np.empty(2 * m))
     with mock.patch.object(numerics, "_pairs", raising), _helper_handoffs() as handoffs:
         got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
     assert got.tobytes() == inline.tobytes() == _formula(*pairs).tobytes()
@@ -343,10 +350,10 @@ def test_an_error_in_the_helpers_half_is_raised_by_the_caller_and_the_next_call_
         pytest.skip("one usable CPU: no helper computes a half")
     pairs, real = np.random.default_rng(3).random((2, m)), numerics._pairs
 
-    def faulty(u, out, read):
+    def faulty(u, out):
         if threading.current_thread().name == "sgdstop-box-muller":
             raise _HelperFault(u.shape[1])
-        return real(u, out, read)
+        return real(u, out)
 
     bad = pairs.copy()
     with mock.patch.object(numerics, "_pairs", faulty), _helper_handoffs() as handoffs:
@@ -360,7 +367,7 @@ def test_an_error_in_the_helpers_half_is_raised_by_the_caller_and_the_next_call_
     with _helper_handoffs() as more:
         got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
     assert got.tobytes() == _formula(*pairs).tobytes()
-    assert handoffs == more == [m]
+    assert handoffs == more == _handed_off(m)
 
 
 def test_normals_at_keeps_no_run_alive():
@@ -381,53 +388,34 @@ def _normals_at(seed: int, m: int) -> np.ndarray:
     return normals_at(RngState(seed), 64, 4 * m, np.empty(2 * m))
 
 
-def test_normals_at_computes_inline_while_another_thread_holds_the_helper():
-    m = SPLIT_PAIRS
-    helper = numerics._box_muller_helper()
-    if helper is None:
-        pytest.skip("one usable CPU: normals_at never starts its helper")
-    with helper._free, _helper_handoffs() as handoffs:
-        got = _normals_at(4, m)
-    assert got.tobytes() == _inline_normals(RngState(4), 64, 4 * m, m).tobytes()
-    assert handoffs == [m]  # offered, and refused without a wait
-
-
 class _CutShort:
-    """Stands for the helper's ``_results`` queue: a wait on it is cut short
-    by KeyboardInterrupt, and the helper's answer reaches the real queue."""
+    """Stands for a call's reply queue: the caller's wait on it is cut short
+    by KeyboardInterrupt, and the helper's answer reaches ``answers``."""
 
-    def __init__(self, results):
-        self._results = results
+    def __init__(self, answers):
+        self.answers = answers
 
     def get(self):
         raise KeyboardInterrupt
 
     def put(self, error):
-        self._results.put(error)
+        self.answers.put(error)
 
 
-def test_normals_at_computes_inline_after_a_wait_cut_short():
+def test_a_split_right_after_a_wait_cut_short_goes_to_the_helper():
     m = SPLIT_PAIRS
     expected = _inline_normals(RngState(5), 64, 4 * m, m).tobytes()
-    helper = numerics._box_muller_helper()
-    if helper is None:
+    if numerics._box_muller_helper() is None:
         pytest.skip("one usable CPU: normals_at never starts its helper")
-    results = helper._results
-    helper._results = _CutShort(results)
-    try:
+    answers = queue.SimpleQueue()
+    with mock.patch.object(numerics, "queue", SimpleNamespace(SimpleQueue=lambda: _CutShort(answers))):
         with pytest.raises(KeyboardInterrupt):
             _normals_at(5, m)
-    finally:
-        helper._results = results
-    try:
-        assert helper._free.locked()  # the helper may still be writing: left claimed
-        assert _normals_at(5, m).tobytes() == expected
-    finally:
-        assert results.get(timeout=10) is None  # the helper finished the cut-short run
-        helper._free.release()
+    # the next split is handed to the helper, queued behind the cut-short one
     with _helper_handoffs() as handoffs:
         assert _normals_at(5, m).tobytes() == expected
-    assert handoffs == [m]
+    assert handoffs == _handed_off(m)
+    assert answers.get(timeout=10) is None  # the late answer went to the cut-short call's reply
 
 
 def _forked_normals_at_is_inline(m: int) -> bool:
@@ -454,31 +442,24 @@ def test_normals_at_in_a_forked_child_gives_the_inline_bytes():
     m = SPLIT_PAIRS
     _normals_at(6, m)  # the parent's helper, if any, has run
     assert _forked_normals_at_is_inline(m)
-    helper = numerics._box_muller_helper()
-    if helper is None:
+    jobs = numerics._box_muller_helper()
+    if jobs is None:
         return
-    holder_has_it, release = threading.Event(), threading.Event()
-
-    def hold():
-        with helper._free:
-            holder_has_it.set()
-            release.wait(60)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
+    # a child forked while the parent's helper is mid-job starts its own
+    busy, release, reply = threading.Event(), threading.Event(), queue.SimpleQueue()
+    jobs.put((lambda a, b: busy.set() or release.wait(60), 0, reply))
     try:
-        assert holder_has_it.wait(60)
+        assert busy.wait(60)
         assert _forked_normals_at_is_inline(m)
     finally:
         release.set()
-        holder.join(60)
-    assert not holder.is_alive()
+    assert reply.get(timeout=60) is None
 
 
 def test_normals_at_from_more_threads_than_cpus_gives_the_inline_bytes():
-    # the callers contend for the one helper, whose reader reads each
-    # caller's stream in turn; a caller that finds it taken computes inline,
-    # and every output must still be exact
+    # the callers queue their front halves on the one helper, whose reader
+    # reads each caller's stream in turn, and each waits on its own reply:
+    # every output must still be exact
     m = SPLIT_PAIRS + 7
     expected = [_inline_normals(RngState(seed), 64, 4 * m, m).tobytes() for seed in range(4)]
     wrong = []
