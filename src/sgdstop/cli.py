@@ -574,15 +574,18 @@ def _section_model(
         if not sec[key] > 0:
             raise ConfigError(f"config key '{name}.{key}' must be > 0 for the {name} check")
     loss = LossKind(sec["loss"])
-    if "sigma" in positive and loss is LossKind.LOGISTIC and sec["sigma"] * sec["sigma"] == 0:
-        raise ConfigError(f"config key '{name}.sigma' is too small: sigma**2 underflows to 0 "
-                          "in the logistic rho_star = 2 / sigma**2")
     model = _gaussian_model(f"{name}.mu_scale", sec["d"], sec["mu_scale"], sec["sigma"])
-    if low_noise and regime_of(loss, model) is not Regime.LOW:
+    regime = regime_of(loss, model)
+    if low_noise and regime is not Regime.LOW:
         raise ConfigError(
             f"config key '{name}.sigma' must be <= {LOW_NOISE_RATIO[loss]} |mu_scale| for "
             f"the {name} check, which holds in the {loss.value} low-noise regime only"
         )
+    # only a high-noise set reads rho_star (see theory.regime_set)
+    if (regime is Regime.HIGH and "sigma" in positive and loss is LossKind.LOGISTIC
+            and sec["sigma"] * sec["sigma"] == 0):
+        raise ConfigError(f"config key '{name}.sigma' is too small: sigma**2 underflows to 0 "
+                          "in the logistic rho_star = 2 / sigma**2")
     return loss, model, sec["alpha"]
 
 

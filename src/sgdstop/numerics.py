@@ -12,10 +12,11 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 RngState.generator hands Philox its key as a seed sequence, so no OS entropy
 is gathered for a SeedSequence that Philox(key=...) would never use.  Philox
 is counter-based, so uniforms_at reads a stream's uniforms from any position
-(a multiple of 4) without computing those before it.  It reads through the
-calling thread's own Philox generator, built by the thread's first read, and
-sets that generator's key and counter before each read, so a positioned
-stream needs no generator of its own and no two threads share one.
+without computing those before it (past the start of that position's block
+of 4).  It reads through the calling thread's own Philox generator, built
+by the thread's first read, and sets that generator's key and counter
+before each read, so a positioned stream needs no generator of its own and
+no two threads share one.
 
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
@@ -49,9 +50,10 @@ the inline code, 150 calls each per size and round, in three rounds, with
 between chunks: the split loses at 2,048 and 4,096 pairs (0.93-2.46),
 breaks even from 5,120 to 8,192 (0.69-1.35), mostly wins at 10,240 and
 12,800 (0.62-1.08) and wins from 16,000 on (0.56-0.70).  So the drift
-check's draws and the mixture chunks from d = 64 on split: 128 rows at
-d >= 128 (32,000 pairs at d = 500), a whole 256-row block at 64 <= d < 128
-(12,800 pairs at d = 100), where 128 rows would stay below SPLIT_PAIRS.
+check's pieces (up to 32,768 pairs each: see verify) and the mixture
+chunks from d = 64 on split: 128 rows at d >= 128 (32,000 pairs at
+d = 500), a whole 256-row block at 64 <= d < 128 (12,800 pairs at
+d = 100), where 128 rows would stay below SPLIT_PAIRS.
 Mixture chunks below d = 64 and the folded stream's 32-row chunks below
 d = 512 stay inline.
 
@@ -179,13 +181,15 @@ def uniforms_at(rng: RngState, position: int, out: np.ndarray) -> np.ndarray:
     the calling thread's Philox generator, keyed ``(seed, stream)`` for the
     read.  Uniform p is output p % 4 of the block that the key encrypts from
     counter p // 4 + 1 (the counter steps before each block), so a counter
-    of p // 4 and an empty buffer read on from p, a multiple of 4.
+    of p // 4 and an empty buffer read on from p once the first p % 4
+    outputs of that block are dropped.
     """
-    assert position % 4 == 0, f"uniform {position} does not start a Philox block"
     bits, random, state, philox = _reader.parts
     philox["key"] = rng.seed, rng.stream
     philox["counter"][0] = position >> 2
     bits.state = state
+    if position & 3:
+        bits.random_raw(position & 3, output=False)
     return random(out=out)
 
 
@@ -246,11 +250,12 @@ def _in_halves(m: int, half: Callable[[int, int], None]) -> None:
 
     From ``SPLIT_PAIRS`` pairs on, where the helper runs, the front half
     half(0, h), with h = m // 2 rounded down to a multiple of 4 so both
-    halves start on a Philox block, is put on the helper's job queue with
-    a reply queue of this call's own; this thread computes half(h, m) and
-    then waits for the helper's exception or None.  A caller whose wait is
-    cut short leaves nothing behind: the helper's late answer goes to that
-    call's reply, and calls from several threads queue their front halves.
+    halves start on a Philox block where the run does, is put on the
+    helper's job queue with a reply queue of this call's own; this thread
+    computes half(h, m) and then waits for the helper's exception or None.
+    A caller whose wait is cut short leaves nothing behind: the helper's
+    late answer goes to that call's reply, and calls from several threads
+    queue their front halves.
     """
     jobs = _box_muller_helper() if m >= SPLIT_PAIRS else None
     if jobs is None:

@@ -18,6 +18,11 @@ as with alpha = 0, must fail).
 Censored trials (max_iter reached, or an exhausted sampler) are excluded
 from the mean and reported in ``n_censored``; an all-censored estimate is
 NaN rather than an error.
+
+The drift check reads its Monte-Carlo samples in pieces of about
+``data.FOLD_ELEMENTS`` doubles and keeps two numbers per sample, so its
+memory does not grow with ``n_mc * d``; its bytes are those of drawing
+every sample at once.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import factor_array
-from .numerics import RngState, standard_normals
-from .data import folded_gaussian_stream
+from .numerics import RngState, normals_at, standard_normals
+from .data import FOLD_ELEMENTS, folded_gaussian_stream
 from .sgd import RunResult, SgdConfig, StopRule, run
 from .theory import GaussianFoldedModel, Regime, RegimeSet, drift_value, target_set_contains
 
@@ -200,29 +205,53 @@ def check_drift_inequality(
     |mu|^2, so high-regime sets are rejected.  The pass condition is strict
     (estimate < -b + 4 stderr): a drift of exactly zero, as produced by
     alpha = 0, must fail.
+
+    Probe j's samples xi = mu + sigma z are rows of the n_mc * d normals
+    z that ``standard_normals(rng.substream(j).generator(), n_mc * d)``
+    returns, read with normals_at in pieces of a multiple of 4 rows, at
+    most ``FOLD_ELEMENTS`` doubles where d allows (4 rows where it does
+    not), in one reused buffer; only their margins xi . theta and mu . xi
+    are kept.  gemv takes rows in fours, so
+    the pieces give the margins of one gemv over all rows, bit for bit
+    (numpy takes a lone row as a dot product, so a last row on its own
+    joins the piece before it).  Everything after the margins is computed
+    on whole arrays, as the pairwise sums of the mean and std depend on
+    their length.
     """
     if rset.regime is not Regime.LOW:
         raise ValueError("quantitative drift decrement is only specified for low noise")
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
-    model, alpha, b = rset.model, rset.alpha, rset.b
+    model, alpha, b, d = rset.model, rset.alpha, rset.b, rset.model.d
+    step = max(4, FOLD_ELEMENTS // d // 4 * 4)  # rows per piece
+    second = (n_mc * d + 1) // 2  # the first uniform of the pairs' second run
+    buf = np.empty(min(n_mc, step + 1) * d + 1)  # + 1: an odd count's last pair
+    margins, mu_xi = np.empty(n_mc), np.empty(n_mc)
     checks = []
     for j, theta in enumerate(probes):
         theta = np.asarray(theta, dtype=float)
         if target_set_contains(rset, theta):
             raise ValueError(f"probe {j} lies inside the target set")
-        gen = rng.substream(j).generator()
-        xis = standard_normals(gen, n_mc * model.d).reshape(n_mc, model.d)
-        xis *= model.sigma
-        xis += model.mu  # mu + sigma * noise, in place
-        margins = xis @ theta
-        s = factor_array(rset.kind, margins)
+        stream, a = rng.substream(j), 0
+        while a < n_mc:
+            rows = n_mc - a if n_mc - a <= step + 1 else step
+            pair, pairs = a * d // 2, (rows * d + 1) // 2  # a * d is even
+            xis = normals_at(stream, pair, second + pair, buf[: 2 * pairs])[: rows * d].reshape(rows, d)
+            xis *= model.sigma
+            xis += model.mu  # mu + sigma * noise, in place
+            np.matmul(xis, theta, out=margins[a : a + rows])
+            np.matmul(xis, model.mu, out=mu_xi[a : a + rows])
+            a += rows
         # V(theta_1) depends on theta_1 only through mu . theta_1, so the
-        # rowwise V uses mu . theta + alpha s (mu . xi) directly.
-        mu_dot = float(model.mu @ theta)
-        mu_dot_1 = mu_dot + alpha * s * (xis @ model.mu)
-        v0 = drift_value(rset, theta)
-        dv = (rset.M - mu_dot_1) ** 2 - v0
+        # rowwise V uses mu . theta_1 = mu . theta + alpha s (mu . xi)
+        # directly; dv = (M - mu . theta_1)^2 - V(theta), in place
+        dv = factor_array(rset.kind, margins)
+        dv *= alpha
+        dv *= mu_xi
+        dv += float(model.mu @ theta)
+        np.subtract(rset.M, dv, out=dv)
+        np.square(dv, out=dv)
+        dv -= drift_value(rset, theta)
         est = float(dv.mean())
         se = float(dv.std(ddof=1) / math.sqrt(n_mc))
         checks.append(

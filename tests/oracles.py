@@ -6,7 +6,9 @@ package by other routes.  ``sgd_step`` applies one update on its own, the
 reference for the engine's accounting and iterates.  ``fold`` writes a
 labeled block folded into a new matrix, and ``first_rows`` gathers the head
 of a block stream into one block: the whole-set references for streamed
-held-out scoring and for sampler statistics.  Loss values,
+held-out scoring and for sampler statistics.  ``drift_samples`` draws a
+drift check's samples all at once, and ``drift_estimates`` reduces them:
+the whole-array references for the check's pieces.  Loss values,
 Gauss-Hermite quadrature and truncated-normal moments give the population
 loss restricted to the ray theta = rho mu, whose minimizer
 ``theory.minimizer_rho_star`` computes in closed form.
@@ -34,7 +36,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from sgdstop.data import Block, _fold_rows
 from sgdstop.losses import LossKind, factor_array, factor_function
-from sgdstop.numerics import std_normal_cdf
+from sgdstop.numerics import RngState, standard_normals, std_normal_cdf
+from sgdstop.theory import RegimeSet, drift_value
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -248,6 +251,30 @@ def sgd_step(
         raise ValueError(f"shape mismatch: theta {theta.shape}, xi {xi.shape}")
     s = factor_function(kind)(float(xi @ theta))
     return theta + (alpha * s) * xi
+
+
+def drift_samples(rset: RegimeSet, n_mc: int, rng: RngState) -> np.ndarray:
+    """A drift check's n_mc samples xi = mu + sigma z at one probe, drawn at
+    once: the rows of ``standard_normals(rng.generator(), n_mc * d)``."""
+    model = rset.model
+    z = standard_normals(rng.generator(), n_mc * model.d)
+    return z.reshape(n_mc, model.d) * model.sigma + model.mu
+
+
+def drift_estimates(
+    rset: RegimeSet, probes: list[np.ndarray], n_mc: int, rng: RngState
+) -> list[tuple[float, float]]:
+    """(estimate, stderr) of the one-step drift at each probe from all of its
+    n_mc samples drawn at once, probe j's by drift_samples from
+    ``rng.substream(j)``."""
+    model, estimates = rset.model, []
+    for j, theta in enumerate(probes):
+        xis = drift_samples(rset, n_mc, rng.substream(j))
+        s = factor_array(rset.kind, xis @ theta)
+        mu_dot_1 = float(model.mu @ theta) + rset.alpha * s * (xis @ model.mu)
+        dv = (rset.M - mu_dot_1) ** 2 - drift_value(rset, theta)
+        estimates.append((float(dv.mean()), float(dv.std(ddof=1) / math.sqrt(n_mc))))
+    return estimates
 
 
 # ---------------------------------------------------------------------------

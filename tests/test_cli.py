@@ -593,9 +593,9 @@ def _no_trials(*args, **kwargs):
         # alpha |mu|^2 underflows to 0, so the decrement b would be 0
         *[(name, {"alpha": 1e-300, "mu_scale": 1e-160, "sigma": 1e-161}, f"{name}.alpha")
           for name in ("expected_T", "hitting_time", "drift")],
-        # sigma**2 underflows to 0 where the logistic rho_star = 2 / sigma**2 is computed
-        *[(name, {"sigma": 5e-324}, f"{name}.sigma")
-          for name in ("expected_T", "hitting_time", "drift")],
+        # high noise (sigma 0.5 |mu|), where the logistic rho_star = 2 / sigma**2
+        # is computed, and sigma**2 underflows to 0
+        ("hitting_time", {"mu_scale": 3e-162, "sigma": 1.5e-162}, "hitting_time.sigma"),
     ],
 )
 def test_verify_bounds_inputs_outside_the_theory_exit_2_before_any_trial(
@@ -628,6 +628,23 @@ def test_verify_bounds_low_noise_hinge_sections_run_without_the_ray_minimizer(tm
     assert main(["verify-bounds", "--config", p]) == EXIT_OK
     rows = json.loads(report.read_text())["checks"]
     assert len(rows) == 5 and all(row["pass"] for row in rows), rows
+
+
+def test_verify_bounds_low_noise_logistic_sections_run_where_sigma_squared_underflows(tmp_path, recwarn):
+    # no low-noise section reads rho_star = 2 / sigma**2, so a sigma whose
+    # square underflows to 0 runs, with no numpy warning
+    report = tmp_path / "r.json"
+    p = write_config(tmp_path / "v.json", {
+        "seed": 1,
+        "expected_T": {"loss": "logistic", "d": 3, "sigma": 5e-324, "alpha": 0.1, "trials": 3},
+        "hitting_time": {"loss": "logistic", "d": 4, "sigma": 5e-324, "alpha": 0.1, "trials": 3},
+        "drift": {"loss": "logistic", "d": 4, "sigma": 5e-324, "alpha": 0.1, "n_mc": 100},
+        "out": str(report),
+    })
+    assert main(["verify-bounds", "--config", p]) == EXIT_OK
+    rows = json.loads(report.read_text())["checks"]
+    assert len(rows) == 5 and all(row["pass"] for row in rows), rows
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_verify_bounds_high_noise_hinge_sigma_that_overflows_the_bracket_exits_2(

@@ -189,6 +189,13 @@ CASES = {
         "verify-bounds",
         lambda: {"seed": 3, "drift": {**_VERIFY["drift"], "n_mc": 3000}},
     ),
+    # at d 7 a probe's 139,993 normals are read in pieces of 9,360, 9,360
+    # and 1,279 rows (data.FOLD_ELEMENTS doubles at most); the second run
+    # of uniforms starts 1 past a multiple of 4
+    "verify_drift_pieces": (
+        "verify-bounds",
+        lambda: {"seed": 3, "drift": {"loss": "hinge", "d": 7, "sigma": 1.2, "alpha": 0.1, "n_mc": 19999}},
+    ),
     # at odd d the probe and its lift are 3 + 1 Box-Muller pairs, so 600
     # probes are draw groups of 256, 256 and 88 (numerics.GROUP_PAIRS = 1,024)
     "verify_target_delta_odd": (
@@ -229,6 +236,7 @@ DIGESTS = {
     "sweep_t2": "fbba1958688088b0f8168ee6941b1c934c1e799fff18adc2fc3d010659a2efb5",
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
     "verify_drift_split": "ce55172d99dd90fd7a5ea0f36fd957d211abc808abac475b33dec4191d5010a0",
+    "verify_drift_pieces": "ef2f32d9825d0a8414180222afec5274bdcfeb3d406096847543b2576647ec32",
     "verify_hinge": "b3bebf3f96ee2aa51d69f3744177bd140a77f4a74fbeb8127471ae4e18ffa2f8",
     "verify_target_delta_odd": "ee0cf10ca08b006b06d5a9d173316c50ef19fc436570f2825ce74d00bf12b409",
 }

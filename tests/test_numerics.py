@@ -126,27 +126,28 @@ def test_rng_state_generator_is_philox_keyed_by_the_pair(seed, stream, monkeypat
 @given(
     seed=st.integers(0, 2**64 - 1),
     counter=st.one_of(st.integers(0, 600), st.integers(0, 2**64 - 1)),
+    skip=st.integers(0, 3),
     n=st.integers(0, 13),
     before=st.integers(0, 9),
 )
-def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, n, before):
-    # uniform 4c of a stream is the first draw of its Philox started at
-    # counter c, whatever this thread read of another stream before
+def test_uniforms_at_reads_the_stream_at_a_position(seed, counter, skip, n, before):
+    # uniform 4c + k of a stream is draw k of its Philox started at counter
+    # c, whatever this thread read of another stream before
     rng = RngState(seed, seed // 3)
     expected = np.random.Generator(
         np.random.Philox(counter=counter, key=np.array([rng.seed, rng.stream], dtype=np.uint64))
-    ).random(n)
-    uniforms_at(RngState(1, 2), 4 * before, np.empty(before))
+    ).random(skip + n)[skip:]
+    uniforms_at(RngState(1, 2), before, np.empty(before))
     out = np.full(n, np.nan)
-    assert uniforms_at(rng, 4 * counter, out) is out
+    assert uniforms_at(rng, 4 * counter + skip, out) is out
     assert out.tobytes() == expected.tobytes()
 
 
-def test_uniforms_at_starts_on_a_philox_block():
-    stream = RngState(3).generator().random(12)
-    assert uniforms_at(RngState(3), 8, np.empty(4)).tobytes() == stream[8:].tobytes()
-    with pytest.raises(AssertionError, match="Philox block"):
-        uniforms_at(RngState(3), 6, np.empty(4))
+@pytest.mark.parametrize("position", [1, 2, 3, 4 * 1000 + 1, 4 * 1000 + 2, 4 * 1000 + 3])
+def test_uniforms_at_reads_a_stream_from_inside_a_philox_block(position):
+    # the first position % 4 outputs of the block are dropped
+    stream = RngState(3).generator().random(position + 9)
+    assert uniforms_at(RngState(3), position, np.empty(9)).tobytes() == stream[position:].tobytes()
 
 
 def test_uniforms_at_reads_streams_in_any_order():
@@ -313,6 +314,19 @@ def test_standard_normals_in_halves_gives_the_inline_bytes(n):
     with _helper_handoffs() as handoffs:
         got = standard_normals(RngState(n).generator(), n)
     assert got.tobytes() == _formula(*pairs)[:n].tobytes()
+    assert handoffs == _handed_off(m)
+
+
+@pytest.mark.parametrize("m", [SPLIT_PAIRS + 1, SPLIT_PAIRS + 2, 3 * SPLIT_PAIRS + 3])
+def test_normals_at_from_a_second_run_inside_a_philox_block_gives_standard_normals(m):
+    # the drift check's layout: pairs take uniforms 0, 1, ... and m, m + 1,
+    # ..., as standard_normals draws them, with m not a multiple of 4
+    rng = RngState(m, 5)
+    expected = standard_normals(rng.generator(), 2 * m).tobytes()
+    with mock.patch.object(numerics, "_helper", None):
+        assert normals_at(rng, 0, m, np.empty(2 * m)).tobytes() == expected
+    with _helper_handoffs() as handoffs:
+        assert normals_at(rng, 0, m, np.empty(2 * m)).tobytes() == expected
     assert handoffs == _handed_off(m)
 
 

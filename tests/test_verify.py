@@ -1,11 +1,15 @@
 """Tests for the Monte-Carlo estimators behind the bound checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sgdstop.losses import LossKind
+from oracles import drift_estimates, drift_samples
+from sgdstop import verify
+from sgdstop.data import FOLD_ELEMENTS
+from sgdstop.losses import LossKind, factor_array
 from sgdstop.numerics import RngState
 from sgdstop.sgd import SgdConfig, StopRule
 from sgdstop.theory import (
@@ -233,17 +237,60 @@ def test_drift_inequality_hinge_matches_per_sample_recompute():
     n = 500
     checks = check_drift_inequality(rset, probes, n, RngState(14).substream(1))
     theta = probes[0]
-    gen = RngState(14).substream(1).substream(0).generator()
-    from sgdstop.numerics import standard_normals
-
-    noise = standard_normals(gen, n * model.d).reshape(n, model.d)
-    xis = model.mu + model.sigma * noise
+    xis = drift_samples(rset, n, RngState(14).substream(1).substream(0))
     v0 = drift_value(rset, theta)
     dvs = [
         drift_value(rset, sgd_step(theta, xi, LossKind.HINGE, 0.1)) - v0
         for xi in xis
     ]
     assert checks[0].estimate == pytest.approx(float(np.mean(dvs)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, d, sigma, n_mc, fold", [
+    (LossKind.HINGE, 7, 1.2, 19_999, FOLD_ELEMENTS),  # pieces of 9,360, 9,360 and 1,279 rows
+    (LossKind.HINGE, 10, 1.2, 20_000, FOLD_ELEMENTS),
+    (LossKind.LOGISTIC, 3, 0.1, 2, FOLD_ELEMENTS),
+    (LossKind.LOGISTIC, 5, 0.1, 3_003, FOLD_ELEMENTS),
+    # d > FOLD_ELEMENTS / 4: pieces of 4 rows, and a lone last row joins the piece before it
+    (LossKind.LOGISTIC, FOLD_ELEMENTS // 4 + 3, 0.1, 9, FOLD_ELEMENTS),
+    (LossKind.LOGISTIC, 5, 0.1, 17, 40),  # pieces of 8 and 9 rows
+    (LossKind.HINGE, 3, 1.2, 27, 40),  # pieces of 12, 12 and 3 rows
+    (LossKind.HINGE, 5, 1.2, 1_001, 11),  # pieces of 4 rows at d > fold / 4
+])
+def test_drift_inequality_in_pieces_gives_the_whole_array_bytes(monkeypatch, kind, d, sigma, n_mc, fold):
+    # the margins too: a last-bit change in one rarely reaches the estimate,
+    # as it is lost in M - mu . theta_1
+    monkeypatch.setattr(verify, "FOLD_ELEMENTS", fold)
+    margins = []
+
+    def recorded(kind, m):
+        margins.append(m.copy())
+        return factor_array(kind, m)
+
+    monkeypatch.setattr(verify, "factor_array", recorded)
+    rset = regime_set(kind, _model(d=d, sigma=sigma), 0.1)
+    probes = make_drift_probes(rset, [-5.0, 0.0, 0.9], RngState(d).substream(0))
+    rng = RngState(d).substream(1)
+    checks = check_drift_inequality(rset, probes, n_mc, rng)
+    for j, theta in enumerate(probes):
+        assert margins[j].tobytes() == (drift_samples(rset, n_mc, rng.substream(j)) @ theta).tobytes()
+    got = [(c.estimate, c.stderr) for c in checks]
+    assert np.array(got).tobytes() == np.array(drift_estimates(rset, probes, n_mc, rng)).tobytes()
+
+
+def test_drift_inequality_memory_does_not_grow_with_n_mc_times_d():
+    # 3 probes of 20,000 samples at d = 10: the 200,000 normals of a probe
+    # drawn at once peaked at 5.4 MB; pieces of at most FOLD_ELEMENTS
+    # doubles, their uniforms and the n_mc-long arrays peak at 1.5 MB
+    rset = regime_set(LossKind.HINGE, _model(d=10, sigma=1.2), 0.1)
+    probes = make_drift_probes(rset, [-5.0, 0.0, 0.9], RngState(16).substream(0))
+    tracemalloc.start()
+    try:
+        check_drift_inequality(rset, probes, 20_000, RngState(16).substream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_trial_stats_single_trial_has_nan_stderr():
