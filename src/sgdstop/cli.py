@@ -656,10 +656,9 @@ def _angle(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
 def _target_delta(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
     _, model, _ = _section_model(sec, name)
     yield
-    gen = root.substream(6).generator()
     mu2 = model.mu_norm**2
     worst = 1.0
-    for g, lift in normal_rounds(gen, (model.d, 1), sec["n_theta"]):
+    for g, lift in normal_rounds(root.substream(6), (model.d, 1), sec["n_theta"]):
         lift = abs(lift[0])
         # shift along mu so the mean margin is exactly 1 + lift >= 1; a tiny
         # |mu|^2 overflows the shift to inf and 0 * inf to NaN, reported below

@@ -64,9 +64,12 @@ _mixture_chunk_rows; 32 for the folded stream) reads its own uniforms at
 their positions and turns them into normals (numerics.normals_at) when the
 consumer reaches it; rows a run never reaches are never drawn.  A stream
 holds no generator: each read keys the calling thread's Philox generator
-with the stream's (seed, stream) pair (numerics.uniforms_at).  A block
-holds exactly the bytes of mean + sigma * standard_normals(gen, 256 d)
-that drawing it whole from the stream's generator would give.
+with the stream's (seed, stream) pair (numerics.uniforms_at).  So block k
+starts at uniform k 256 (d + 1) in the mixture and k 256 d in the folded
+stream, and its pair i (normals 2i and 2i + 1, row-major) takes the
+uniforms i and 128 d + i past its coins.  The Student-t2 sampler reads its
+blocks whole: block k's 256 coins from uniform k 256 (d + 1) on, then its
+256 d entries, one uniform each.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import SPLIT_PAIRS, RngState, normals_at, sample_student_t2, uniforms_at
+from .numerics import SPLIT_PAIRS, RngState, normals_at, student_t2, uniforms_at
 
 __all__ = [
     "BLOCK_ROWS",
@@ -168,10 +171,12 @@ def gaussian_mixture_sampler(
     N(mu_y, sigma^2 I_d).
 
     Draws blocks of 256 rows, each as the 256 label coins first (one uniform
-    each, y = 1 iff u < 1/2), then the uniforms of its 256 d feature normals;
-    a block's rows are mu_y + sigma * standard_normals(gen, 256 d), bit for
-    bit.  Hands out each block in chunks of _mixture_chunk_rows(d) rows,
-    views of the block's one array, drawn and transformed only when reached.
+    each, y = 1 iff u < 1/2), then the first and then the second uniforms of
+    the 128 d Box-Muller pairs of its 256 d feature normals (the module
+    docstring gives the positions); a block's rows are mu_y + sigma times
+    its normals, row-major.  Hands out each block in chunks of
+    _mixture_chunk_rows(d) rows, views of the block's one array, drawn and
+    transformed only when reached.
     """
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -191,18 +196,19 @@ def student_t2_mixture_sampler(beta: float, d: int, rng: RngState) -> Iterator[B
     """Heavy-tailed mixture: entries are beta * (Student-t, 2 dof); class 1
     additionally has 1 added to its first coordinate.
 
-    One uniform per coin, then d uniforms per row for the t2 entries
-    (inverse CDF), in blocks of 256 rows.  A uniform of exactly 0 gives an
-    infinite entry, which the engine reports as a diverged run.
+    Block k reads 256 coins from uniform k 256 (d + 1) on and the 256 d
+    uniforms of its t2 entries (inverse CDF, numerics.student_t2) right
+    after them, row-major, in one read.  A uniform of exactly 0 gives an infinite entry,
+    which the engine reports as a diverged run.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    gen = rng.generator()
-    while True:
-        ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
-        block = beta * sample_student_t2(gen, BLOCK_ROWS * d).reshape(BLOCK_ROWS, d)
+    for base in itertools.count(0, BLOCK_ROWS * (d + 1)):
+        u = uniforms_at(rng, base, np.empty(BLOCK_ROWS * (d + 1)))
+        ys = (u[:BLOCK_ROWS] < 0.5).astype(int)
+        block = beta * student_t2(u[BLOCK_ROWS:]).reshape(BLOCK_ROWS, d)
         block[:, 0] += ys
         yield Block(ys, block)
 
@@ -210,9 +216,11 @@ def student_t2_mixture_sampler(beta: float, d: int, rng: RngState) -> Iterator[B
 def folded_gaussian_stream(mu: np.ndarray, sigma: float, rng: RngState) -> Iterator[np.ndarray]:
     """Infinite stream of xi ~ N(mu, sigma^2 I_d), already folded.
 
-    Each 256-row block is mu + sigma * standard_normals(gen, 256 d), bit for
-    bit, drawn and transformed 32 rows at a time as they are reached, so
-    short runs skip the rest; itertools.chain hands the rows out in C.
+    Each 256-row block is mu + sigma times its 256 d normals, row-major,
+    from the first and then the second uniforms of its 128 d Box-Muller
+    pairs (block k from uniform k 256 d on), drawn and transformed 32 rows
+    at a time as they are reached, so short runs skip the rest;
+    itertools.chain hands the rows out in C.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:

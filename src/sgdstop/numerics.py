@@ -9,14 +9,17 @@ draws randomness through :class:`RngState`, a value type holding a 64-bit
 * distinct streams derived from one seed are non-overlapping by the Philox
   keying contract (distinct keys select statistically independent sequences).
 
-RngState.generator hands Philox its key as a seed sequence, so no OS entropy
-is gathered for a SeedSequence that Philox(key=...) would never use.  Philox
-is counter-based, so uniforms_at reads a stream's uniforms from any position
-without computing those before it (past the start of that position's block
-of 4).  It reads through the calling thread's own Philox generator, built
-by the thread's first read, and sets that generator's key and counter
-before each read, so a positioned stream needs no generator of its own and
-no two threads share one.
+Every draw that is not a permutation is a positioned read: uniforms_at
+reads a stream's uniforms from any position without computing those before
+it (past the start of that position's block of 4), as Philox is
+counter-based.  It reads through the calling thread's own Philox generator,
+built by the thread's first read, and sets that generator's key and
+counter before each read, so a stream needs no generator of its own and no
+two threads share one.  Each consumer fixes its positions whatever the
+values drawn, and documents them: the samplers' blocks in data, the drift
+check's probes and samples in verify, the rounds of normal_rounds here.
+RngState.generator serves only the two permutations (run-real's epochs and
+the CSV split).
 
 Gaussians are produced by the Box-Muller transform applied to uniform doubles
 rather than by a rejection method, so every sampling call consumes a fixed,
@@ -27,16 +30,15 @@ place and writes the normals of its pairs into a given array.  Every step
 is elementwise, so uniforms may be read and transformed in pieces, only as
 they are needed, and a piece gives the bytes of the whole.  normals_at
 reads the uniforms of a run of pair positions with uniforms_at and
-transforms them; standard_normals draws its uniforms first, and
-normal_rounds draws many small standard_normals calls at once, in groups of
-at most ``GROUP_PAIRS`` pairs (or one round), with the same bytes.
+transforms them; normal_rounds reads many small rounds at once, in groups
+of at most ``GROUP_PAIRS`` pairs (or one round), with the same bytes.
 
 For one 128-row mixture chunk at d = 500 (32,000 pairs) on a 2-CPU x86-64
 VM (Python 3.11, numpy 2.4), the medians over 200 calls were: reading both
 uniform runs 0.51 ms, the radii and angles 0.15 ms, the cosines 0.73 ms
 and the sines 0.70 ms (numpy takes float64 cos and sin through scalar
 libm, about 25 ns per element); 2.2 ms inline.  So a run of at least
-``SPLIT_PAIRS`` = 8,192 pairs is computed in halves (_in_halves): one
+``SPLIT_PAIRS`` = 8,192 pairs is computed in halves by normals_at: one
 helper thread per process (a forked child starts its own), started by the
 first such run where at least two CPUs are usable, takes the front half
 from its job queue and computes it (its uniforms, read through its own
@@ -75,7 +77,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,15 +93,15 @@ __all__ = [
     "normal_rounds",
     "std_normal_cdf",
     "std_normal_ccdf",
-    "sample_student_t2",
+    "student_t2",
 ]
 
 _MASK64 = (1 << 64) - 1
 # a run of at least this many pairs is computed in halves, one on a helper
 # thread; the module docstring gives the measurement behind it
 SPLIT_PAIRS = 8192
-# normal_rounds draws at most this many pairs at once (or one round), so a
-# group stays inline and its memory does not grow with the number of rounds
+# normal_rounds reads at most this many pairs at once (or one round), so a
+# group's memory does not grow with the number of rounds
 GROUP_PAIRS = 1024
 _SQRT2 = math.sqrt(2.0)
 
@@ -117,9 +119,9 @@ def _splitmix64(x: int) -> int:
 class RngState:
     """Value identifying one random stream: a (seed, stream) pair of u64.
 
-    An ``RngState`` is never shared between concurrent consumers.  Each
-    consumer either materializes its own :meth:`generator` or derives child
-    states via :meth:`substream`.  Derivation is deterministic: substream
+    Draws read the stream by position (uniforms_at, normals_at); a
+    consumer that needs a stream of its own derives a child state via
+    :meth:`substream`.  Derivation is deterministic: substream
     indices map to well-spread 64-bit stream ids through splitmix64, and the
     Philox key is exactly ``(seed, stream)``.
     """
@@ -141,8 +143,10 @@ class RngState:
         return RngState(self.seed, child)
 
     def generator(self) -> np.random.Generator:
-        """Materialize the mutable draw source for this stream: the state of
-        ``Generator(Philox(key=[seed, stream]))``, bit for bit."""
+        """A mutable draw source for this stream: the state of
+        ``Generator(Philox(key=[seed, stream]))``, bit for bit.  It serves
+        permutations only (run-real's epochs and the CSV split); every other
+        draw is read by position."""
         return Generator(Philox(_Key(np.array([self.seed, self.stream], dtype=np.uint64))))
 
 
@@ -199,10 +203,17 @@ def normals_at(rng: RngState, first: int, second: int, out: np.ndarray) -> np.nd
     stream ``rng`` (read as uniforms_at reads them) and gives
     out[2i] = r cos t and out[2i + 1] = r sin t (see _pairs).
 
-    A run of at least ``SPLIT_PAIRS`` pairs is computed in two halves where
-    a helper thread runs (see _in_halves); the bytes do not depend on it.
+    From ``SPLIT_PAIRS`` pairs on, where the helper runs, the front half of
+    h = m // 2 pairs, rounded down to a multiple of 4 so both halves start
+    on a Philox block where the run does, is put on the helper's job queue
+    with a reply queue of this call's own; this thread computes the back
+    half and then waits for the helper's exception or None.  The bytes do
+    not depend on it.  A caller whose wait is cut short leaves nothing
+    behind: the helper's late answer goes to that call's reply, and calls
+    from several threads queue their front halves.
     """
-    u = np.empty((2, out.size >> 1))
+    m = out.size >> 1
+    u = np.empty((2, m))
 
     def half(a: int, b: int) -> None:
         v = u[:, a:b]
@@ -210,7 +221,18 @@ def normals_at(rng: RngState, first: int, second: int, out: np.ndarray) -> np.nd
         uniforms_at(rng, second + a, v[1])
         _pairs(v, out[2 * a : 2 * b])
 
-    _in_halves(u.shape[1], half)
+    jobs = _box_muller_helper() if m >= SPLIT_PAIRS else None
+    if jobs is None:
+        half(0, m)
+        return out
+    h, reply = m // 2 & -4, queue.SimpleQueue()
+    jobs.put((half, h, reply))
+    try:
+        half(h, m)
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
     return out
 
 
@@ -238,37 +260,6 @@ def _pairs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.sin(t, out=odd)
     odd *= r
     return out
-
-
-def _drawn(u: np.ndarray, out: np.ndarray) -> Callable[[int, int], None]:
-    """_in_halves' half(a, b) over uniforms ``u`` already drawn, into ``out``."""
-    return lambda a, b: _pairs(u[:, a:b], out[2 * a : 2 * b])
-
-
-def _in_halves(m: int, half: Callable[[int, int], None]) -> None:
-    """half(0, m), where half(a, b) computes pairs [a, b) of a run of m pairs.
-
-    From ``SPLIT_PAIRS`` pairs on, where the helper runs, the front half
-    half(0, h), with h = m // 2 rounded down to a multiple of 4 so both
-    halves start on a Philox block where the run does, is put on the
-    helper's job queue with a reply queue of this call's own; this thread
-    computes half(h, m) and then waits for the helper's exception or None.
-    A caller whose wait is cut short leaves nothing behind: the helper's
-    late answer goes to that call's reply, and calls from several threads
-    queue their front halves.
-    """
-    jobs = _box_muller_helper() if m >= SPLIT_PAIRS else None
-    if jobs is None:
-        half(0, m)
-        return
-    h, reply = m // 2 & -4, queue.SimpleQueue()
-    jobs.put((half, h, reply))
-    try:
-        half(h, m)
-    finally:
-        error = reply.get()
-    if error is not None:
-        raise error
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
@@ -321,31 +312,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n iid N(0,1) doubles via Box-Muller; consumes 2*ceil(n/2) uniforms,
-    the m first uniforms of the m pairs, then their m second uniforms, all
-    drawn here; a transform of at least ``SPLIT_PAIRS`` pairs is split as
-    normals_at's is."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0)
-    m = (n + 1) // 2
-    u, out = gen.random((2, m)), np.empty(2 * m)
-    _in_halves(m, _drawn(u, out))
-    return out[:n]
+def normal_rounds(rng: RngState, sizes: Sequence[int], count: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """``count`` rounds of one normals vector per size in ``sizes``, round by
+    round; each vector is a contiguous row.  Round r reads the 2 w uniforms
+    from position 2 w r, w = sum(ceil(s / 2) for s in sizes): for each size
+    in turn, the first and then the second uniforms of its ceil(s / 2)
+    pairs (the last normal of an odd size is dropped).
 
-
-def normal_rounds(gen: np.random.Generator, sizes: Sequence[int], count: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """What ``count`` rounds of ``tuple(standard_normals(gen, s) for s in
-    sizes)`` return, bit for bit, round by round, leaving ``gen`` where they
-    leave it once every round is read; each normals vector is a contiguous
-    row.
-
-    Rounds are drawn in groups of at most ``GROUP_PAIRS`` pairs (at least one
-    round), each with one gen.random and one _in_halves: a round's uniforms
-    are the uniforms of its sizes' calls in turn, and each size's pairs are
-    gathered into the group's run, whose transform is elementwise.
+    Rounds are read in groups of at most ``GROUP_PAIRS`` pairs (at least one
+    round), each with one uniforms_at and one _pairs, as a group's uniforms
+    are contiguous: each size's pairs are gathered into the group's run,
+    whose transform is elementwise.
     """
     halves = [(s + 1) // 2 for s in sizes]
     width = sum(halves)  # pairs per round
@@ -353,29 +330,27 @@ def normal_rounds(gen: np.random.Generator, sizes: Sequence[int], count: int) ->
     group = max(1, GROUP_PAIRS // max(width, 1))
     for done in range(0, count, group):
         k = min(group, count - done)
-        drawn = gen.random((k, 2 * width))
+        drawn = uniforms_at(rng, 2 * width * done, np.empty((k, 2 * width)))
         u = np.empty((2, k, width))
         for a, m in zip(starts, halves):
             u[:, :, a : a + m] = drawn[:, 2 * a : 2 * (a + m)].reshape(k, 2, m).transpose(1, 0, 2)
         out = np.empty((k, 2 * width))
-        _in_halves(k * width, _drawn(u.reshape(2, -1), out.reshape(-1)))
+        _pairs(u.reshape(2, -1), out.reshape(-1))
         yield from zip(*(out[:, 2 * a : 2 * a + s] for a, s in zip(starts, sizes)))
 
 
-def sample_student_t2(gen: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n iid Student-t draws with 2 degrees of freedom; one uniform each.
+def student_t2(u: np.ndarray) -> np.ndarray:
+    """Student-t draws with 2 degrees of freedom, one per uniform of ``u`` on
+    [0, 1), elementwise, by the inverse CDF: for v = 1 - u in (0, 1],
 
-    Inverse-CDF sampling: for u uniform on (0, 1),
+        x = (2v - 1) / sqrt(2 v (1 - v)).
 
-        x = (2u - 1) / sqrt(2 u (1 - u)).
-
-    Heavy-tailed (infinite variance); u = 0.9 maps to 1.88561808...
+    Heavy-tailed (infinite variance); u = 0.1 maps to 1.88561808..., and
+    u = 0 to +inf.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    u = 1.0 - gen.random(n)  # (0, 1]; u = 1 maps to +inf with probability 0
+    v = 1.0 - u
     with np.errstate(divide="ignore"):
-        return (2.0 * u - 1.0) / np.sqrt(2.0 * u * (1.0 - u))
+        return (2.0 * v - 1.0) / np.sqrt(2.0 * v * (1.0 - v))
 
 
 def std_normal_cdf(x: float) -> float:

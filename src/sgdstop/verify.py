@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import factor_array
-from .numerics import RngState, normals_at, standard_normals
+from .numerics import RngState, normals_at
 from .data import FOLD_ELEMENTS, folded_gaussian_stream
 from .sgd import RunResult, SgdConfig, StopRule, run
 from .theory import GaussianFoldedModel, Regime, RegimeSet, drift_value, target_set_contains
@@ -158,15 +158,17 @@ def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> l
     """Probe iterates with prescribed mu . theta and random orthogonal parts.
 
     Each probe is (t / |mu|^2) mu + u with u a random unit vector orthogonal
-    to mu (drawn from the given stream), t running over mu_dots.  Probes must
-    land outside the target set, where the drift witness is a finite double.
+    to mu, t running over mu_dots.  Probe k's u is drawn from d normals of
+    the given stream: the m = ceil(d / 2) Box-Muller pairs that take
+    uniforms 2 m k + i and 2 m k + m + i.  Probes must land outside the
+    target set, where the drift witness is a finite double.
     """
     model = rset.model
-    gen = rng.generator()
+    m = (model.d + 1) // 2
     mu2 = model.mu_norm**2
     probes = []
-    for t in mu_dots:
-        g = standard_normals(gen, model.d)
+    for k, t in enumerate(mu_dots):
+        g = normals_at(rng, 2 * m * k, 2 * m * k + m, np.empty(2 * m))[: model.d]
         g -= (float(g @ model.mu) / mu2) * model.mu
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
@@ -206,12 +208,12 @@ def check_drift_inequality(
     (estimate < -b + 4 stderr): a drift of exactly zero, as produced by
     alpha = 0, must fail.
 
-    Probe j's samples xi = mu + sigma z are rows of the n_mc * d normals
-    z that ``standard_normals(rng.substream(j).generator(), n_mc * d)``
-    returns, read with normals_at in pieces of a multiple of 4 rows, at
-    most ``FOLD_ELEMENTS`` doubles where d allows (4 rows where it does
-    not), in one reused buffer; only their margins xi . theta and mu . xi
-    are kept.  gemv takes rows in fours, so
+    Probe j's samples xi = mu + sigma z are the rows of n_mc * d normals z
+    of ``rng.substream(j)``: pair i (z[2i] and z[2i + 1]) takes uniforms i
+    and M + i, M = ceil(n_mc d / 2).  They are read with normals_at in
+    pieces of a multiple of 4 rows, at most ``FOLD_ELEMENTS`` doubles where
+    d allows (4 rows where it does not), in one reused buffer; only their
+    margins xi . theta and mu . xi are kept.  gemv takes rows in fours, so
     the pieces give the margins of one gemv over all rows, bit for bit
     (numpy takes a lone row as a dot product, so a last row on its own
     joins the piece before it).  Everything after the margins is computed

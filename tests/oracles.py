@@ -6,7 +6,10 @@ package by other routes.  ``sgd_step`` applies one update on its own, the
 reference for the engine's accounting and iterates.  ``fold`` writes a
 labeled block folded into a new matrix, and ``first_rows`` gathers the head
 of a block stream into one block: the whole-set references for streamed
-held-out scoring and for sampler statistics.  ``drift_samples`` draws a
+held-out scoring and for sampler statistics.  ``standard_normals`` draws
+normals whole from a generator, through ``box_muller`` on whole arrays: the
+reference for every positioned Gaussian read, whose layout puts call k's
+uniforms where that generator hands them out.  ``drift_samples`` draws a
 drift check's samples all at once, and ``drift_estimates`` reduces them:
 the whole-array references for the check's pieces.  Loss values,
 Gauss-Hermite quadrature and truncated-normal moments give the population
@@ -36,7 +39,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from sgdstop.data import Block, _fold_rows
 from sgdstop.losses import LossKind, factor_array, factor_function
-from sgdstop.numerics import RngState, standard_normals, std_normal_cdf
+from sgdstop.numerics import RngState, std_normal_cdf
 from sgdstop.theory import RegimeSet, drift_value
 
 _SQRT2 = math.sqrt(2.0)
@@ -235,6 +238,28 @@ def high_regime_max_step(
         raise ValueError(f"scale must be positive, got {scale}")
     mu2 = mu_norm * mu_norm
     return scale * mu2 / (sigma * sigma * (mu2 + d * sigma * sigma))
+
+
+# ---------------------------------------------------------------------------
+# Gaussians drawn whole
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Box-Muller as its formula on whole arrays: the normals of the pairs of
+    a (2, m) array of uniforms on [0, 1), r cos t and r sin t interleaved."""
+    r, t = np.sqrt(-2.0 * np.log(1.0 - u[0])), 2.0 * np.pi * u[1]
+    out = np.empty(2 * r.size)
+    out[0::2], out[1::2] = r * np.cos(t), r * np.sin(t)
+    return out
+
+
+def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n normals drawn whole: the m = ceil(n / 2) first uniforms of their
+    pairs, then their m second uniforms, drawn from ``gen``, through
+    box_muller (the last normal of an odd n dropped).  So calls in turn on
+    ``rng.generator()`` read the stream's uniforms in turn, 2m per call."""
+    m = (n + 1) // 2
+    return box_muller(gen.random((2, m)))[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from sgdstop.data import (
     load_idx,
     student_t2_mixture_sampler,
 )
-from oracles import fold, gauss_hermite_rule, ray_derivative, ray_objective
+from oracles import fold, gauss_hermite_rule, ray_derivative, ray_objective, standard_normals
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState, standard_normals
+from sgdstop.numerics import RngState
 from sgdstop.sgd import SgdConfig, StopReason, StopRule, run
 from sgdstop.theory import (
     GaussianFoldedModel,

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import first_rows, fold
-from sgdstop import data
+from oracles import box_muller, first_rows, fold, standard_normals
+from sgdstop import data, numerics
 from sgdstop.data import (
     BLOCK_ROWS,
     MIXTURE_CHUNK_ROWS,
@@ -41,7 +41,7 @@ from sgdstop.data import (
     student_t2_mixture_sampler,
 )
 from sgdstop.losses import LossKind
-from sgdstop.numerics import RngState, normals_at, standard_normals, uniforms_at
+from sgdstop.numerics import RngState, normals_at, uniforms_at
 from sgdstop.sgd import SgdConfig, StopReason, run
 
 
@@ -239,14 +239,9 @@ def test_box_muller_matches_reference_formula(u):
     expected = np.empty(2 * pairs.shape[1])
     expected[0::2] = r_ref * np.cos(2.0 * np.pi * u2)
     expected[1::2] = r_ref * np.sin(2.0 * np.pi * u2)
-
-    class Pairs:  # hands out the pairs' first uniforms, then their second ones
-        def random(self, shape):
-            assert shape == pairs.shape
-            return pairs.copy()
-
-    got = standard_normals(Pairs(), expected.size)
+    got = numerics._pairs(pairs.copy(), np.empty(expected.size))
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(box_muller(pairs).view(np.uint64), expected.view(np.uint64))
 
 
 def test_gaussian_mixture_sampler_statistics():
@@ -300,11 +295,11 @@ def test_student_t2_mixture_sampler_shape_and_split():
 def test_student_t2_zero_uniform_is_infinite_and_diverges(monkeypatch):
     # a uniform of exactly 0 is the t2 inverse CDF at 1: an infinite entry,
     # which must stop a run as diverged rather than poison it silently
-    class ZeroUniforms:
-        def random(self, n):
-            return np.zeros(n)
+    def zeros(rng, position, out):
+        out[...] = 0.0
+        return out
 
-    monkeypatch.setattr(RngState, "generator", lambda self: ZeroUniforms())
+    monkeypatch.setattr(data, "uniforms_at", zeros)
     block = next(student_t2_mixture_sampler(0.1, 2, RngState(0)))
     assert np.all(np.isinf(block.zeta))
     rows = iter(fold(block, np.zeros(2)))
@@ -312,6 +307,30 @@ def test_student_t2_zero_uniform_is_infinite_and_diverges(monkeypatch):
         res = run(rows, SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=100))
     assert res.stop_reason is StopReason.DIVERGED
     assert res.iterations == 0
+
+
+def _t2_reference_block(gen, beta, d):
+    """A t2 block drawn from a generator in turn: 256 coins, then its 256 d
+    entries by the inverse CDF on 1 - u."""
+    ys = (gen.random(BLOCK_ROWS) < 0.5).astype(int)
+    v = 1.0 - gen.random(BLOCK_ROWS * d)
+    zeta = beta * ((2.0 * v - 1.0) / np.sqrt(2.0 * v * (1.0 - v))).reshape(BLOCK_ROWS, d)
+    zeta[:, 0] += ys
+    return ys, zeta
+
+
+@settings(max_examples=20, deadline=None)
+@given(half_d=st.integers(0, 12), beta=st.sampled_from([0.0, 0.1, 2.5]), seed=st.integers(0, 2**64 - 1))
+def test_student_t2_blocks_are_read_where_a_generator_draws_them(half_d, beta, seed):
+    # block k's coins are read from uniform k 256 (d + 1) on and its entries
+    # right after them, where a generator drawing the blocks in turn has them
+    d = 2 * half_d + 1
+    gen = RngState(seed).generator()
+    stream = student_t2_mixture_sampler(beta, d, RngState(seed))
+    for _ in range(3):
+        got, (ys, zeta) = next(stream), _t2_reference_block(gen, beta, d)
+        assert np.array_equal(got.y, ys)
+        assert got.zeta.tobytes() == zeta.tobytes()
 
 
 def _folded_reference(mu, sigma, rng, n):

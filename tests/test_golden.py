@@ -5,6 +5,15 @@ every number consistently; these digests can.  Every run happens inside
 ``tmp_path`` with relative data paths, so the ``# config=<hash>`` provenance
 line is part of what is pinned.  A change that moves any output byte has
 to regenerate these digests and say why.
+
+A report can hide a change inside it: the drift check's margins are lost in
+a mean of values near 500**2, and a last-bit change in theta rarely moves a
+printed digit.  So each config also has a ``<name>_internals`` digest of what
+the layers hand each other on the same run, seen by spies that change
+nothing: every run result where cli and verify bind ``run`` (theta's bytes,
+its iterations and stop reason), the margins the drift check hands to
+``factor_array``, the offsets that ``accuracy_on_set`` receives and the
+target_delta probes that ``termination_probability`` receives, in call order.
 """
 
 import hashlib
@@ -13,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgdstop.cli as cli
+import sgdstop.verify as verify
 from conftest import idx_bytes, write_config, write_mnist_style_fixture
 from sgdstop.cli import EXIT_OK, main
 from sgdstop.numerics import RngState
@@ -196,6 +207,14 @@ CASES = {
         "verify-bounds",
         lambda: {"seed": 3, "drift": {"loss": "hinge", "d": 7, "sigma": 1.2, "alpha": 0.1, "n_mc": 19999}},
     ),
+    # at d 8 a probe's 17,000 samples are read in pieces of 8,192, 8,192 and
+    # 616 rows; gemv rounds a 2-row tail there unlike the rows it takes in
+    # fours (at d 7 it does not), so pieces cut 2 rows past a multiple of 4
+    # move the margins of the internals digest, though not the report
+    "verify_drift_pieces_d8": (
+        "verify-bounds",
+        lambda: {"seed": 3, "drift": {"loss": "hinge", "d": 8, "sigma": 1.2, "alpha": 0.1, "n_mc": 17000}},
+    ),
     # at odd d the probe and its lift are 3 + 1 Box-Muller pairs, so 600
     # probes are draw groups of 256, 256 and 88 (numerics.GROUP_PAIRS = 1,024)
     "verify_target_delta_odd": (
@@ -237,16 +256,77 @@ DIGESTS = {
     "verify": "bc0ef49ba5c620a23c2afd46721285da7b8994e469d5b3c732df602eb2cf6236",
     "verify_drift_split": "ce55172d99dd90fd7a5ea0f36fd957d211abc808abac475b33dec4191d5010a0",
     "verify_drift_pieces": "ef2f32d9825d0a8414180222afec5274bdcfeb3d406096847543b2576647ec32",
+    "verify_drift_pieces_d8": "81fc9fa941c43c9d15439e19603d150ff4664dc0a1b220c995ad463c22743577",
     "verify_hinge": "b3bebf3f96ee2aa51d69f3744177bd140a77f4a74fbeb8127471ae4e18ffa2f8",
     "verify_target_delta_odd": "ee0cf10ca08b006b06d5a9d173316c50ef19fc436570f2825ce74d00bf12b409",
+    # generated before the draws of the drift probes, target_delta and t2
+    # were read by position
+    "compare_eval_pieces_internals": "2ea7e365957d77a8860a82b20c0b1a7b803c4b8986b92727d6cceb13b1d93dd6",
+    "compare_gaussian_internals": "09a75d3eee2d981af41ab6cf254fd3ef0dd1440a4929f0234b3d6b9026c48e29",
+    "compare_gaussian_centering_256_internals": "2baa08ebb9880cb1a8135a5f9fb642f14bde63a87aeb9b4275efcbaac7cc5e6b",
+    "compare_gaussian_split_internals": "02044fe1a7da77839eca4637ba0685c7540e6629d901eda0407bf566ff15d4ba",
+    "compare_t2_centering_300_internals": "0513c3b5915db9c86abfd73fc1fc157178a4862d1e920fdcacd878d69cc9433e",
+    "real_cifar10_internals": "e0b69e07caaf75236ed3ef3b7604adca9c69ab277c5529be99028a5b38e07713",
+    "real_csv_internals": "891e022d433a82d6f51d9a79a308160c7db6d943911f2380b5a95d226df01853",
+    "real_csv_centering_epoch_internals": "b2335acd2978dc302f9b5fc75395e00d3253e2d33ad6eadbe3597ab210dd7ce5",
+    "real_mnist_fixture_internals": "9ef734d73dcd7c4a06573abb18ac4aa19b740fc841073ba8566502657d576bdf",
+    "real_mnist_unscaled_internals": "f22b6413d39f5cec1815b405a445ae9776d9e9e8826b00458c9c461c44631be3",
+    "real_test_pieces_internals": "8c5ec948be09459aebe1b9e5b315cb8791011a27497fed2935ca3b04d3aa3a34",
+    "sweep_gaussian_internals": "65a659510528a86245858de3bd6795ebbbd9ddfc44213fc6b264389b3edb77c7",
+    "sweep_gaussian_split_internals": "88ad57b0494c385106a723ba4e57530d7114e76f46664e245e36659ca5befb92",
+    "sweep_t2_internals": "5c0603a4464a11f3ea9cde6bf009ba37fb93e191cc14c8a68831478537e8187b",
+    "verify_internals": "c22b9169a92400ea094eb5dc360330c7e2f935c918c574da849592856326887e",
+    "verify_drift_pieces_internals": "3e23f336746ce8d26aeba1f84892b27e0f3cde7b9ab7e5a9d03f86c128e655b7",
+    "verify_drift_pieces_d8_internals": "b162a0f3c849344c06ea6981d5e23d0eea5994d41600947eace540d199feee7f",
+    "verify_drift_split_internals": "fc66bfc0e93a19d2c5bece50900d412e305d3f860164ed853f1b42da41cb6ce3",
+    "verify_hinge_internals": "e6a8ef397bb78558555f1d47c5af982fccb7f4ef1eb475f5652c40dec3f08f3c",
+    "verify_target_delta_odd_internals": "cfd635e06c84cff6f8cf2ee69cc008035cb9c581fe4984f89018b718eef0f671",
 }
+
+
+def _run_case(name: str) -> Path:
+    """Run a golden config in the current directory; returns its output."""
+    command, make_config = CASES[name]
+    out = "out.json" if command == "verify-bounds" else "out.csv"
+    cfg = write_config(Path("config.json"), {**make_config(), "out": out})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    return Path(out)
+
+
+def _observe(monkeypatch, owner, name: str, record) -> None:
+    """Bind owner.name to a spy that returns what the function returns and
+    then hands its arguments and result to record(args, result)."""
+    fn = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        record(args, result)
+        return result
+
+    monkeypatch.setattr(owner, name, spied)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_digest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    command, make_config = CASES[name]
-    out = "out.json" if command == "verify-bounds" else "out.csv"
-    cfg = write_config(Path("config.json"), {**make_config(), "out": out})
-    assert main([command, "--config", cfg]) == EXIT_OK
-    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == DIGESTS[name]
+    assert hashlib.sha256(_run_case(name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_internals_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+
+    def run_result(args, r):
+        h.update(b"run %d %s " % (r.iterations, r.stop_reason.name.encode()) + r.theta.tobytes())
+
+    for owner in (cli, verify):
+        _observe(monkeypatch, owner, "run", run_result)
+    _observe(monkeypatch, verify, "factor_array", lambda args, _: h.update(b"margins " + args[1].tobytes()))
+    _observe(
+        monkeypatch, cli, "accuracy_on_set",
+        lambda args, _: h.update(b"offsets " + b"".join(offset.tobytes() for _, offset in args[1])),
+    )
+    _observe(monkeypatch, cli, "termination_probability", lambda args, _: h.update(b"probe " + args[0].tobytes()))
+    _run_case(name)
+    assert h.hexdigest() == DIGESTS[f"{name}_internals"]

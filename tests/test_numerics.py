@@ -22,8 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     QuadratureRule,
+    box_muller,
     gauss_hermite_expectation,
     gauss_hermite_rule,
+    standard_normals,
     truncated_normal_lower_moment,
 )
 from sgdstop import numerics
@@ -33,10 +35,9 @@ from sgdstop.numerics import (
     RngState,
     normal_rounds,
     normals_at,
-    sample_student_t2,
-    standard_normals,
     std_normal_cdf,
     std_normal_ccdf,
+    student_t2,
     uniforms_at,
 )
 
@@ -172,19 +173,33 @@ def test_positioned_reads_build_no_stream_generator():
     assert got == [expected]
 
 
-def test_standard_normals_consumes_even_uniform_count():
-    # n draws cost 2*ceil(n/2) uniforms, so a parallel generator that skips
-    # that many uniforms must land on the same state.
-    for n in (1, 2, 5, 8):
-        g1 = RngState(11).generator()
-        g2 = RngState(11).generator()
-        standard_normals(g1, n)
-        g2.random(2 * ((n + 1) // 2))
-        assert np.array_equal(g1.random(4), g2.random(4))
+@contextmanager
+def _recorded_reads():
+    """The reads of numerics inside the block, each as (position, count)."""
+    reads = []
+
+    def recorded(rng, position, out):
+        reads.append((position, out.size))
+        return uniforms_at(rng, position, out)
+
+    with mock.patch.object(numerics, "uniforms_at", recorded):
+        yield reads
 
 
-def test_standard_normals_moments():
-    z = standard_normals(RngState(5).generator(), 100_000)
+def test_normals_at_reads_only_the_uniforms_of_its_pairs():
+    # n normals cost 2*ceil(n/2) uniforms, the pairs' two runs and nothing
+    # else, so the layout can put the next draw right after them
+    with _recorded_reads() as reads:
+        for n in (1, 2, 5, 8):
+            m, gen = (n + 1) // 2, RngState(11).generator()
+            standard_normals(gen, n)  # a first draw of n, then the one read here
+            got = normals_at(RngState(11), 2 * m, 3 * m, np.empty(2 * m))[:n]
+            assert got.tobytes() == standard_normals(gen, n).tobytes()
+    assert reads == [(p, m) for m in (1, 1, 3, 4) for p in (2 * m, 3 * m)]
+
+
+def test_normals_at_moments():
+    z = normals_at(RngState(5), 0, 50_000, np.empty(100_000))
     assert abs(z.mean()) < 4.0 / math.sqrt(100_000)
     assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / 100_000)
     assert np.all(np.isfinite(z))
@@ -203,23 +218,30 @@ def test_standard_normals_moments():
 @example(sizes=[0, 3, 0], groups=0, shift=2, seed=2)
 @example(sizes=[0], groups=1, shift=0, seed=3)
 def test_normal_rounds_give_the_bytes_of_repeated_standard_normals(sizes, groups, shift, seed):
-    # counts around whole groups: the rounds, their order and the generator's
-    # end state are those of calling standard_normals size by size
-    group = max(1, GROUP_PAIRS // max(sum((s + 1) // 2 for s in sizes), 1))
+    # counts around whole groups: the rounds and their order are those of
+    # drawing each size in turn from the stream's generator, and the groups
+    # read the rounds' uniforms, contiguous, exactly once
+    width = sum((s + 1) // 2 for s in sizes)
+    group = max(1, GROUP_PAIRS // max(width, 1))
     count = max(0, groups * group + shift)
-    gen, ref_gen = RngState(seed, 1).generator(), RngState(seed, 1).generator()
-    got = list(normal_rounds(gen, sizes, count))
+    with _recorded_reads() as reads:
+        got = list(normal_rounds(RngState(seed, 1), sizes, count))
+    ref_gen = RngState(seed, 1).generator()
     expected = [[standard_normals(ref_gen, s) for s in sizes] for _ in range(count)]
     assert len(got) == count
     for round_got, round_expected in zip(got, expected):
         assert len(round_got) == len(sizes)
         for g, e in zip(round_got, round_expected):
             assert g.flags.c_contiguous and g.tobytes() == e.tobytes()
-    assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state)
+    done = 0
+    for position, n in reads:
+        assert position == done and n <= max(2 * GROUP_PAIRS, 2 * width)
+        done += n
+    assert done == 2 * width * count
 
 
 # ---------------------------------------------------------------------------
-# normals_at and standard_normals: a large run in halves, one on a helper thread
+# normals_at: a large run in halves, one on a helper thread
 
 
 def _two_cpus() -> bool:
@@ -251,31 +273,27 @@ def _handed_off(m: int) -> list[int]:
     return [m // 2 & -4] if m >= SPLIT_PAIRS and _two_cpus() else []
 
 
-def _formula(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Box-Muller as its formula, on whole arrays: r cos t, r sin t interleaved."""
-    r, t = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2
-    out = np.empty(2 * r.size)
-    out[0::2], out[1::2] = r * np.cos(t), r * np.sin(t)
-    return out
-
-
 def _inline_normals(rng: RngState, first: int, second: int, m: int) -> np.ndarray:
     """normals_at's pairs from two Philox generators started at their counters."""
     key = np.array([rng.seed, rng.stream], dtype=np.uint64)
     u1 = np.random.Generator(np.random.Philox(counter=first // 4, key=key)).random(m)
     u2 = np.random.Generator(np.random.Philox(counter=second // 4, key=key)).random(m)
-    return _formula(u1, u2)
+    return box_muller(np.stack([u1, u2]))
 
 
-class _Uniforms:
-    """A generator whose random((2, m)) hands out the given pairs of uniforms."""
+@contextmanager
+def _given_uniforms(pairs: np.ndarray):
+    """Inside the block every read of numerics, on any thread, hands out the
+    given (2, m) pairs as uniforms 0, 1, ..., 2m - 1 of every stream, so
+    normals_at(rng, 0, m, out) transforms them."""
+    flat = pairs.reshape(-1)
 
-    def __init__(self, pairs):
-        self.pairs = pairs
+    def given(rng, position, out):
+        out[...] = flat[position : position + out.size]
+        return out
 
-    def random(self, shape):
-        assert shape == self.pairs.shape
-        return self.pairs
+    with mock.patch.object(numerics, "uniforms_at", given):
+        yield
 
 
 @settings(max_examples=40, deadline=None)
@@ -308,12 +326,11 @@ def test_normals_at_in_halves_gives_the_inline_bytes(m, a, tail, first, gap, see
 
 
 @pytest.mark.parametrize("n", [1, 2 * SPLIT_PAIRS - 1, 2 * SPLIT_PAIRS + 6, 10 * SPLIT_PAIRS + 5])
-def test_standard_normals_in_halves_gives_the_inline_bytes(n):
+def test_normals_at_of_n_normals_in_halves_gives_the_whole_array_bytes(n):
     m = (n + 1) // 2
-    pairs = RngState(n).generator().random((2, m))
     with _helper_handoffs() as handoffs:
-        got = standard_normals(RngState(n).generator(), n)
-    assert got.tobytes() == _formula(*pairs)[:n].tobytes()
+        got = normals_at(RngState(n), 0, m, np.empty(2 * m))[:n]
+    assert got.tobytes() == standard_normals(RngState(n).generator(), n).tobytes()
     assert handoffs == _handed_off(m)
 
 
@@ -346,9 +363,9 @@ def test_the_transform_raises_no_floating_point_flag_on_stream_uniforms():
 
     with np.errstate(all="raise"):
         inline = numerics._pairs(pairs.copy(), np.empty(2 * m))
-    with mock.patch.object(numerics, "_pairs", raising), _helper_handoffs() as handoffs:
-        got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
-    assert got.tobytes() == inline.tobytes() == _formula(*pairs).tobytes()
+    with mock.patch.object(numerics, "_pairs", raising), _helper_handoffs() as handoffs, _given_uniforms(pairs):
+        got = normals_at(RngState(0), 0, m, np.empty(2 * m))
+    assert got.tobytes() == inline.tobytes() == box_muller(pairs).tobytes()
     assert np.finfo(float).tiny < np.abs(got[got != 0]).min() and np.abs(got).max() < 8.58
     assert handoffs == _handed_off(m)
     assert threads.count("sgdstop-box-muller") == len(handoffs)
@@ -369,33 +386,37 @@ def test_an_error_in_the_helpers_half_is_raised_by_the_caller_and_the_next_call_
             raise _HelperFault(u.shape[1])
         return real(u, out)
 
-    bad = pairs.copy()
-    with mock.patch.object(numerics, "_pairs", faulty), _helper_handoffs() as handoffs:
+    bad = np.empty(2 * m)
+    with mock.patch.object(numerics, "_pairs", faulty), _helper_handoffs() as handoffs, _given_uniforms(pairs):
         with pytest.raises(_HelperFault) as error:
-            standard_normals(_Uniforms(bad), 2 * m)
+            normals_at(RngState(0), 0, m, bad)
     assert error.value.args == (m // 2 & -4,)  # the front half's pairs
     run = weakref.ref(bad)
     del bad, error
     gc.collect()
     assert run() is None  # the helper keeps no failed run alive either
-    with _helper_handoffs() as more:
-        got = standard_normals(_Uniforms(pairs.copy()), 2 * m)
-    assert got.tobytes() == _formula(*pairs).tobytes()
+    with _helper_handoffs() as more, _given_uniforms(pairs):
+        got = normals_at(RngState(0), 0, m, np.empty(2 * m))
+    assert got.tobytes() == box_muller(pairs).tobytes()
     assert handoffs == more == _handed_off(m)
 
 
 def test_normals_at_keeps_no_run_alive():
-    # neither the caller nor the helper holds a run's arrays once it returns
-    m = SPLIT_PAIRS
-    pairs = np.random.default_rng(8).random((2, m))
+    # neither the caller nor the helper holds a run's arrays once it returns:
+    # its uniforms, transformed in place, nor its normals
+    m, real, runs = SPLIT_PAIRS, numerics._pairs, []
+
+    def recorded(u, out):
+        runs.append(weakref.ref(u.base))
+        return real(u, out)
+
     flat = np.empty(2 * m)
-    with _helper_handoffs() as handoffs:
-        got = standard_normals(_Uniforms(pairs), 2 * m)
+    with mock.patch.object(numerics, "_pairs", recorded), _helper_handoffs() as handoffs:
         normals_at(RngState(8), 0, 4 * m, flat)
-    runs = [weakref.ref(a) for a in (pairs, got, got.base, flat)]
-    del pairs, got, flat
-    assert [run() is None for run in runs] == [True] * 4  # pairs, got, its out, flat
-    assert handoffs == _handed_off(m) * 2
+    runs.append(weakref.ref(flat))
+    del flat
+    assert len(runs) == len(handoffs) + 2 and [run() is None for run in runs] == [True] * len(runs)
+    assert handoffs == _handed_off(m)
 
 
 def _normals_at(seed: int, m: int) -> np.ndarray:
@@ -543,27 +564,16 @@ def test_first_splits_racing_in_a_fresh_process_start_one_helper():
     assert digests == [hashlib.sha256(normals).hexdigest() for normals in expected]
 
 
-class _FixedUniforms:
-    """Duck-typed generator feeding a scripted uniform stream."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, n):
-        out, self._values = self._values[:n], self._values[n:]
-        return np.asarray(out, dtype=float)
-
-
-def test_sample_student_t2_quantile_fixture():
+def test_student_t2_quantile_fixture():
     # u = 1 - 0.1 = 0.9 maps through the inverse CDF to the frozen quantile
-    x = sample_student_t2(_FixedUniforms([0.1]), 1)
+    x = student_t2(np.array([0.1]))
     assert x[0] == pytest.approx(T2_QUANTILE_09, abs=1e-15)
     # median at u = 0.5
-    assert sample_student_t2(_FixedUniforms([0.5]), 1)[0] == pytest.approx(0.0, abs=1e-15)
+    assert student_t2(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_sample_student_t2_empirical_cdf():
-    x = sample_student_t2(RngState(23).generator(), 200_000)
+def test_student_t2_empirical_cdf():
+    x = student_t2(uniforms_at(RngState(23), 0, np.empty(200_000)))
     for q in (-2.0, -0.5, 0.0, 0.5, 2.0):
         expect = 0.5 + q / (2.0 * math.sqrt(2.0 + q * q))
         emp = float(np.mean(x <= q))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import drift_estimates, drift_samples
+from oracles import drift_estimates, drift_samples, standard_normals
 from sgdstop import verify
 from sgdstop.data import FOLD_ELEMENTS
 from sgdstop.losses import LossKind, factor_array
@@ -175,6 +175,21 @@ def test_make_drift_probes_geometry():
     again = make_drift_probes(rset, dots, RngState(11))
     for a, b in zip(probes, again):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_make_drift_probes_read_the_normals_a_generator_draws_in_turn(d):
+    # probe k's d normals are the pairs of uniforms 2mk + i and 2mk + m + i,
+    # m = ceil(d / 2): call k of standard_normals on the stream's generator
+    model = _model(d=d, scale=2.0)
+    rset = regime_set(LossKind.LOGISTIC, model, 0.1)
+    dots = [-5.0, 0.0, 0.9]
+    gen, mu2 = RngState(11).generator(), model.mu_norm**2
+    for t, theta in zip(dots, make_drift_probes(rset, dots, RngState(11))):
+        g = standard_normals(gen, d)
+        g -= (float(g @ model.mu) / mu2) * model.mu
+        expected = (t / mu2) * model.mu + (1.0 / float(np.linalg.norm(g))) * g
+        assert theta.tobytes() == expected.tobytes()
 
 
 def test_make_drift_probes_rejects_inside_target():
