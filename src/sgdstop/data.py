@@ -130,6 +130,13 @@ def _mixture_chunk_rows(d: int) -> int:
     return MIXTURE_CHUNK_ROWS
 
 
+def gemv_run_rows(d: int) -> int:
+    """Rows per run where d-column rows are multiplied in runs: a multiple of
+    4, as gemv takes rows in fours, at most FOLD_ELEMENTS doubles where d
+    allows.  No run may be a lone row, which numpy takes as a dot product."""
+    return max(4, FOLD_ELEMENTS // max(1, d) // 4 * 4)
+
+
 class Block(NamedTuple):
     """Rows of a labeled stream: labels y (rows,) in {0, 1}, features zeta (rows, d)."""
 
@@ -587,16 +594,15 @@ def accuracy_on_set(
     """Held-out accuracy of each (theta, offset), reading the set once, as
     labeled pieces of any sizes with features zeta / divisor as doubles.
 
-    The rows are copied into runs of a multiple of 4 rows, at most
-    FOLD_ELEMENTS doubles, and the rest.  Per run and classifier, margins of
-    zeta - offset (in one reused buffer) count where a class-1 one is > 0 or
-    a class-0 one < 0: the folded margins > 0 of one gemv over the whole set,
-    bit for bit, as negation is exact and gemv rounds symmetrically in sign
-    and takes rows in fours.  numpy takes a lone row as a dot product, so a
-    run waits for the 4 rows after it, which the last run keeps.
+    The rows are copied into runs of gemv_run_rows(d) rows and the rest; a
+    run waits for the 4 rows after it, which the last run keeps.  Per run
+    and classifier, margins of zeta - offset (in one reused buffer) count
+    where a class-1 one is > 0 or a class-0 one < 0: the folded margins > 0
+    of one gemv over the whole set, bit for bit, as negation is exact and
+    gemv rounds symmetrically in sign.
     """
     d = classifiers[0][0].shape[0]
-    step = max(4, FOLD_ELEMENTS // max(1, d) // 4 * 4)
+    step = gemv_run_rows(d)
     x, buf = np.empty((step + 4, d)), np.empty((step + 4, d))
     neg = np.empty(step + 4, dtype=bool)  # the class-0 rows of x
     correct, n, fill = [0] * len(classifiers), 0, 0

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import factor_array
-from .numerics import RngState, normals_at
-from .data import FOLD_ELEMENTS, folded_gaussian_stream
+from .numerics import RngState, normal_rounds, normals_at
+from .data import folded_gaussian_stream, gemv_run_rows
 from .sgd import RunResult, SgdConfig, StopRule, run
 from .theory import GaussianFoldedModel, Regime, RegimeSet, drift_value, target_set_contains
 
@@ -158,17 +158,14 @@ def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> l
     """Probe iterates with prescribed mu . theta and random orthogonal parts.
 
     Each probe is (t / |mu|^2) mu + u with u a random unit vector orthogonal
-    to mu, t running over mu_dots.  Probe k's u is drawn from d normals of
-    the given stream: the m = ceil(d / 2) Box-Muller pairs that take
-    uniforms 2 m k + i and 2 m k + m + i.  Probes must land outside the
+    to mu, t running over mu_dots.  Probe k's u is drawn from round k of
+    normal_rounds(rng, (d,), len(mu_dots)).  Probes must land outside the
     target set, where the drift witness is a finite double.
     """
     model = rset.model
-    m = (model.d + 1) // 2
     mu2 = model.mu_norm**2
     probes = []
-    for k, t in enumerate(mu_dots):
-        g = normals_at(rng, 2 * m * k, 2 * m * k + m, np.empty(2 * m))[: model.d]
+    for t, (g,) in zip(mu_dots, normal_rounds(rng, (model.d,), len(mu_dots))):
         g -= (float(g @ model.mu) / mu2) * model.mu
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
@@ -210,22 +207,18 @@ def check_drift_inequality(
 
     Probe j's samples xi = mu + sigma z are the rows of n_mc * d normals z
     of ``rng.substream(j)``: pair i (z[2i] and z[2i + 1]) takes uniforms i
-    and M + i, M = ceil(n_mc d / 2).  They are read with normals_at in
-    pieces of a multiple of 4 rows, at most ``FOLD_ELEMENTS`` doubles where
-    d allows (4 rows where it does not), in one reused buffer; only their
-    margins xi . theta and mu . xi are kept.  gemv takes rows in fours, so
-    the pieces give the margins of one gemv over all rows, bit for bit
-    (numpy takes a lone row as a dot product, so a last row on its own
-    joins the piece before it).  Everything after the margins is computed
-    on whole arrays, as the pairwise sums of the mean and std depend on
-    their length.
+    and M + i, M = ceil(n_mc d / 2), read with normals_at in pieces of
+    gemv_run_rows(d) rows (a lone last row joins the piece before it) into
+    one reused buffer.  Only their margins xi . theta and mu . xi are kept,
+    those of one gemv over all rows, bit for bit; the rest is computed on
+    whole arrays, as the pairwise sums of the mean and std depend on length.
     """
     if rset.regime is not Regime.LOW:
         raise ValueError("quantitative drift decrement is only specified for low noise")
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2, got {n_mc}")
     model, alpha, b, d = rset.model, rset.alpha, rset.b, rset.model.d
-    step = max(4, FOLD_ELEMENTS // d // 4 * 4)  # rows per piece
+    step = gemv_run_rows(d)
     second = (n_mc * d + 1) // 2  # the first uniform of the pairs' second run
     buf = np.empty(min(n_mc, step + 1) * d + 1)  # + 1: an odd count's last pair
     margins, mu_xi = np.empty(n_mc), np.empty(n_mc)

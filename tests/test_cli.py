@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import write_config, write_mnist_style_fixture
 from oracles import first_rows
 from sgdstop import cli, numerics
-from sgdstop.data import center_and_fold, gaussian_mixture_sampler
+from sgdstop.data import center_and_fold, gaussian_mixture_sampler, gemv_run_rows
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
 from sgdstop.sgd import StopReason
@@ -920,6 +920,8 @@ def test_run_real_keeps_the_pixel_split_uint8_and_unchanged(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "center_and_fold_split", recorded)
     assert main(["run-real", "--config", cfg]) == EXIT_OK
     assert len(calls) == 6  # three stoppers in each of two trials
+    _, rows = _read_csv(tmp_path / "real.csv")
+    assert [row["stopper"] for row in rows] == ["zero_overhead", "svs_4", "extra_sample"] * 2
     split, before, out, divisor = calls[0]
     assert split.zeta.dtype == np.uint8 and out.dtype == float
     assert divisor == (255.0 if scale_pixels else 1.0)
@@ -1364,9 +1366,11 @@ def _threads_around_main(tmp, values):
 
 def test_readme_verify_bounds_starts_no_thread_below_the_split(tmp_path):
     values = _readme_verify_config()
-    # drift draws its n_mc d normals in one run of 100,000 pairs, the only
-    # run of the README config at or above numerics.SPLIT_PAIRS
-    assert values["drift"]["n_mc"] * values["drift"]["d"] // 2 >= numerics.SPLIT_PAIRS
+    # drift reads its n_mc d normals in pieces of gemv_run_rows(d) rows
+    # (32,760 pairs), the only runs of the README config at or above
+    # numerics.SPLIT_PAIRS
+    n_mc, d = values["drift"]["n_mc"], values["drift"]["d"]
+    assert min(n_mc, gemv_run_rows(d)) * d // 2 >= numerics.SPLIT_PAIRS
     del values["drift"]
     code, before, after, reached = _threads_around_main(tmp_path, values)
     assert (code, reached) == (EXIT_OK, 0)

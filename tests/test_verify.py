@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import drift_estimates, drift_samples, standard_normals
-from sgdstop import verify
+from sgdstop import data, verify
 from sgdstop.data import FOLD_ELEMENTS
 from sgdstop.losses import LossKind, factor_array
 from sgdstop.numerics import RngState
@@ -177,13 +177,14 @@ def test_make_drift_probes_geometry():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("d", [7, 8])
+@pytest.mark.parametrize("d", [7, 8, 101])
 def test_make_drift_probes_read_the_normals_a_generator_draws_in_turn(d):
     # probe k's d normals are the pairs of uniforms 2mk + i and 2mk + m + i,
-    # m = ceil(d / 2): call k of standard_normals on the stream's generator
+    # m = ceil(d / 2): call k of standard_normals on the stream's generator;
+    # at d 101 the 24 probes span two of normal_rounds' groups of 20 rounds
     model = _model(d=d, scale=2.0)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
-    dots = [-5.0, 0.0, 0.9]
+    dots = [-5.0 + 0.25 * k for k in range(24)]
     gen, mu2 = RngState(11).generator(), model.mu_norm**2
     for t, theta in zip(dots, make_drift_probes(rset, dots, RngState(11))):
         g = standard_normals(gen, d)
@@ -275,7 +276,7 @@ def test_drift_inequality_hinge_matches_per_sample_recompute():
 def test_drift_inequality_in_pieces_gives_the_whole_array_bytes(monkeypatch, kind, d, sigma, n_mc, fold):
     # the margins too: a last-bit change in one rarely reaches the estimate,
     # as it is lost in M - mu . theta_1
-    monkeypatch.setattr(verify, "FOLD_ELEMENTS", fold)
+    monkeypatch.setattr(data, "FOLD_ELEMENTS", fold)
     margins = []
 
     def recorded(kind, m):
