@@ -54,6 +54,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .data import (
+    BLOCK_ROWS,
     Block,
     CenteringStats,
     CsvError,
@@ -203,6 +204,16 @@ def _int(minimum: int, default: Any = REQUIRED) -> _Key:
     return _Key(int, default, f"an integer >= {minimum}", lambda v: v >= minimum)
 
 
+# no config value may size an array past 2**27 doubles (1 GiB)
+_MAX_DOUBLES = 1 << 27
+
+
+def _sized(minimum: int, doubles_each: int, default: Any = REQUIRED) -> _Key:
+    """An integer key that sizes an array of ``doubles_each`` doubles per unit."""
+    top = _MAX_DOUBLES // doubles_each
+    return _Key(int, default, f"an integer in [{minimum}, {top}]", lambda v: minimum <= v <= top)
+
+
 def _one_of(names: tuple[str, ...], default: Any = REQUIRED) -> _Key:
     return _Key(str, default, " or ".join(f"'{n}'" for n in names), lambda v: v in names)
 
@@ -216,8 +227,6 @@ _LOSSES = tuple(k.value for k in LossKind)
 # svs_<p>: small validation on p samples, p in 1 to 18 ASCII digits (inside
 # Python's int digit limit) with no leading 0, so each stopper has one spelling
 _STOPPER_NAME = re.compile(r"zero_overhead|zero_overhead_continue|extra_sample|svs_[1-9][0-9]{,17}")
-# svs_<p> stacks its p validation rows of d doubles before its first update
-_SVS_DOUBLES = 1 << 27  # 1 GiB
 _STOPPERS = _Key(
     list, ["zero_overhead"], "a nonempty list of stopper names: zero_overhead, extra_sample, "
     "svs_p (p >= 1 in at most 18 digits, no leading 0, p * d <= 2**27), zero_overhead_continue",
@@ -239,11 +248,12 @@ _TRAINING = {  # keys of every command that trains after the centering protocol
     "alpha_tilde": _Key(float, REQUIRED, "a finite number > 0",
                         lambda v: math.isfinite(v) and v > 0),
     "max_iter": _int(0, 1_000_000),
-    "centering_samples": _int(2, 100),
+    "centering_samples": _int(2, 100)._replace(
+        limit="an integer >= 2, 2 * centering_samples * d <= 2**27"),
     "trials": _int(1),
 }
 _SYNTHETIC = {  # keys of the synthetic labeled source
-    "d": _int(1),
+    "d": _sized(1, BLOCK_ROWS),  # one block of rows is drawn at a time
     "source": _one_of(("gaussian", "t2"), "gaussian"),
     "beta": _NONNEGATIVE._replace(
         default=None, limit="a finite number >= 0 (needed when source is 't2')"
@@ -274,8 +284,8 @@ _COMPARE = {
 
 def _section(min_d: int, **own: _Key) -> _Key:
     """A verify-bounds section: the Gaussian model's keys plus its own."""
-    model = {"loss": _one_of(_LOSSES, "logistic"), "d": _int(min_d), "mu_scale": _MU_SCALE,
-             "sigma": _NONNEGATIVE, "alpha": _NONNEGATIVE}
+    model = {"loss": _one_of(_LOSSES, "logistic"), "d": _sized(min_d, BLOCK_ROWS),
+             "mu_scale": _MU_SCALE, "sigma": _NONNEGATIVE, "alpha": _NONNEGATIVE}
     return _Key({**model, **own}, None, "an object of the section's keys")
 
 
@@ -291,7 +301,8 @@ _VERIFY = {
     "hitting_time": _section(1, **_SLACK_RUNS),
     # a drift probe needs a direction orthogonal to mu, as angle's v does
     "drift": _section(2, mu_dots=_Key(list, [-5.0, 0.0, 0.9], "a nonempty list of finite "
-                                      "numbers", _finite_numbers), n_mc=_int(2, 20000)),
+                                      "numbers", _finite_numbers),
+                     n_mc=_sized(2, 3, 20000)),  # three arrays of n_mc doubles
     "angle": _section(2, **_SLACK_RUNS),  # v is the second axis
     "target_delta": _section(1, n_theta=_int(1, 1000), **_UNREAD),
 }
@@ -386,14 +397,18 @@ def _rule(name: str) -> StopRule:
     return StopRule.zero_overhead()
 
 
-def _check_svs_memory(names: list[str], d: int) -> None:
-    """Reject, before any trial, a svs_<p> whose p validation rows of d
-    doubles would take more than _SVS_DOUBLES."""
-    for name in names:
-        p = int(name[4:]) if name.startswith("svs_") else 0
-        if p * d > _SVS_DOUBLES:
-            raise ConfigError(f"config key 'stoppers': {name} at d = {d} stacks {p * d} "
-                              "doubles of validation rows; p * d must be <= 2**27 (1 GiB)")
+def _check_rows(c: dict[str, Any], d: int) -> None:
+    """Reject, before any trial, a centering window (up to 2n rows) or a
+    svs_<p> validation set (p rows, stacked before the first update) whose
+    rows of d doubles would take more than _MAX_DOUBLES."""
+    n = c["centering_samples"]
+    sized = [("centering_samples", n, 2 * n, "2 * centering_samples * d")]
+    sized += [("stoppers", name, int(name[4:]), "p * d")
+              for name in c.get("stoppers", ()) if name.startswith("svs_")]
+    for key, value, rows, rule in sized:
+        if rows * d > _MAX_DOUBLES:
+            raise ConfigError(f"config key '{key}': {value} at d = {d} takes up to {rows * d} "
+                              f"doubles; {rule} must be <= 2**27 (1 GiB)")
 
 
 def _stream_index(names: list[str], j: int) -> int:
@@ -489,6 +504,7 @@ def _stopper_table(
 
 
 def cmd_sweep_sigma(values: dict[str, Any], c: dict[str, Any]) -> int:
+    _check_rows(c, c["d"])
     losses = [LossKind(name) for name in c["losses"]]
     root = RngState(c["seed"])
 
@@ -532,7 +548,7 @@ def _first_rows(blocks: Iterator[Block], n: int) -> Iterator[Block]:
 
 def cmd_compare_stoppers(values: dict[str, Any], c: dict[str, Any]) -> int:
     sigma, eval_stream = c["sigma"], len(c["stoppers"])
-    _check_svs_memory(c["stoppers"], c["d"])
+    _check_rows(c, c["d"])
     return _stopper_table(
         values, c, lambda rng, n: center_and_fold(_labeled_source(c, sigma, rng), n),
         lambda cell: _first_rows(
@@ -765,7 +781,7 @@ def cmd_run_real(values: dict[str, Any], c: dict[str, Any]) -> int:
         _write_csv(values, c, _stopper_header("baseline"), [])
         print(str(e), file=sys.stderr)
         return EXIT_DATA_MISSING
-    _check_svs_memory(c["stoppers"], train.zeta.shape[1])
+    _check_rows(c, train.zeta.shape[1])
     baseline = float(max(np.mean(test.y == 0), np.mean(test.y == 1)))
     folded = np.empty(train.zeta.shape)  # every run folds into this one buffer
     return _stopper_table(

@@ -22,11 +22,15 @@ their midpoint, and estimate the per-sample noise scale as
 
     sigma2_tilde = mean_j | zeta_j - mean_{class of j} |^2,
 
-whose expectation is sigma^2 d for isotropic class noise.  The remaining
-rows are folded in place once per block and handed to the engine, which
-owns them, one at a time: itertools.chain hands out the rows of the folded
-blocks in C, so no Python frame is resumed per row.  The step size
-actually run is then effective_step(alpha_tilde, sigma2_tilde) =
+whose expectation is sigma^2 d for isotropic class noise.  One function,
+_centering_window, reads those rows for both paths below: whole blocks,
+drawn until they hold the first n rows (2n when a class is absent among
+them, fewer if the stream ends).  Both paths then fold whole blocks, window
+blocks included, skip the n_used centering rows with itertools.islice, and
+hold one block at a time past the window.  The folded rows go to the
+engine, which owns them, one at a time: itertools.chain hands out the rows
+of the folded blocks in C, so no Python frame is resumed per row.  The
+step size actually run is then effective_step(alpha_tilde, sigma2_tilde) =
 alpha_tilde / sigma2_tilde, which makes one nominal alpha_tilde comparable
 across noise scales and datasets.  Held-out sets are never folded:
 accuracy_on_set reads one as a stream and counts class-1 margins of zeta -
@@ -266,25 +270,6 @@ def _gaussian_chunks(
             yield (ys[row : row + chunk_rows] if coins else None), rows
 
 
-def _take(
-    blocks: Iterator[Block], rest: Block | None, n: int
-) -> tuple[list[Block], Block | None]:
-    """Up to n rows (fewer if the stream ends): the unread ``rest`` of a block,
-    then further blocks.  Returns the pieces read, as views in order, and the
-    unread remainder of the last block read (None if nothing is left)."""
-    parts = []
-    while n > 0:
-        if rest is None:
-            rest = next(blocks, None)
-            if rest is None:
-                break
-        parts.append(Block(rest.y[:n], rest.zeta[:n]))
-        k = parts[-1].y.shape[0]
-        rest = Block(rest.y[k:], rest.zeta[k:]) if k < rest.y.shape[0] else None
-        n -= k
-    return parts, rest
-
-
 def center_and_fold(
     blocks: Iterable[Block], n: int = 100
 ) -> tuple[CenteringStats, Iterator[np.ndarray]]:
@@ -294,18 +279,20 @@ def center_and_fold(
     same stream are read too and the estimate uses all 2n; a class still
     absent then is an error.  sigma2_tilde is the mean squared residual norm
     against the estimated class means (0.0 for degenerate noise-free
-    samples; see effective_step for how that is floored).  The returned
-    iterator yields every later row folded against the offset; each block
-    is folded in place once, so the caller must own the blocks.
+    samples; see effective_step for how that is floored).  The window's
+    blocks are drawn whole (_centering_window), and no later block is drawn
+    before the run reaches it.  The returned iterator folds each block in
+    place once, window blocks included, and yields the folded rows from row
+    n_used on, so the caller must own the blocks.  Past the window it holds
+    one block at a time.
     """
-    _check_window(n)
     it = iter(blocks)
-    parts, rest = _centering_window(it, n)
-    stats = _centering_stats(parts)
-    later = it if rest is None else itertools.chain([rest], it)
-    # one block is held at a time, so a finished block is freed as the next arrives
+    window, stats = _centering_window(it, n)
+    # iter(window) lets go of the list once read, where the list itself would
+    # keep every window block alive for the whole run
+    later = itertools.chain(iter(window), it)
     folded = (_fold_rows(y, zeta, stats.offset, zeta) for y, zeta in later)
-    return stats, itertools.chain.from_iterable(folded)
+    return stats, itertools.islice(itertools.chain.from_iterable(folded), stats.n_used, None)
 
 
 def center_and_fold_split(
@@ -324,7 +311,7 @@ def center_and_fold_split(
     row stream.  Its features are split.zeta / divisor as doubles (a divisor
     of 1.0 is an exact cast), so the stream is bit for bit the one
     center_and_fold would read from blocks of that stream.  The centering
-    rows (the first n, or 2n when a class is absent) are gathered.  The
+    window (_centering_window) is gathered in whole chunks and dropped.  The
     returned iterator hands out read-only views of the rows of ``out``, a
     float (rows, d) buffer, in stream order from row n_used on: out[j] is
     the row at place j of the first epoch, folded against the offset in
@@ -332,7 +319,6 @@ def center_and_fold_split(
     its place.  ``split`` is only read; the views are valid until ``out``
     is written again.
     """
-    _check_window(n)
     if out.shape != split.zeta.shape or out.dtype != np.float64:
         raise ValueError(f"out {out.dtype} {out.shape} is not a float buffer {split.zeta.shape}")
     size = split.y.shape[0]
@@ -349,7 +335,7 @@ def center_and_fold_split(
                 at = order[a : a + step]
                 yield Block(split.y[at], np.divide(split.zeta[at], divisor, dtype=float))
 
-    stats = _centering_stats(_centering_window(gathered(), n)[0])
+    stats = _centering_window(gathered(), n)[1]
     first = drawn[0]
     place = np.empty(size, dtype=np.intp)
     place[first] = np.arange(size)
@@ -374,44 +360,35 @@ def center_and_fold_split(
     return stats, itertools.islice(views, stats.n_used, None)
 
 
-def _centering_window(blocks: Iterator[Block], n: int) -> tuple[list[Block], Block | None]:
-    """The centering rows of a stream, as _take returns them: the first n
-    rows, or 2n when a class is absent among the first n."""
-    parts, rest = _take(blocks, None, n)
-    if not _both_classes(parts):
-        more, rest = _take(blocks, rest, n)
-        parts += more
-    return parts, rest
-
-
-def _check_window(n: int) -> None:
+def _centering_window(blocks: Iterator[Block], n: int) -> tuple[list[Block], CenteringStats]:
+    """The whole blocks that hold a stream's centering rows, drawn as needed,
+    and the statistics of those rows: the first n, or the first 2n when a
+    class is absent among the first n (fewer if the stream ends).  A class
+    absent among them all is an error."""
     if n < 2:
         raise ValueError(f"need n >= 2 centering samples, got {n}")
-
-
-def _centering_stats(parts: Sequence[Block]) -> CenteringStats:
-    """Class means, offset and residual scale of the centering rows ``parts``."""
-    if not _both_classes(parts):
-        n_read = sum(p.y.shape[0] for p in parts)
-        raise ValueError(f"one class absent among the first {n_read} centering samples")
-    y, z = (np.concatenate(arrays) for arrays in zip(*parts))
+    window: list[Block] = []
+    held = 0
+    for want in (n, 2 * n):
+        while held < want and (block := next(blocks, None)) is not None:
+            window.append(block)
+            held += block.y.shape[0]
+        y = np.concatenate([b.y for b in window] or [np.empty(0, int)])[:want]
+        if (y == 0).any() and (y == 1).any():
+            break
+    else:
+        raise ValueError(f"one class absent among the first {y.shape[0]} centering samples")
+    # every block but the last lies inside the window, and the last one ends
+    # held - len(y) rows past it
+    last = window[-1].zeta
+    z = np.concatenate([*(b.zeta for b in window[:-1]), last[: len(last) - (held - len(y))]])
     # data past a double's range gives inf or NaN here, which effective_step rejects
     with np.errstate(over="ignore", invalid="ignore"):
         mean0 = z[y == 0].mean(axis=0)
         mean1 = z[y == 1].mean(axis=0)
         resid = z - np.where(y[:, None] == 0, mean0, mean1)
         sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
-    return CenteringStats(
-        mean0=mean0,
-        mean1=mean1,
-        offset=0.5 * (mean0 + mean1),
-        sigma2_tilde=sigma2,
-        n_used=y.shape[0],
-    )
-
-
-def _both_classes(parts: Sequence[Block]) -> bool:
-    return any((p.y == 0).any() for p in parts) and any((p.y == 1).any() for p in parts)
+    return window, CenteringStats(mean0, mean1, 0.5 * (mean0 + mean1), sigma2, y.shape[0])
 
 
 # sigma2_tilde below this is treated as exactly degenerate (noise-free data)

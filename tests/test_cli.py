@@ -1091,25 +1091,46 @@ def test_run_real_training_set_too_short_is_config_error(tmp_path, capsys, over)
     assert "centering_samples" in err and "epochs" in err, err
 
 
-# main in a process held to 2 GiB of address space
-_MAIN_IN_2_GIB = (
-    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-    "from sgdstop.cli import main; sys.exit(main(sys.argv[1:]))"
+# ``python -m sgdstop.cli`` in a process held to 4 GiB of address space, so
+# that a config value without its bound fails in seconds, not by swapping
+_CLI_IN_4_GIB = (
+    "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+    "runpy.run_module('sgdstop.cli', run_name='__main__', alter_sys=True)"
 )
 
 
-def test_svs_past_its_memory_cap_is_config_error_before_any_trial(tmp_path):
-    # svs_100000000 at d 100 would stack 80 GB of validation rows before
-    # its first update; the cap rejects it at once
-    p = _compare_cfg(tmp_path, d=100, stoppers=["zero_overhead", "svs_100000000"])
+@pytest.mark.parametrize(
+    "command, make_cfg, over, message",
+    [
+        # 80 GB of validation rows stacked before the first update
+        pytest.param("compare-stoppers", _compare_cfg,
+                     {"d": 100, "stoppers": ["zero_overhead", "svs_100000000"]},
+                     "config key 'stoppers': svs_100000000 at d = 100", id="svs_p"),
+        # up to 2 * 10**8 centering rows of 6 doubles, 9.6 GB
+        pytest.param("compare-stoppers", _compare_cfg, {"centering_samples": 10**8},
+                     "config key 'centering_samples': 100000000 at d = 6", id="centering_samples"),
+        # one 256-row block of 10**8 doubles, 191 GiB
+        pytest.param("sweep-sigma", _sweep_cfg, {"d": 10**8},
+                     "config key 'd' must be an integer in [1, 524288]", id="d"),
+        pytest.param("verify-bounds", _verify_cfg,
+                     {"expected_T": {**_SECTION, "d": 10**8, "trials": 2}},
+                     "config key 'expected_T.d' must be an integer in [1, 524288]", id="section_d"),
+        # three arrays of 10**10 doubles, 224 GiB
+        pytest.param("verify-bounds", _verify_cfg, {"drift": {**_SECTION, "n_mc": 10**10}},
+                     "config key 'drift.n_mc' must be an integer in [2, 44739242]", id="n_mc"),
+    ],
+)
+def test_config_values_past_the_array_bound_exit_2_before_any_trial(
+    tmp_path, command, make_cfg, over, message
+):
+    p = make_cfg(tmp_path, **over)
     proc = subprocess.run(
-        [sys.executable, "-c", _MAIN_IN_2_GIB, "compare-stoppers", "--config", p],
+        [sys.executable, "-c", _CLI_IN_4_GIB, command, "--config", p],
         capture_output=True, text=True, timeout=60,
     )
     _assert_config_error(proc)
-    assert proc.stderr.count("\n") == 1, proc.stderr
-    assert "config key 'stoppers': svs_100000000 at d = 100" in proc.stderr, proc.stderr
-    assert not (tmp_path / "cmp.csv").exists()
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+    assert not Path(json.loads(Path(p).read_text())["out"]).exists()
 
 
 @pytest.mark.parametrize("p, message", [(171196, "raise epochs"), (171197, "2**27")])
@@ -1123,6 +1144,19 @@ def test_run_real_svs_memory_cap_is_checked_once_the_data_is_read(tmp_path, caps
     })
     err = _assert_rejected(capsys, "run-real", cfg)
     assert message in err, err
+
+
+@pytest.mark.parametrize("n, message", [(85598, "raise epochs"), (85599, "2**27")])
+def test_run_real_centering_bound_is_checked_once_the_data_is_read(tmp_path, capsys, n, message):
+    # d = 784: 2 n d <= 2**27 up to n = 85,598, which passes the bound and
+    # then finds too few training rows; one more is over the bound
+    paths = write_mnist_style_fixture(tmp_path / "data", n_train=120, n_test=30)
+    cfg = write_config(tmp_path / "real.json", {
+        "dataset": "mnist", **paths, "class_a": 1, "class_b": 8, "alpha_tilde": 0.05,
+        "centering_samples": n, "out": str(tmp_path / "real.csv"),
+    })
+    err = _assert_rejected(capsys, "run-real", cfg)
+    assert message in err and "centering_samples" in err, err
 
 
 def test_centering_estimate_that_overflows_is_config_error(tmp_path, capsys):

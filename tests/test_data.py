@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -583,6 +584,31 @@ def test_estimate_centering_resamples_once_for_missing_class():
         center_and_fold(iter([ones]), n=1)
 
 
+@pytest.mark.parametrize("n, one_class_blocks, n_used, window_blocks", [(15, 0, 15, 2), (12, 2, 24, 3)])
+def test_center_and_fold_draws_the_window_whole_and_frees_each_block_it_passes(
+    n, one_class_blocks, n_used, window_blocks
+):
+    # 10-row blocks: the window ends inside a block, after the first n rows
+    # or, when they hold one class, after the first 2n
+    drawn = []  # weak references to each drawn block's features
+
+    def blocks():
+        for k in itertools.count():
+            zeta = np.full((10, 2), float(k))
+            drawn.append(weakref.ref(zeta))
+            yield Block(np.ones(10, int) if k < one_class_blocks else np.arange(10) % 2, zeta)
+
+    stats, rows = center_and_fold(blocks(), n)
+    assert stats.n_used == n_used
+    assert len(drawn) == window_blocks  # exactly the blocks that cover n_used rows
+    for _ in range(10 * window_blocks - n_used):  # the rest of the last window block
+        next(rows)
+    assert len(drawn) == window_blocks
+    next(rows)  # the first row past the window, none of which the test holds
+    assert len(drawn) == window_blocks + 1
+    assert [ref() is None for ref in drawn] == [True] * window_blocks + [False]
+
+
 # ---------------------------------------------------------------------------
 # the block pipeline against a per-point reference
 
@@ -648,6 +674,8 @@ def _check_against_reference(make_blocks, n, limit=None, centered=None):
 @example(d=2, sizes=[256, 256], n=256, ones_prefix=0, seed=1)  # centering ends a block
 @example(d=2, sizes=[256, 256], n=128, ones_prefix=128, seed=1)  # so does the 2n read
 @example(d=1, sizes=[2, 3], n=2, ones_prefix=0, seed=4)
+@example(d=2, sizes=[3, 2], n=100, ones_prefix=0, seed=0)  # the stream ends inside the n
+@example(d=2, sizes=[100, 20], n=100, ones_prefix=100, seed=0)  # and inside the 2n read
 @settings(max_examples=60, deadline=None)
 def test_center_and_fold_matches_per_point_reference(d, sizes, n, ones_prefix, seed):
     # arbitrary block boundaries, centering that reads below, at and past a
