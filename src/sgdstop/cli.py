@@ -643,14 +643,16 @@ def _hitting_time(sec: dict[str, Any], name: str, root: RngState) -> Iterator[di
 def _drift(sec: dict[str, Any], name: str, root: RngState) -> Iterator[dict]:
     section = _section_model(sec, name, ("sigma",), low_noise=True)
     rset = _before_trials(name, regime_set, *section)
-    mu_dots = sec["mu_dots"]
-    try:
-        probes = make_drift_probes(rset, [float(v) for v in mu_dots], root.substream(3))
+    dots = [float(v) for v in sec["mu_dots"]]
+    try:  # each probe is dropped once checked; the trials make it again
+        for _ in make_drift_probes(rset, dots, root.substream(3)):
+            pass
     except ValueError as e:  # a probe inside the target set, or past a double
         raise ConfigError(f"{name}.mu_dots: {e}") from None
     yield
+    probes = make_drift_probes(rset, dots, root.substream(3))
     results = check_drift_inequality(rset, probes, sec["n_mc"], root.substream(4))
-    for dot, res in zip(mu_dots, results):
+    for dot, res in zip(sec["mu_dots"], results):  # the config's own spelling
         yield _check_row(
             f"drift[mu.theta={dot}]", res.estimate, -res.decrement, res.stderr, res.passed
         )

@@ -19,16 +19,19 @@ Censored trials (max_iter reached, or an exhausted sampler) are excluded
 from the mean and reported in ``n_censored``; an all-censored estimate is
 NaN rather than an error.
 
-The drift check reads its Monte-Carlo samples in pieces of about
-``data.FOLD_ELEMENTS`` doubles and keeps two numbers per sample, so its
-memory does not grow with ``n_mc * d``; its bytes are those of drawing
-every sample at once.
+One trial run and one drift probe are held at a time: an estimator keeps
+only the numbers it reduces of each run, the probes are made one by one,
+and the drift check reads its Monte-Carlo samples in pieces of about
+``data.FOLD_ELEMENTS`` doubles and keeps two numbers per sample.  So
+neither the trial count, the probe count nor ``n_mc * d`` sizes memory,
+and the bytes are those of holding every run, probe and sample at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +81,19 @@ def _stopped_runs(
     n_trials: int,
     rng: RngState,
     theta0: np.ndarray | None = None,
-) -> list[RunResult]:
-    """The uncensored runs of ``n_trials`` trials.  Trial i trains on
-    ``rng.substream(i).substream(0)``; an extra-sample rule checks on its
-    ``.substream(1)``, a lazy stream that the other rules never read."""
+) -> Iterator[RunResult]:
+    """The uncensored runs of ``n_trials`` trials, one at a time.  Trial i
+    trains on ``rng.substream(i).substream(0)``; an extra-sample rule checks
+    on its ``.substream(1)``, a lazy stream that the other rules never read."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    runs = []
     for i in range(n_trials):
         trial = rng.substream(i)
         sampler = folded_gaussian_stream(model.mu, model.sigma, trial.substream(0))
         check = folded_gaussian_stream(model.mu, model.sigma, trial.substream(1))
         result = run(sampler, config, check_sampler=check, theta0=theta0)
         if not result.censored:
-            runs.append(result)
-    return runs
+            yield result
 
 
 def estimate_expected_T(
@@ -124,10 +125,11 @@ def estimate_angle_deviation(
         raise ValueError("v must be a unit vector")
     if abs(float(v @ model.mu)) > 1e-9 * model.mu_norm:
         raise ValueError("v must be orthogonal to mu")
-    runs = _stopped_runs(model, config, n_trials, rng)
+    pairs = [(abs(float(v @ r.theta)), float(r.iterations))
+             for r in _stopped_runs(model, config, n_trials, rng)]
     return (
-        _reduce([abs(float(v @ r.theta)) for r in runs], n_trials),
-        _reduce([float(r.iterations) for r in runs], n_trials),
+        _reduce([dev for dev, _ in pairs], n_trials),
+        _reduce([t for _, t in pairs], n_trials),
     )
 
 
@@ -154,17 +156,19 @@ def estimate_hitting_time(
     return _reduce([float(r.iterations) for r in runs], n_trials)
 
 
-def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> list[np.ndarray]:
-    """Probe iterates with prescribed mu . theta and random orthogonal parts.
+def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> Iterator[np.ndarray]:
+    """Probe iterates with prescribed mu . theta and random orthogonal parts,
+    made one at a time.
 
     Each probe is (t / |mu|^2) mu + u with u a random unit vector orthogonal
     to mu, t running over mu_dots.  Probe k's u is drawn from round k of
-    normal_rounds(rng, (d,), len(mu_dots)).  Probes must land outside the
-    target set, where the drift witness is a finite double.
+    normal_rounds(rng, (d,), len(mu_dots)), so the same rng makes the same
+    probes again.  Probes must land outside the target set, where the drift
+    witness is a finite double; a probe that does not raises ValueError when
+    it is reached.
     """
     model = rset.model
     mu2 = model.mu_norm**2
-    probes = []
     for t, (g,) in zip(mu_dots, normal_rounds(rng, (model.d,), len(mu_dots))):
         g -= (float(g @ model.mu) / mu2) * model.mu
         norm = float(np.linalg.norm(g))
@@ -177,15 +181,13 @@ def make_drift_probes(rset: RegimeSet, mu_dots: list[float], rng: RngState) -> l
             drift_value(rset, theta)
         except OverflowError:
             raise ValueError(f"probe with mu.theta = {t} overflows the drift witness") from None
-        probes.append(theta)
-    return probes
+        yield theta
 
 
 @dataclass(frozen=True)
 class DriftCheck:
     """One-step drift estimate at a probe against the guaranteed decrement."""
 
-    theta: np.ndarray
     estimate: float
     stderr: float
     decrement: float  # guaranteed bound: estimate must fall below -decrement
@@ -194,7 +196,7 @@ class DriftCheck:
 
 def check_drift_inequality(
     rset: RegimeSet,
-    probes: list[np.ndarray],
+    probes: Iterable[np.ndarray],
     n_mc: int,
     rng: RngState,
 ) -> list[DriftCheck]:
@@ -249,14 +251,6 @@ def check_drift_inequality(
         dv -= drift_value(rset, theta)
         est = float(dv.mean())
         se = float(dv.std(ddof=1) / math.sqrt(n_mc))
-        checks.append(
-            DriftCheck(
-                theta=theta,
-                estimate=est,
-                stderr=se,
-                decrement=b,
-                passed=bool(est < -b + 4.0 * se),
-            )
-        )
+        checks.append(DriftCheck(est, se, b, bool(est < -b + 4.0 * se)))
     return checks
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -572,6 +573,41 @@ def test_verify_bounds_rejects_bad_drift_probes(tmp_path, capsys, mu_dots):
 
 def _no_trials(*args, **kwargs):
     raise AssertionError("a trial ran")
+
+
+def test_verify_bounds_drift_theory_holds_one_probe_at_a_time(tmp_path, monkeypatch):
+    # at the largest d a section takes, a probe is 4 MiB: 64 mu_dots entries
+    # held at once peaked 224 MiB above 8 of them; one at a time, the peaks
+    # differ by less than two probes
+    monkeypatch.setattr(cli, "check_drift_inequality", _no_trials)
+    d = 524_288
+    peaks = []
+    for count in (8, 64):
+        p = write_config(tmp_path / f"v{count}.json", {
+            "seed": 1, "out": str(tmp_path / "r.json"),
+            "drift": {"loss": "logistic", "d": d, "sigma": 0.1, "alpha": 0.1, "n_mc": 2,
+                      "mu_dots": [-5.0] * count},
+        })
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssertionError, match="a trial ran"):  # every probe was checked
+                main(["verify-bounds", "--config", p])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * d * 8, peaks
+
+
+def test_verify_bounds_drift_rows_keep_the_configs_spelling_of_mu_dots(tmp_path):
+    report = tmp_path / "r.json"
+    p = write_config(tmp_path / "v.json", {
+        "seed": 1, "out": str(report),
+        "drift": {"loss": "logistic", "d": 6, "sigma": 0.1, "alpha": 0.1, "n_mc": 100,
+                  "mu_dots": [0, 0.9]},
+    })
+    assert main(["verify-bounds", "--config", p]) == EXIT_OK
+    rows = json.loads(report.read_text())["checks"]
+    assert [row["check"] for row in rows] == ["drift[mu.theta=0]", "drift[mu.theta=0.9]"]
 
 
 @pytest.mark.parametrize(

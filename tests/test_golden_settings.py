@@ -1,13 +1,16 @@
 """Checks that need a setting of their own process, each run as a child
-pytest process (which reads the RuntimeWarning filter of pyproject.toml too).
+pytest process.
 
-The golden digests (tests/test_golden.py) in the settings that can move
-their bytes:
+pyproject.toml's filterwarnings hold in every tier-1 test, these children
+included: a RuntimeWarning is an error, and so is a DeprecationWarning
+raised from sgdstop's own code.  The child settings add what a process-wide
+flag must set.  The golden digests (tests/test_golden.py) in the settings
+that can move their bytes:
 
 * one OpenBLAS thread, the benchmark's setting: gemv's per-row rounding
   depends on how it splits rows across threads;
-* numpy's deprecation warnings as errors: the streams set Philox's state and
-  hand Philox its key as an ISeedSequence;
+* every deprecation warning as an error, wherever numpy attributes it: the
+  streams set Philox's state and hand Philox its key as an ISeedSequence;
 * one CPU: a Box-Muller run of at least numerics.SPLIT_PAIRS pairs is
   computed in halves on a helper thread only where two CPUs are usable, and
   the inline path must give the same bytes; the numerics tests check that no

@@ -165,7 +165,7 @@ def test_make_drift_probes_geometry():
     model = _model(d=8, scale=2.0)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     dots = [-5.0, 0.0, 0.9]
-    probes = make_drift_probes(rset, dots, RngState(11))
+    probes = list(make_drift_probes(rset, dots, RngState(11)))
     assert len(probes) == 3
     for t, theta in zip(dots, probes):
         assert float(model.mu @ theta) == pytest.approx(t, abs=1e-10)
@@ -197,7 +197,7 @@ def test_make_drift_probes_rejects_inside_target():
     model = _model(d=4)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
     with pytest.raises(ValueError):
-        make_drift_probes(rset, [2.0], RngState(1))  # mu . theta = 2 is inside
+        list(make_drift_probes(rset, [2.0], RngState(1)))  # mu . theta = 2 is inside
 
 
 def test_drift_inequality_passes_in_low_regime():
@@ -249,7 +249,7 @@ def test_drift_inequality_hinge_matches_per_sample_recompute():
 
     model = _model(d=5)
     rset = regime_set(LossKind.HINGE, model, 0.1)
-    probes = make_drift_probes(rset, [0.5], RngState(14).substream(0))
+    probes = list(make_drift_probes(rset, [0.5], RngState(14).substream(0)))
     n = 500
     checks = check_drift_inequality(rset, probes, n, RngState(14).substream(1))
     theta = probes[0]
@@ -285,7 +285,7 @@ def test_drift_inequality_in_pieces_gives_the_whole_array_bytes(monkeypatch, kin
 
     monkeypatch.setattr(verify, "factor_array", recorded)
     rset = regime_set(kind, _model(d=d, sigma=sigma), 0.1)
-    probes = make_drift_probes(rset, [-5.0, 0.0, 0.9], RngState(d).substream(0))
+    probes = list(make_drift_probes(rset, [-5.0, 0.0, 0.9], RngState(d).substream(0)))
     rng = RngState(d).substream(1)
     checks = check_drift_inequality(rset, probes, n_mc, rng)
     for j, theta in enumerate(probes):
@@ -307,6 +307,32 @@ def test_drift_inequality_memory_does_not_grow_with_n_mc_times_d():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("estimator", ["expected_T", "angle_deviation", "hitting_time"])
+def test_estimator_memory_does_not_grow_with_trials(estimator):
+    # at d = 4,000 a stopped run's theta is 32 KB; keeping every run's theta
+    # put the peak at 40 trials 1.1 MB above the peak at 5
+    d = 4_000
+    model = _model(d=d)
+    cfg = SgdConfig(LossKind.LOGISTIC, 0.1, max_iter=10_000, rule=StopRule.extra_sample())
+    v = np.zeros(d)
+    v[1] = 1.0
+    rset = regime_set(LossKind.LOGISTIC, model, 0.1)
+    estimate = {
+        "expected_T": lambda n: estimate_expected_T(model, cfg, n, RngState(3)),
+        "angle_deviation": lambda n: estimate_angle_deviation(model, cfg, v, n, RngState(3)),
+        "hitting_time": lambda n: estimate_hitting_time(np.zeros(d), rset, 10_000, n, RngState(3)),
+    }[estimator]
+    peaks = []
+    for n in (5, 40):
+        tracemalloc.start()
+        try:
+            estimate(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < d * 8, peaks
 
 
 def test_trial_stats_single_trial_has_nan_stderr():
