@@ -116,9 +116,7 @@ class ConfigError(Exception):
 
 
 class DataMissing(Exception):
-    def __init__(self, paths: list[str]):
-        super().__init__(f"missing dataset files: {', '.join(paths)}")
-        self.paths = paths
+    pass
 
 
 def _load(path: str) -> dict[str, Any]:
@@ -756,7 +754,7 @@ def _load_real(c: dict[str, Any]) -> tuple[Block, Block, float]:
         paths = _needed(c, "dataset is 'csv'", "path")
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
-        raise DataMissing(missing)
+        raise DataMissing(f"missing dataset files: {', '.join(missing)}")
     if kind == "csv":
         task = _task(c, *load_csv_points(_read(paths[0], text=True)))
         n = task.y.shape[0]

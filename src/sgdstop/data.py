@@ -150,10 +150,8 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class CenteringStats:
-    """Per-class means, their midpoint offset, and the residual scale."""
+    """The midpoint of the per-class means, and the residual scale."""
 
-    mean0: np.ndarray
-    mean1: np.ndarray
     offset: np.ndarray
     sigma2_tilde: float
     n_used: int
@@ -388,7 +386,7 @@ def _centering_window(blocks: Iterator[Block], n: int) -> tuple[list[Block], Cen
         mean1 = z[y == 1].mean(axis=0)
         resid = z - np.where(y[:, None] == 0, mean0, mean1)
         sigma2 = float(np.mean(np.sum(resid * resid, axis=1)))
-    return window, CenteringStats(mean0, mean1, 0.5 * (mean0 + mean1), sigma2, y.shape[0])
+    return window, CenteringStats(0.5 * (mean0 + mean1), sigma2, y.shape[0])
 
 
 # sigma2_tilde below this is treated as exactly degenerate (noise-free data)

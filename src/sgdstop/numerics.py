@@ -84,7 +84,6 @@ import numpy as np
 # numpy loads numpy.random on first use; loading it with this module keeps
 # that cost in start-up instead of inside the first command that draws
 from numpy.random import Generator, Philox
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngState",
@@ -147,20 +146,7 @@ class RngState:
         ``Generator(Philox(key=[seed, stream]))``, bit for bit.  It serves
         permutations only (run-real's epochs and the CSV split); every other
         draw is read by position."""
-        return Generator(Philox(_Key(np.array([self.seed, self.stream], dtype=np.uint64))))
-
-
-class _Key(ISeedSequence):
-    """A Philox key handed over as a seed sequence.  Philox(key=...) also
-    builds a SeedSequence from OS entropy, which it never uses; Philox takes
-    an ISeedSequence as it is and asks it for its two 64-bit key words."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        assert n_words == 2 and dtype == np.uint64, "only a Philox key is asked for"
-        return self.words
+        return Generator(Philox(key=np.array([self.seed, self.stream], dtype=np.uint64)))
 
 
 class _Reader(threading.local):
@@ -170,7 +156,7 @@ class _Reader(threading.local):
     RngState.generator, so a read on any thread counts no generator."""
 
     def __init__(self) -> None:
-        gen = Generator(Philox(_Key(np.zeros(2, dtype=np.uint64))))
+        gen = Generator(Philox())
         state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.parts = gen.bit_generator, gen.random, state, state["state"]

@@ -38,7 +38,8 @@ iterates and on which the test fires with probability at least delta:
           delta = Phi^c((2/rho_star - |mu|^2)/(sigma |mu|)) / 2,
           drift witness V(theta) = |theta - rho_star mu|^2 / (2 alpha),
 
-where rho = mu . theta / |mu|^2 and theta_perp = theta - rho mu.  Outside C
+where rho = mu . theta / |mu|^2 and theta_perp = theta - rho mu; only the
+low regime's delta = 1/2 is checked (verify-bounds' target_delta).  Outside C
 the drift witness decreases in expectation by at least b = alpha |mu|^2 per
 step, which caps the expected entry time from theta at V(theta)/b and yields
 the closed-form expected-stopping-time bound exposed here for the low regime.
@@ -122,8 +123,7 @@ class RegimeSet:
     outside the target set; M sets the low-regime witness scale; rho_star
     centres and c_prime bounds the orthogonal component of the high-noise
     target set (both None in the low regime, whose target set, witness and
-    bound read only M and b); delta lower-bounds the firing probability on
-    the target set (exactly 1/2 in the low regime).
+    bound read only M and b).
     """
 
     regime: Regime
@@ -134,7 +134,6 @@ class RegimeSet:
     M: float
     rho_star: float | None
     c_prime: float | None
-    delta: float
 
 
 def minimizer_rho_star(kind: LossKind, mu_norm: float, sigma: float) -> float:
@@ -177,7 +176,7 @@ def _log_ndtr(w: float) -> float:
     return -0.5 * w * w - math.log(-w) - _HALF_LOG_2PI + math.log(series)
 
 
-def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
+def _solve_hinge_w(mu_norm: float, sigma: float) -> float:
     """Root of log Phi(w) + w^2/2 = log(sigma / (mu_norm sqrt(2 pi))).
 
     The left side is strictly increasing (phi(w)/Phi(w) + w > 0 for all w),
@@ -199,9 +198,9 @@ def _solve_hinge_w(mu_norm: float, sigma: float, tol: float = 1e-12) -> float:
         raise ArithmeticError(
             f"hinge minimizer bracket failed for mu_norm={mu_norm}, sigma={sigma}"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # ends a double apart, wider than tol
+        if not lo < mid < hi:  # ends a double apart, wider than 1e-12
             break
         if f(mid) < 0.0:
             lo = mid
@@ -280,11 +279,10 @@ def regime_set(
     if regime is Regime.LOW:
         if not math.isfinite(M * M):
             raise OverflowError(f"the drift witness scale M^2 overflows at alpha |mu|^2 = {b!r}")
-        return RegimeSet(regime, model, kind, alpha, b, M, None, None, 0.5)
+        return RegimeSet(regime, model, kind, alpha, b, M, None, None)
     rho_star = minimizer_rho_star(kind, model.mu_norm, model.sigma)
     c_prime = 436.0 if kind is LossKind.LOGISTIC else 8.0 + 10.0 * rho_star * model.sigma**2
-    delta = 0.5 * std_normal_ccdf((2.0 / rho_star - mu2) / (model.sigma * model.mu_norm))
-    return RegimeSet(regime, model, kind, alpha, b, M, rho_star, c_prime, delta)
+    return RegimeSet(regime, model, kind, alpha, b, M, rho_star, c_prime)
 
 
 def _ray_split(theta: np.ndarray, model: GaussianFoldedModel) -> tuple[float, float]:

@@ -59,20 +59,19 @@ class TrialStats:
 
     mean: float
     stderr: float
-    n_trials: int
     n_censored: int
 
 
 def _reduce(values: list[float], n_trials: int) -> TrialStats:
     n_censored = n_trials - len(values)
     if not values:
-        return TrialStats(math.nan, math.nan, n_trials, n_censored)
+        return TrialStats(math.nan, math.nan, n_censored)
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     stderr = (
         float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.nan
     )
-    return TrialStats(mean, stderr, n_trials, n_censored)
+    return TrialStats(mean, stderr, n_censored)
 
 
 def _stopped_runs(

@@ -825,7 +825,9 @@ def test_run_real_missing_data_exits_3(tmp_path, capsys):
     )
     assert main(["run-real", "--config", cfg]) == EXIT_DATA_MISSING
     err = capsys.readouterr().err
-    assert "missing" in err.lower()
+    absent = ", ".join(str(tmp_path / f) for f in
+                       ("absent-images", "absent-labels", "absent-test-images", "absent-test-labels"))
+    assert err == f"missing dataset files: {absent}\n"
     lines = (tmp_path / "real.csv").read_text().splitlines()
     assert COMMENT_RE.match(lines[0])
     assert len(lines) == 2  # comment + header, no data rows

@@ -527,7 +527,7 @@ def _split_stream(ds, rng, epochs, limit=None, n=2):
     return [ds.zeta[i] for i in read]
 
 
-def test_dataset_stream_epoch_accounting():
+def test_center_and_fold_split_epoch_accounting():
     ds = Block(np.arange(7) % 2, np.stack([np.arange(7.0), np.ones(7)], axis=1))
     one = _split_stream(ds, RngState(7), 1)
     assert len(one) == 7
@@ -541,7 +541,7 @@ def test_dataset_stream_epoch_accounting():
     assert [float(v[0]) for v in two[:7]] != [float(v[0]) for v in two[7:]]
 
 
-def test_dataset_stream_infinite_when_epochs_none():
+def test_center_and_fold_split_infinite_when_epochs_none():
     ds = Block(np.array([0, 1]), np.array([[0.0], [1.0]]))
     xs = _split_stream(ds, RngState(8), None, limit=9)
     assert len(xs) == 11
@@ -551,18 +551,16 @@ def test_dataset_stream_infinite_when_epochs_none():
 # centering and effective step
 
 
-def test_estimate_centering_noise_free_exact():
+def test_center_and_fold_noise_free_exact():
     blocks = [_block([0, 1, 0, 1], [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])]
     stats, _ = center_and_fold(iter(blocks), n=4)
     assert isinstance(stats, CenteringStats)
-    assert np.array_equal(stats.mean0, [0.0, 0.0])
-    assert np.array_equal(stats.mean1, [2.0, 2.0])
     assert np.array_equal(stats.offset, [1.0, 1.0])
     assert stats.sigma2_tilde == 0.0
     assert stats.n_used == 4
 
 
-def test_estimate_centering_residual_scale():
+def test_center_and_fold_residual_scale():
     # residual second moment estimates sigma^2 d for the Gaussian mixture
     d, sigma = 6, 0.5
     mu = np.zeros(d)
@@ -572,7 +570,7 @@ def test_estimate_centering_residual_scale():
     assert stats.sigma2_tilde == pytest.approx(sigma * sigma * d, rel=0.1)
 
 
-def test_estimate_centering_resamples_once_for_missing_class():
+def test_center_and_fold_resamples_once_for_missing_class():
     ones = _block([1] * 4, [[float(i)] for i in range(4)])
     mixed = _block([0, 1] * 2, [[10.0], [0.0]] * 2)
     stats, _ = center_and_fold(iter([ones, mixed]), n=4)
@@ -628,8 +626,6 @@ def _per_point_reference(rows, n):
     mean1 = z[y == 1].mean(axis=0)
     resid = z - np.where(y[:, None] == 0, mean0, mean1)
     stats = CenteringStats(
-        mean0=mean0,
-        mean1=mean1,
         offset=0.5 * (mean0 + mean1),
         sigma2_tilde=float(np.mean(np.sum(resid * resid, axis=1))),
         n_used=len(batch),
@@ -656,8 +652,7 @@ def _check_against_reference(make_blocks, n, limit=None, centered=None):
     rows = list(itertools.islice(rows, limit))
     assert stats.n_used == want_stats.n_used
     assert stats.sigma2_tilde == want_stats.sigma2_tilde
-    for field in ("mean0", "mean1", "offset"):
-        assert getattr(stats, field).tobytes() == getattr(want_stats, field).tobytes()
+    assert stats.offset.tobytes() == want_stats.offset.tobytes()
     assert len(rows) == len(want_rows[:limit])
     for got, ref in zip(rows, want_rows):
         assert got.shape == ref.shape
@@ -712,7 +707,7 @@ def _epochs_gathered(ds, rng, epochs, divisor=1.0):
 @example(d=2, n_rows=300, n=256, epochs=2, minority=150, seed=3)  # centering ends a chunk
 @example(d=2, n_rows=300, n=300, epochs=2, minority=150, seed=3)  # so does the epoch
 @settings(max_examples=40, deadline=None)
-def test_dataset_stream_pipeline_matches_reference_and_keeps_dataset(
+def test_center_and_fold_split_matches_reference_and_keeps_dataset(
     d, n_rows, n, epochs, minority, seed
 ):
     # a finite dataset that usually ends mid-block, possibly with few rows

@@ -10,7 +10,7 @@ that can move their bytes:
 * one OpenBLAS thread, the benchmark's setting: gemv's per-row rounding
   depends on how it splits rows across threads;
 * every deprecation warning as an error, wherever numpy attributes it: the
-  streams set Philox's state and hand Philox its key as an ISeedSequence;
+  streams set the state of a Philox generator through its state setter;
 * one CPU: a Box-Muller run of at least numerics.SPLIT_PAIRS pairs is
   computed in halves on a helper thread only where two CPUs are usable, and
   the inline path must give the same bytes; the numerics tests check that no

@@ -43,7 +43,7 @@ def test_loss_convex_and_nonincreasing(kind, m1, m2, lam):
     assert loss_value(kind, hi) <= loss_value(kind, lo) + 1e-12
 
 
-def test_gradient_factor_range_and_hinge_kink():
+def test_factor_function_range_and_hinge_kink():
     for m in (-10.0, -1.0, 0.0, 0.5, 3.0, 50.0):
         s = factor_function(LossKind.LOGISTIC)(m)
         assert 0.0 < s < 1.0
@@ -67,7 +67,7 @@ def test_factor_array_is_factor_function_on_each_margin():
         factor_array("hinge", margins)
 
 
-def test_gradient_factor_matches_finite_difference():
+def test_factor_function_matches_finite_difference():
     rng = np.random.default_rng(7)
     for kind in BOTH:
         for _ in range(20):

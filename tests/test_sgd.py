@@ -243,7 +243,7 @@ def _plain(alpha, extra):
     return SgdConfig(LossKind.LOGISTIC, alpha, max_iter=extra, rule=StopRule.none())
 
 
-def test_continue_run_accumulates():
+def test_run_from_theta0_accumulates():
     # a stopped run continues as a rule-none run from its iterate
     base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
     ext = run(_const_stream(E1), _plain(1.0, 5), theta0=base.theta)
@@ -259,7 +259,7 @@ def test_continue_run_accumulates():
     assert frozen.iterations == 4
 
 
-def test_continue_run_edge_cases():
+def test_run_from_theta0_edge_cases():
     base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
     zero = run(_const_stream(E1), _plain(1.0, 0), theta0=base.theta)
     assert (zero.iterations, zero.samples_consumed) == (0, 0)
@@ -328,7 +328,7 @@ def test_svs_diverges_on_non_finite_sample(bad):
 
 
 @pytest.mark.parametrize("bad", [NAN2, INF2])
-def test_continue_run_diverges_on_non_finite_sample(bad):
+def test_run_from_theta0_diverges_on_non_finite_sample(bad):
     base = run(_const_stream(E1), SgdConfig(LossKind.LOGISTIC, 1.0))
     good = np.array([1.0])
     stream = itertools.chain([good, good], [bad[:1]], itertools.repeat(good))
@@ -553,7 +553,7 @@ def test_svs_stops_within_cap_on_finite_streams(d, data, p, kind, alpha):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_continue_run_is_base_plus_extension(data):
+def test_run_from_theta0_is_base_plus_extension(data):
     # a stopped run continued by a rule-none run from its iterate applies
     # exactly the extension's rows to the base iterate, and is charged its draws
     d = data.draw(st.integers(1, 4), label="d")

@@ -314,23 +314,16 @@ def test_regime_set_values():
     assert p_log.M == pytest.approx(501.0 + 640.0 * 0.1, rel=1e-15)
     assert LOW_NOISE_RATIO[p_log.kind] == 0.33
     # the low regime solves for no ray minimizer: its set reads only M and b
-    assert (p_log.regime, p_log.rho_star, p_log.c_prime, p_log.delta) == (Regime.LOW, None, None, 0.5)
+    assert (p_log.regime, p_log.rho_star, p_log.c_prime) == (Regime.LOW, None, None)
     p_h = regime_set(LossKind.HINGE, model, 0.1)
     assert p_h.M == pytest.approx(501.0 + 782.0 * 0.1, rel=1e-15)
     assert LOW_NOISE_RATIO[p_h.kind] == 1.25
-    assert (p_h.regime, p_h.rho_star, p_h.c_prime, p_h.delta) == (Regime.LOW, None, None, 0.5)
+    assert (p_h.regime, p_h.rho_star, p_h.c_prime) == (Regime.LOW, None, None)
     noisy = GaussianFoldedModel(_e1(3), 2.0)
     h_log, h_h = regime_set(LossKind.LOGISTIC, noisy, 0.1), regime_set(LossKind.HINGE, noisy, 0.1)
     assert (h_log.regime, h_log.rho_star, h_log.c_prime) == (Regime.HIGH, 0.5, 436.0)
     assert h_h.rho_star == minimizer_rho_star(LossKind.HINGE, 1.0, 2.0)
     assert h_h.c_prime == pytest.approx(8.0 + 10.0 * h_h.rho_star * 4.0, rel=1e-12)
-
-
-def test_regime_set_high_regime_delta():
-    model = GaussianFoldedModel(_e1(3), 2.0)
-    for kind in BOTH:
-        p = regime_set(kind, model, 0.05)
-        assert 0.0 < p.delta <= 0.5
 
 
 def test_regime_set_alpha_edge_cases():

@@ -40,7 +40,7 @@ def test_expected_T_deterministic_and_positive():
     a = estimate_expected_T(model, cfg, 40, RngState(3))
     b = estimate_expected_T(model, cfg, 40, RngState(3))
     assert a == b
-    assert a.n_trials == 40 and a.n_censored == 0
+    assert a.n_censored == 0
     assert a.mean > 0 and a.stderr > 0
     # a different seed gives a different (but nearby) estimate
     c = estimate_expected_T(model, cfg, 40, RngState(4))
@@ -95,7 +95,6 @@ def test_angle_deviation_stats_share_trials():
     cfg = SgdConfig(LossKind.LOGISTIC, 0.05)
     v = np.array([0.0, 1.0, 0.0, 0.0])
     dev, times = estimate_angle_deviation(model, cfg, v, 60, RngState(8))
-    assert dev.n_trials == times.n_trials == 60
     assert dev.n_censored == times.n_censored == 0
     assert dev.mean >= 0.0
     assert times.mean > 0.0
@@ -340,5 +339,4 @@ def test_trial_stats_single_trial_has_nan_stderr():
     cfg = SgdConfig(LossKind.LOGISTIC, 0.1)
     stats = estimate_expected_T(model, cfg, 1, RngState(15))
     assert isinstance(stats, TrialStats)
-    assert stats.n_trials == 1
     assert math.isnan(stats.stderr)
