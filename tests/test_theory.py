@@ -368,6 +368,23 @@ def test_high_target_set_geometry():
     assert not target_set_contains(rset, rho_star * model.mu + (cap * 1.0001) * perp)
 
 
+@pytest.mark.parametrize("kind", BOTH)
+def test_high_target_set_fires_with_the_papers_delta(kind):
+    # the paper's high-noise firing bound, which only the module docstring
+    # keeps: delta = Phi^c((2/rho_star - |mu|^2)/(sigma |mu|)) / 2
+    model = GaussianFoldedModel(_e1(3), 2.0)
+    rset = regime_set(kind, model, 0.05)
+    assert rset.regime is Regime.HIGH
+    rho_star, cap = rset.rho_star, rset.c_prime / model.sigma
+    delta = (1.0 - std_normal_cdf((2.0 / rho_star - 1.0) / model.sigma)) / 2.0
+    assert 0.0 < delta <= 0.5
+    for rho in (0.51 * rho_star, rho_star, 1.49 * rho_star):
+        for perp in (0.0, 0.5 * cap, cap):
+            theta = np.array([rho, perp, 0.0])
+            assert target_set_contains(rset, theta)
+            assert termination_probability(theta, model) >= delta
+
+
 def test_drift_value_shapes():
     model = GaussianFoldedModel(_e1(2), 0.1)
     rset = regime_set(LossKind.LOGISTIC, model, 0.1)
