@@ -191,13 +191,13 @@ def _loop(
     rule: StopRule,
     checks: Sampler | None = None,
     val: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, int, StopReason, int]:
+) -> tuple[np.ndarray, int, int, int, StopReason]:
     """The update loop: up to ``limit`` updates of ``theta``, in place.
 
-    Returns (theta, updates k, samples charged, reason, checks drawn).  The
-    charge is the draws made from rows and checks, less a zero-overhead
-    firing draw (the next update's sample); small validation's p samples
-    are the caller's.
+    Returns (theta, updates k, rows drawn, checks drawn, reason): rows drawn
+    is k, or k + 1 when the last row's margin fired or was not finite, and
+    checks drawn counts the rows taken from ``checks``.  It charges nothing;
+    ``run`` prices the draws.
     The stop test follows ``rule``: zero-overhead tests each update margin
     before applying it; extra-sample draws a row from ``checks`` at k = 0
     and after every update; small validation scores ``val`` at k = 0 and
@@ -207,10 +207,7 @@ def _loop(
     fire = MARGIN_THRESHOLD if rule.kind is StopKind.ZERO_OVERHEAD else math.inf
     period = rule.period if val is not None else 1
     inside = rule.inside
-    if checks is not None or val is not None:
-        next_check = 0
-    else:
-        next_check = 1 if inside is not None else -1
+    next_check = 0 if checks is not None or val is not None else 1 if inside is not None else -1
     prev = -1.0  # below every fraction, so the k = 0 check only sets the baseline
     factor, isfinite, multiply, add = factor_function(kind), math.isfinite, np.multiply, np.add
     step = np.empty_like(theta)
@@ -224,31 +221,31 @@ def _loop(
                     c = next(checks).dot(theta)
                     checked += 1
                     if not isfinite(c):
-                        return theta, k, k + checked, StopReason.DIVERGED, checked
+                        return theta, k, k, checked, StopReason.DIVERGED
                     if c >= MARGIN_THRESHOLD:
-                        return theta, k, k + checked, StopReason.FIRED, checked
+                        return theta, k, k, checked, StopReason.FIRED
                 elif val is not None:
                     # margin exactly 0 counts incorrect, so theta = 0 scores 0.0
                     frac = float(np.mean(val @ theta > 0.0))
                     if frac <= prev:
-                        return theta, k, k, StopReason.PLATEAU, 0
+                        return theta, k, k, checked, StopReason.PLATEAU
                     prev = frac
                 elif inside(theta):
-                    return theta, k, k, StopReason.FIRED, 0
+                    return theta, k, k, checked, StopReason.FIRED
             if k >= limit:
-                return theta, k, k + checked, StopReason.CENSORED, checked
+                return theta, k, k, checked, StopReason.CENSORED
             xi = next(rows)
             m = float(xi.dot(theta))  # exact; Python floats are cheaper to test and pass
             if not isfinite(m):
-                return theta, k, k + checked + 1, StopReason.DIVERGED, checked
+                return theta, k, k + 1, checked, StopReason.DIVERGED
             if m >= fire:
-                return theta, k, k, StopReason.FIRED, 0
+                return theta, k, k + 1, checked, StopReason.FIRED
             scale[()] = alpha * factor(m)
             multiply(xi, scale, step)
             add(theta, step, theta)
             k += 1
     except StopIteration:
-        return theta, k, k + checked, StopReason.EXHAUSTED, checked
+        return theta, k, k, checked, StopReason.EXHAUSTED
 
 
 def run(
@@ -293,10 +290,12 @@ def run(
     # an overflowed iterate or margin ends the run as DIVERGED, so numpy's
     # warnings about it would only repeat the stop reason
     with np.errstate(over="ignore", invalid="ignore"):
-        theta, k, charged, reason, checked = _loop(
+        theta, k, drawn, checked, reason = _loop(
             rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
         )
+    if checks is not None:  # every row and check drawn; a margin per check
+        return RunResult(theta, k, drawn + checked, reason, checked)
     if val is not None:  # the p validation draws, and p margins per check
-        charged += rule.p
-        checked = rule.p * (k // rule.period + 1)
-    return RunResult(theta, k, charged, reason, checked)
+        return RunResult(theta, k, drawn + rule.p, reason, rule.p * (k // rule.period + 1))
+    # a zero-overhead firing row is the next update's sample, so it is not charged
+    return RunResult(theta, k, k if reason is StopReason.FIRED else drawn, reason, 0)

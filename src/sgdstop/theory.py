@@ -285,27 +285,18 @@ def regime_set(
     return RegimeSet(regime, model, kind, alpha, b, M, rho_star, c_prime)
 
 
-def _ray_split(theta: np.ndarray, model: GaussianFoldedModel) -> tuple[float, float]:
-    """(rho, |orthogonal part|) of theta = rho mu + theta_perp."""
-    theta = np.asarray(theta, dtype=float)
-    mu2 = model.mu_norm**2
-    rho = float(model.mu @ theta) / mu2
-    perp = theta - rho * model.mu
-    return rho, float(np.linalg.norm(perp))
-
-
 def target_set_contains(rset: RegimeSet, theta: np.ndarray) -> bool:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (rset.model.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({rset.model.d},)")
     if rset.regime is Regime.LOW:
         return float(rset.model.mu @ theta) >= MARGIN_THRESHOLD
-    rho, perp_norm = _ray_split(theta, rset.model)
+    # theta = rho mu + theta_perp
+    mu = rset.model.mu
+    rho = float(mu @ theta) / rset.model.mu_norm**2
+    perp_norm = float(np.linalg.norm(theta - rho * mu))
     rho_star = rset.rho_star
-    return (
-        abs(rho - rho_star) < 0.5 * rho_star
-        and rset.model.sigma * perp_norm <= rset.c_prime
-    )
+    return abs(rho - rho_star) < 0.5 * rho_star and rset.model.sigma * perp_norm <= rset.c_prime
 
 
 def drift_value(rset: RegimeSet, theta: np.ndarray) -> float:

@@ -4,13 +4,13 @@ pytest process.
 pyproject.toml's filterwarnings hold in every tier-1 test, these children
 included: a RuntimeWarning is an error, and so is a DeprecationWarning
 raised from sgdstop's own code.  The child settings add what a process-wide
-flag must set.  The golden digests (tests/test_golden.py) in the settings
-that can move their bytes:
+flag must set.  Each child also makes every deprecation warning an error,
+wherever numpy attributes it (the streams set the state of a Philox
+generator through its state setter).  The golden digests
+(tests/test_golden.py) in the settings that can move their bytes:
 
 * one OpenBLAS thread, the benchmark's setting: gemv's per-row rounding
   depends on how it splits rows across threads;
-* every deprecation warning as an error, wherever numpy attributes it: the
-  streams set the state of a Philox generator through its state setter;
 * one CPU: a Box-Muller run of at least numerics.SPLIT_PAIRS pairs is
   computed in halves on a helper thread only where two CPUs are usable, and
   the inline path must give the same bytes; the numerics tests check that no
@@ -52,9 +52,9 @@ def _child_pytest(args, extra_env=None, preexec=None) -> str:
 
 
 GOLDEN = str(TESTS / "test_golden.py")
+DEPRECATIONS = ["-W", "error::DeprecationWarning"]
 SETTINGS = {
     "one_blas_thread": ({"OPENBLAS_NUM_THREADS": "1"}, [GOLDEN], None),
-    "warnings_as_errors": ({}, ["-W", "error::DeprecationWarning", GOLDEN], None),
     "one_cpu": ({}, [GOLDEN, str(TESTS / "test_numerics.py"), str(TESTS / "test_verify.py")], _pin_to_one_cpu),
 }
 
@@ -64,7 +64,7 @@ def test_golden_digests_hold_in_setting(setting):
     extra_env, args, preexec = SETTINGS[setting]
     if preexec is not None and not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is missing here")
-    _child_pytest(["-q", *args], extra_env, preexec)
+    _child_pytest(["-q", *DEPRECATIONS, *args], extra_env, preexec)
 
 
 HANDOFFS = [

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import sgd_step
+from sgdstop import sgd
 from sgdstop.data import folded_gaussian_stream
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
@@ -347,6 +348,80 @@ def test_diverged_iterate_overflow():
         res = run(_const_stream([1e10, -1e10]), cfg)
     assert res.stop_reason is StopReason.DIVERGED
     assert res.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# what the update loop reports: its draws, which run prices
+
+
+class _Counter:
+    """Iterator over a list of rows, then exhausted, that counts the rows pulled."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.pulled += 1
+        return row
+
+
+ONE = np.array([1.0])
+NAN1 = np.array([math.nan])
+MANY = [ONE] * 10
+ZO, ES, NONE = StopRule.zero_overhead(), StopRule.extra_sample(), StopRule.none()
+SVS, TARGET = StopRule.small_validation(1), StopRule.target(lambda t: float(t.sum()) >= 1.0)
+
+# rule, update rows, check rows, alpha, limit, then the expected reason, k, and
+# whether the last row drawn ended the run (a zero-overhead firing or a
+# non-finite margin), so that the loop drew k + 1 rows.  On a stream of ones
+# at alpha 1 the margins run 0, 0.5, 0.88, 1.17 (NOISEFREE_MARGINS).
+LOOP_CASES = [
+    (ZO, MANY, None, 1.0, 100, StopReason.FIRED, 3, True),
+    (ZO, [ONE, ONE, NAN1], None, 0.01, 100, StopReason.DIVERGED, 2, True),
+    (ZO, [ONE, ONE], None, 0.0, 100, StopReason.EXHAUSTED, 2, False),
+    (ZO, MANY, None, 0.0, 3, StopReason.CENSORED, 3, False),
+    (ES, MANY, MANY, 1.0, 100, StopReason.FIRED, 3, False),
+    (ES, MANY, [ONE, NAN1], 0.01, 100, StopReason.DIVERGED, 1, False),
+    (ES, [ONE, NAN1], MANY, 0.01, 100, StopReason.DIVERGED, 1, True),
+    (ES, [ONE], MANY, 0.0, 100, StopReason.EXHAUSTED, 1, False),
+    (ES, MANY, MANY, 0.0, 2, StopReason.CENSORED, 2, False),
+    (SVS, MANY, None, 1.0, 100, StopReason.PLATEAU, 4, False),
+    (SVS, [ONE, NAN1], None, 0.01, 100, StopReason.DIVERGED, 1, True),
+    (SVS, [ONE], None, 0.0, 100, StopReason.EXHAUSTED, 1, False),
+    (SVS, MANY, None, 0.0, 1, StopReason.CENSORED, 1, False),
+    (TARGET, MANY, None, 1.0, 100, StopReason.FIRED, 3, False),
+    (TARGET, [ONE, NAN1], None, 0.01, 100, StopReason.DIVERGED, 1, True),
+    (TARGET, [ONE, ONE], None, 0.0, 100, StopReason.EXHAUSTED, 2, False),
+    (TARGET, MANY, None, 0.0, 2, StopReason.CENSORED, 2, False),
+    (NONE, MANY, None, 1.0, 3, StopReason.CENSORED, 3, False),
+    (NONE, [ONE, NAN1], None, 0.01, 100, StopReason.DIVERGED, 1, True),
+    (NONE, [ONE, ONE], None, 1.0, 100, StopReason.EXHAUSTED, 2, False),
+]
+
+
+@pytest.mark.parametrize("rule, rows, check_rows, alpha, limit, reason, k, row_ended", LOOP_CASES)
+def test_loop_reports_k_second_and_the_rows_it_drew(
+    rule, rows, check_rows, alpha, limit, reason, k, row_ended
+):
+    sampler = _Counter(rows)
+    checks = None if check_rows is None else _Counter(check_rows)
+    val = np.stack([ONE]) if rule.kind is StopKind.SMALL_VALIDATION else None
+    theta = np.zeros(1)
+    with np.errstate(invalid="ignore"):
+        out = sgd._loop(sampler, theta, LossKind.LOGISTIC, alpha, limit, rule, checks, val)
+    assert len(out) == 5 and out[0] is theta
+    _, updates, drawn, checked, got = out
+    assert (got, updates) == (reason, k)
+    # k counts the updates: theta is the first k rows folded through sgd_step
+    expected = _iterates(np.zeros(1), rows[:k], LossKind.LOGISTIC, alpha)[-1]
+    assert theta.tobytes() == expected.tobytes()
+    assert drawn == sampler.pulled == k + row_ended
+    assert checked == (0 if checks is None else checks.pulled)
 
 
 # ---------------------------------------------------------------------------
