@@ -20,7 +20,11 @@ verify-bounds echo) and as parsed, with defaults filled in.
 
 compare-stoppers and run-real name their stoppers in the config, and the
 name is the only form a stopper takes: ``_rule`` gives its stop rule, and
-``zero_overhead_continue`` is the one name whose run is continued.
+``zero_overhead_continue`` is the one name whose run is continued.  It
+continues the trial's first ``zero_overhead`` run as soon as that stops, on
+the same training stream (so on that run's sub-stream), and the one run
+gives both rows; with no ``zero_overhead`` in the list it makes its own base
+run on its own sub-stream.
 
 run-real keeps its training split as parsed (uint8 pixels, float CSV
 features) and allocates one float buffer of the split's shape per command;
@@ -72,7 +76,7 @@ from .data import (
 )
 from .losses import LossKind
 from .numerics import RngState, normal_rounds
-from .sgd import RunResult, SgdConfig, StopReason, StopRule, run
+from .sgd import RunResult, SgdConfig, StopRule, run
 from .theory import (
     LOW_NOISE_RATIO,
     GaussianFoldedModel,
@@ -409,26 +413,17 @@ def _check_rows(c: dict[str, Any], d: int) -> None:
                               f"doubles; {rule} must be <= 2**27 (1 GiB)")
 
 
-def _stream_index(names: list[str], j: int) -> int:
-    """Sub-stream index for stopper j within a trial: its list position j, so
-    reordering or inserting stoppers changes what each trains on (and the
-    eval set compare-stoppers draws from sub-stream len(names)).
-
-    A continued run replays the trial's first plain zero-overhead run (same
-    sub-stream, hence bit-identical base trajectory) before extending it, so
-    the two CSV rows relate exactly.
-    """
-    if names[j] == "zero_overhead_continue" and "zero_overhead" in names:
-        return names.index("zero_overhead")
-    return j
-
-
-def _run_stopper(name: str, centered: Callable[[int], _Centered], loss: LossKind, c: dict):
+def _run_stopper(
+    name: str, centered: Callable[[int], _Centered], loss: LossKind, c: dict,
+    continued: bool = False,
+) -> tuple[list[RunResult], CenteringStats, float]:
     """Centering protocol + run for stopper ``name`` on one run's training
-    data, with the run settings of the parsed config ``c``; a
-    ``zero_overhead_continue`` run goes on by ``c["continue_factor"]``.
+    data, with the run settings of the parsed config ``c``.  With
+    ``continued`` a stopped run then goes on at once, on the same training
+    stream, by ``c["continue_factor"]``.
 
-    Returns (result, centering stats, effective alpha).
+    Returns ([result], centering stats, effective alpha), with the continued
+    result appended when ``continued``.
     """
     try:
         stats, train = centered(c["centering_samples"])
@@ -443,22 +438,22 @@ def _run_stopper(name: str, centered: Callable[[int], _Centered], loss: LossKind
         raise ConfigError(f"config key 'alpha_tilde' is too large: {e}") from None
     config = SgdConfig(loss, alpha, max_iter=c["max_iter"], rule=_rule(name))
     try:
-        result = run(train, config)
+        results = [run(train, config)]
     except ValueError as e:  # a finite training set ran out before the first step
         raise ConfigError(
             f"stopper {name}: {e} after {stats.n_used} centering samples; "
             "lower centering_samples or raise epochs"
         ) from None
-    if name == "zero_overhead_continue" and not result.censored:
-        # plain SGD on from the stopped iterate; the row counts both runs
-        extra = int(round(c["continue_factor"] * result.iterations))
-        plain = SgdConfig(loss, alpha, max_iter=extra, rule=StopRule.none())
-        more = run(train, plain, theta0=result.theta)
-        reason = result.stop_reason if more.stop_reason is StopReason.CENSORED else more.stop_reason
-        result = RunResult(more.theta, result.iterations + more.iterations,
-                           result.samples_consumed + more.samples_consumed, reason,
-                           result.overhead + more.overhead)
-    return result, stats, alpha
+    if continued:
+        # plain SGD on from the stopped iterate, before run-real's next run
+        # overwrites the folded rows ``train`` views; the result counts both
+        base = results[0]
+        if not base.censored:
+            extra = int(round(c["continue_factor"] * base.iterations))
+            base = run(train, SgdConfig(loss, alpha, max_iter=extra, rule=StopRule.none()),
+                       base=base)
+        results.append(base)
+    return results, stats, alpha
 
 
 def _stopper_header(*extra: str) -> list[str]:
@@ -476,19 +471,39 @@ def _stopper_table(
     protocol with window n on the data of its sub-stream rng, then all are
     scored on the trial's ``held_out`` pieces, features divided by
     ``divisor``; the ``extra`` columns, constant across rows, precede the
-    stop reason."""
+    stop reason.
+
+    Stopper j trains on sub-stream j, so reordering or inserting stoppers
+    changes what each trains on (and the eval set compare-stoppers draws
+    from sub-stream len(names)).  The first zero_overhead run is continued
+    for every zero_overhead_continue row, at the first of their places, so
+    those rows train on its sub-stream; a continue without it runs alone.
+    """
     loss, names = LossKind(c["loss"]), c["stoppers"]
+    base = names.index("zero_overhead") if "zero_overhead" in names else None
+    shared = base is not None and "zero_overhead_continue" in names
     root = RngState(c["seed"])
     rows: list[list] = []
     for t in range(c["trials"]):
         cell = root.substream(t)
-        runs = []
+        runs: dict[int, tuple[RunResult, np.ndarray]] = {}
         for j, name in enumerate(names):
-            centered = partial(source, cell.substream(_stream_index(names, j)))
-            result, stats, _ = _run_stopper(name, centered, loss, c)
-            runs.append((result, stats.offset))
-        accs = accuracy_on_set(held_out(cell), [(r.theta, offset) for r, offset in runs], divisor)
-        for name, (result, _), acc in zip(names, runs, accs):
+            if j in runs:
+                continue
+            continued = name == "zero_overhead_continue" or (shared and j == base)
+            at = base if shared and continued else j  # the sub-stream it trains on
+            results, stats, _ = _run_stopper(
+                name, partial(source, cell.substream(at)), loss, c, continued
+            )
+            if shared and continued:  # the base's row and every continue row
+                pair = dict(zip(["zero_overhead", "zero_overhead_continue"], results))
+                runs.update((i, (pair[other], stats.offset)) for i, other in enumerate(names)
+                            if i == base or other == "zero_overhead_continue")
+            else:
+                runs[j] = (results[-1], stats.offset)
+        scored = [runs[j] for j in range(len(names))]
+        accs = accuracy_on_set(held_out(cell), [(r.theta, offset) for r, offset in scored], divisor)
+        for name, (result, _), acc in zip(names, scored, accs):
             rows.append([
                 name, t, result.iterations, result.samples_consumed,
                 result.overhead, acc, *extra.values(), result.stop_reason.value,
@@ -520,7 +535,7 @@ def cmd_sweep_sigma(values: dict[str, Any], c: dict[str, Any]) -> int:
                 cell = root.substream(i_s).substream(i_l).substream(t)
                 labeled = _labeled_source(c, sigma, cell.substream(0))
                 centered = partial(center_and_fold, labeled)
-                result, _, alpha = _run_stopper("zero_overhead", centered, loss, c)
+                (result,), _, alpha = _run_stopper("zero_overhead", centered, loss, c)
                 if not result.theta.any():
                     acc = 0.5  # never-updated iterate classifies at chance
                 else:

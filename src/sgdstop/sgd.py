@@ -48,15 +48,16 @@ SGD: each check drawn (extra-sample), p per validation check (small
 validation), none for the other rules.
 
 A rule of ``NONE`` has no stop test and runs plain SGD for exactly max_iter
-updates.  A stopped run is continued by a ``NONE`` run from its iterate
-(``theta0=result.theta``) on the same sampler; the caller adds the counts.
+updates.  A stopped run is continued by a ``NONE`` run given it as
+``base``, on the same sampler: the run starts from ``base.theta`` and
+reports the totals of both runs (``RunResult``).
 
 A NaN or infinite margin (a non-finite sample, or an overflowed iterate)
 ends any run at once as ``DIVERGED``, returning the iterate it was computed
 against, instead of running on to max_iter with a NaN theta.  Exhausted and
 diverged runs are charged the draws actually made.
 
-All runs start from theta = 0 unless an explicit ``theta0`` is given, halt
+All runs start from theta = 0 unless a ``theta0`` or ``base`` is given, halt
 after at most max_iter updates (censored), and never mutate their inputs.
 """
 
@@ -160,7 +161,9 @@ class RunResult:
     validation; exhausted and diverged runs report the draws actually made.
     ``overhead`` is the stop test's margin evaluations: the checks drawn for
     extra-sample, p * (k // 2p + 1) for small validation, 0 otherwise.
-    A continued run is a separate ``NONE`` run from ``theta``.
+    A run continued from a ``base`` result reports the base's counts plus its
+    own, and the base's stop reason unless its own run was cut short
+    (exhausted or diverged).
     """
 
     theta: np.ndarray
@@ -254,6 +257,7 @@ def run(
     *,
     check_sampler: Sampler | None = None,
     theta0: np.ndarray | None = None,
+    base: RunResult | None = None,
 ) -> RunResult:
     """Run config.rule on the sampler; see the module docstring for the rules.
 
@@ -261,8 +265,12 @@ def run(
     designated streams per run), otherwise they interleave with update
     draws from the one sampler, which for an i.i.d. stream is equivalent in
     distribution.  A sampler too short to size theta, give the first check
-    or fill the validation set is a ValueError.
+    or fill the validation set is a ValueError.  ``base`` continues that
+    result: the run starts from ``base.theta`` (instead of ``theta0``) and
+    returns the totals of both runs.
     """
+    if base is not None:
+        theta0 = base.theta
     rule = config.rule
     rows = sampler
     checks = val = first = None
@@ -294,8 +302,14 @@ def run(
             rows, theta, config.kind, config.alpha, config.max_iter, rule, checks, val
         )
     if checks is not None:  # every row and check drawn; a margin per check
-        return RunResult(theta, k, drawn + checked, reason, checked)
-    if val is not None:  # the p validation draws, and p margins per check
-        return RunResult(theta, k, drawn + rule.p, reason, rule.p * (k // rule.period + 1))
-    # a zero-overhead firing row is the next update's sample, so it is not charged
-    return RunResult(theta, k, k if reason is StopReason.FIRED else drawn, reason, 0)
+        charged, overhead = drawn + checked, checked
+    elif val is not None:  # the p validation draws, and p margins per check
+        charged, overhead = drawn + rule.p, rule.p * (k // rule.period + 1)
+    else:  # a zero-overhead firing row is the next update's sample, so it is not charged
+        charged, overhead = k if reason is StopReason.FIRED else drawn, 0
+    if base is not None:
+        k, charged, overhead = (base.iterations + k, base.samples_consumed + charged,
+                                base.overhead + overhead)
+        if reason is StopReason.CENSORED:  # every update applied: the base's stop stands
+            reason = base.stop_reason
+    return RunResult(theta, k, charged, reason, overhead)

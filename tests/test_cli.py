@@ -20,10 +20,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import write_config, write_mnist_style_fixture
 from oracles import first_rows
 from sgdstop import cli, numerics
-from sgdstop.data import center_and_fold, gaussian_mixture_sampler, gemv_run_rows
+from sgdstop.data import (
+    accuracy_on_set,
+    center_and_fold,
+    center_and_fold_split,
+    effective_step,
+    gaussian_mixture_sampler,
+    gemv_run_rows,
+)
 from sgdstop.losses import LossKind
 from sgdstop.numerics import RngState
-from sgdstop.sgd import StopReason
+from sgdstop.sgd import RunResult, SgdConfig, StopReason, StopRule, run
 from sgdstop.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -308,12 +315,13 @@ def test_continued_stopper_adds_the_extension_to_the_stopped_run():
     c = {"centering_samples": 10, "alpha_tilde": 0.1, "max_iter": 10_000, "continue_factor": 1.5}
 
     def row(blocks):
-        result, _, _ = cli._run_stopper("zero_overhead_continue",
-                                        partial(center_and_fold, blocks), LossKind.LOGISTIC, c)
+        (_, result), _, _ = cli._run_stopper("zero_overhead_continue",
+                                             partial(center_and_fold, blocks), LossKind.LOGISTIC,
+                                             c, continued=True)
         return result.iterations, result.samples_consumed, result.stop_reason, result.censored
 
-    base, _, _ = cli._run_stopper("zero_overhead", partial(center_and_fold, _finite_blocks(2000)),
-                                  LossKind.LOGISTIC, c)
+    (base,), _, _ = cli._run_stopper("zero_overhead", partial(center_and_fold, _finite_blocks(2000)),
+                                     LossKind.LOGISTIC, c)
     k = base.iterations
     assert (base.samples_consumed, base.stop_reason) == (k, StopReason.FIRED) and k > 3
     # the extension starts after the base run's 10 centering rows, k updates
@@ -328,6 +336,110 @@ def test_continued_stopper_adds_the_extension_to_the_stopped_run():
     assert row(_finite_blocks(2000, nan_at=start + 2)) == (
         k + 2, k + 3, StopReason.DIVERGED, True
     )
+
+
+def _replayed_continue(c, source, trial, at):
+    """A zero_overhead_continue row built the way it was before its base was
+    continued in place: the zero-overhead run on sub-stream ``at`` of the
+    trial, run afresh, then (unless censored) a rule-none run from its iterate
+    on the same stream, the two runs' counts added.  Returns (result, offset)."""
+    stats, train = source(RngState(c["seed"]).substream(trial).substream(at),
+                          c["centering_samples"])
+    loss, alpha = LossKind(c["loss"]), effective_step(c["alpha_tilde"], stats.sigma2_tilde)
+    base = run(train, SgdConfig(loss, alpha, max_iter=c["max_iter"]))
+    if base.censored:
+        return base, stats.offset
+    extra = int(round(c["continue_factor"] * base.iterations))
+    more = run(train, SgdConfig(loss, alpha, max_iter=extra, rule=StopRule.none()),
+               theta0=base.theta)
+    reason = base.stop_reason if more.stop_reason is StopReason.CENSORED else more.stop_reason
+    return RunResult(more.theta, base.iterations + more.iterations,
+                     base.samples_consumed + more.samples_consumed, reason,
+                     base.overhead + more.overhead), stats.offset
+
+
+def _compare_case(tmp, **over):
+    p = _compare_cfg(tmp, d=4, trials=3, eval_samples=200, **over)
+    c = cli._parse(cli._COMPARE, json.loads(Path(p).read_text()))
+    mu = np.zeros(c["d"])
+    mu[0] = c["mu_scale"]
+
+    def blocks(rng):
+        return gaussian_mixture_sampler(-mu, mu, c["sigma"], rng)
+
+    def held_out(trial):
+        eval_rng = RngState(c["seed"]).substream(trial).substream(len(c["stoppers"]))
+        return [first_rows(blocks(eval_rng), c["eval_samples"])]
+
+    return ("compare-stoppers", p, c, lambda rng, n: center_and_fold(blocks(rng), n),
+            held_out, 1.0)
+
+
+def _real_case(tmp, **over):
+    values = {"dataset": "mnist", **write_mnist_style_fixture(tmp / "data"), "class_a": 1,
+              "class_b": 8, "alpha_tilde": 0.005, "trials": 2, "seed": 5,
+              "stoppers": ["zero_overhead", "extra_sample", "svs_8", "zero_overhead_continue"],
+              "out": str(tmp / "cmp.csv"), **over}
+    p = write_config(tmp / "real.json", values)
+    c = cli._parse(cli._REAL, values)
+    train, test, divisor = cli._load_real(c)
+    return ("run-real", p, c,
+            lambda rng, n: center_and_fold_split(train, rng.generator(), n, c["epochs"],
+                                                 np.empty(train.zeta.shape), divisor),
+            lambda trial: [test], divisor)
+
+
+@pytest.mark.parametrize("case, reasons", [
+    # the continue before its base, duplicated, beside a second base
+    (partial(_compare_case, stoppers=["zero_overhead_continue", "svs_2", "zero_overhead",
+                                      "zero_overhead_continue", "zero_overhead"]), {"fired"}),
+    # no base: each continue runs alone on its own sub-stream
+    (partial(_compare_case, stoppers=["extra_sample", "zero_overhead_continue",
+                                      "zero_overhead_continue"]), {"fired"}),
+    (partial(_compare_case, max_iter=4, stoppers=["zero_overhead", "zero_overhead_continue"]),
+     {"censored"}),
+    (partial(_compare_case, continue_factor=0,
+             stoppers=["zero_overhead_continue", "extra_sample", "zero_overhead"]), {"fired"}),
+    # svs_8 and extra_sample run between the base and its row, each folding
+    # its own rows into the one buffer
+    (_real_case, {"fired"}),
+    # one epoch of 360 rows: the extension runs out, or with a tiny step the
+    # base runs out itself
+    (partial(_real_case, alpha_tilde=0.05, continue_factor=1000), {"exhausted"}),
+    (partial(_real_case, alpha_tilde=1e-9), {"exhausted"}),
+])
+def test_continued_rows_match_the_base_replayed_and_extended(tmp_path, monkeypatch, case, reasons):
+    command, p, c, source, held_out, divisor = case(tmp_path)
+    names = c["stoppers"]
+    scored = []
+    real_accuracy = cli.accuracy_on_set
+
+    def spy(pieces, classifiers, divisor=1.0):
+        scored.append([(theta.copy(), offset.copy()) for theta, offset in classifiers])
+        return real_accuracy(pieces, classifiers, divisor)
+
+    monkeypatch.setattr(cli, "accuracy_on_set", spy)
+    assert main([command, "--config", p]) == EXIT_OK
+    _, rows = _read_csv(tmp_path / "cmp.csv")
+    seen = set()
+    for t in range(c["trials"]):
+        for j, name in enumerate(names):
+            if name != "zero_overhead_continue":
+                continue
+            at = names.index("zero_overhead") if "zero_overhead" in names else j
+            want, offset = _replayed_continue(c, source, t, at)
+            theta, got_offset = scored[t][j]
+            assert theta.tobytes() == want.theta.tobytes()
+            assert got_offset.tobytes() == offset.tobytes()
+            acc = accuracy_on_set(held_out(t), [(want.theta, offset)], divisor)[0]
+            row = rows[t * len(names) + j]
+            assert (row["stopper"], row["trial"]) == (name, str(t))
+            assert (row["iterations"], row["samples_consumed"], row["overhead"],
+                    row["stop_reason"], row["accuracy"]) == (
+                str(want.iterations), str(want.samples_consumed), str(want.overhead),
+                want.stop_reason.value, repr(acc))
+            seen.add(row["stop_reason"])
+    assert reasons <= seen, seen
 
 
 def test_compare_stoppers_deterministic(tmp_path):

@@ -261,17 +261,17 @@ DIGESTS = {
     "verify_target_delta_odd": "ee0cf10ca08b006b06d5a9d173316c50ef19fc436570f2825ce74d00bf12b409",
     # generated before the draws of the drift probes, target_delta and t2
     # were read by position
-    "compare_eval_pieces_internals": "2ea7e365957d77a8860a82b20c0b1a7b803c4b8986b92727d6cceb13b1d93dd6",
-    "compare_gaussian_internals": "09a75d3eee2d981af41ab6cf254fd3ef0dd1440a4929f0234b3d6b9026c48e29",
-    "compare_gaussian_centering_256_internals": "2baa08ebb9880cb1a8135a5f9fb642f14bde63a87aeb9b4275efcbaac7cc5e6b",
-    "compare_gaussian_split_internals": "02044fe1a7da77839eca4637ba0685c7540e6629d901eda0407bf566ff15d4ba",
-    "compare_t2_centering_300_internals": "0513c3b5915db9c86abfd73fc1fc157178a4862d1e920fdcacd878d69cc9433e",
-    "real_cifar10_internals": "e0b69e07caaf75236ed3ef3b7604adca9c69ab277c5529be99028a5b38e07713",
-    "real_csv_internals": "891e022d433a82d6f51d9a79a308160c7db6d943911f2380b5a95d226df01853",
-    "real_csv_centering_epoch_internals": "b2335acd2978dc302f9b5fc75395e00d3253e2d33ad6eadbe3597ab210dd7ce5",
-    "real_mnist_fixture_internals": "9ef734d73dcd7c4a06573abb18ac4aa19b740fc841073ba8566502657d576bdf",
-    "real_mnist_unscaled_internals": "f22b6413d39f5cec1815b405a445ae9776d9e9e8826b00458c9c461c44631be3",
-    "real_test_pieces_internals": "8c5ec948be09459aebe1b9e5b315cb8791011a27497fed2935ca3b04d3aa3a34",
+    "compare_eval_pieces_internals": "b14e3afb226f50df8e1adf81d2990e085c218fc156413bc5f6bb17bf39965437",
+    "compare_gaussian_internals": "0224e3ff8bb304ccf272fa565f3f667d08ac61390186d9a2a5fb77d530b3aaae",
+    "compare_gaussian_centering_256_internals": "3d117718794b6ea02cc4af46e7575897416dfd5e748d3a12b348da228889c81a",
+    "compare_gaussian_split_internals": "47d5c469599504c7fb08a39ae6d4f5ba27042d1ae956829da21457dd441a0ea4",
+    "compare_t2_centering_300_internals": "e644be579c432e85dc857dad58e95d4bbddb5827ea6e684fd9a621f54da5ddd1",
+    "real_cifar10_internals": "d91d8988024ff355ab9e4339ee3ee171c4536a14396836a1d463e8438cd00f04",
+    "real_csv_internals": "63284a325e2ca9195e5c065481c640eda238b7a930042c2530d02f7920db1ce2",
+    "real_csv_centering_epoch_internals": "0b6c9071ad8e2ec93cb1de50434522e4fe6884cf2871ba2d268c99b249cba26b",
+    "real_mnist_fixture_internals": "a990c1e909ca70be715543b3a09b48b4639247cad756c3abdea2b77307e9de00",
+    "real_mnist_unscaled_internals": "fc853823d03341e1bd73b2ab6dbc0c43a5bc5bddc6491c4fb5cb3995a40e59f3",
+    "real_test_pieces_internals": "3212f144ec1adc713c9ea4d1031cc34c31a81bec84061eeb52712188a935e4e2",
     "sweep_gaussian_internals": "65a659510528a86245858de3bd6795ebbbd9ddfc44213fc6b264389b3edb77c7",
     "sweep_gaussian_split_internals": "88ad57b0494c385106a723ba4e57530d7114e76f46664e245e36659ca5befb92",
     "sweep_t2_internals": "5c0603a4464a11f3ea9cde6bf009ba37fb93e191cc14c8a68831478537e8187b",

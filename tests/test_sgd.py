@@ -658,3 +658,32 @@ def test_run_from_theta0_is_base_plus_extension(data):
             assert len(log) == len(rows) == done
         else:
             assert ext.stop_reason is StopReason.DIVERGED
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_from_base_reports_the_totals_of_both_runs(data):
+    # run(..., base=b) is the run from theta0=b.theta with b's counts added,
+    # and b's stop reason unless the extension was cut short; exhausted and
+    # diverged extensions are charged their draws
+    d = data.draw(st.integers(1, 4), label="d")
+    kind = data.draw(st.sampled_from(LossKind))
+    alpha = data.draw(st.floats(0.0, 2.0))
+    cfg = SgdConfig(kind, alpha, max_iter=data.draw(st.integers(0, 20)), rule=data.draw(RULES))
+    base = run(iter(data.draw(arrays(float, (40, d), elements=FINITE), label="base_rows")), cfg)
+    base_theta = base.theta.copy()
+    rows = data.draw(_rows(d), label="rows")
+    plain = SgdConfig(kind, alpha, max_iter=data.draw(st.integers(0, 40), label="extra"),
+                      rule=data.draw(st.sampled_from([StopRule.none(), StopRule.zero_overhead()])))
+    log = []
+    total = run(_Recorder(rows, log), plain, base=base)
+    ext = run(iter(rows), plain, theta0=base_theta)
+
+    assert base.theta.tobytes() == base_theta.tobytes()  # the base result is untouched
+    assert total.theta.tobytes() == ext.theta.tobytes()
+    reason = base.stop_reason if ext.stop_reason is StopReason.CENSORED else ext.stop_reason
+    assert (total.iterations, total.samples_consumed, total.overhead, total.stop_reason) == (
+        base.iterations + ext.iterations, base.samples_consumed + ext.samples_consumed,
+        base.overhead + ext.overhead, reason)
+    if ext.stop_reason in (StopReason.EXHAUSTED, StopReason.DIVERGED):
+        assert total.samples_consumed == base.samples_consumed + len(log)
